@@ -64,7 +64,7 @@ func (b *BangBang) SetControlState(st State) error {
 
 // ControlState implements Snapshotter. Bools: [haveLast, started]; Floats:
 // [nextPoll, holdTill, lastUtil, quietUntil] (quietUntil may be +Inf, which
-// the gob transport preserves exactly).
+// the snap codec preserves exactly: floats travel as their raw bits).
 func (l *LUT) ControlState() State {
 	return State{
 		Kind:   "LUT",

@@ -8,8 +8,8 @@ import (
 
 // CounterState, GaugeState and HistState are the serializable images of the
 // three metric kinds. ExportState emits them as name-sorted slices — never
-// maps — because the gob transport encodes map iteration order, which would
-// make otherwise-identical checkpoints byte-unequal.
+// maps — because a map's iteration order would make otherwise-identical
+// checkpoints byte-unequal (and the snap codec refuses maps).
 type CounterState struct {
 	Name  string
 	Value int64

@@ -95,11 +95,11 @@ func interruptAt(t *testing.T, r *rack.Rack, jobs []Job, p Policy, tc TraceConfi
 	}
 	var buf bytes.Buffer
 	if err := snap.Encode(&buf, *captured); err != nil {
-		t.Fatalf("checkpoint does not gob-encode: %v", err)
+		t.Fatalf("checkpoint does not snap-encode: %v", err)
 	}
 	var ck Checkpoint
 	if err := snap.Decode(bytes.NewReader(buf.Bytes()), &ck); err != nil {
-		t.Fatalf("checkpoint does not gob-decode: %v", err)
+		t.Fatalf("checkpoint does not snap-decode: %v", err)
 	}
 	return ck
 }
