@@ -19,7 +19,8 @@ const (
 	FanFail
 	// PSUDroop degrades server Server's supply efficiency: the AC input
 	// drawn for a given DC load is inflated by 1/(1−Severity). Severity
-	// must lie in (0, 1); zero selects DefaultPSUDroop.
+	// must lie in (0, 1); zero selects DefaultPSUDroop. Overlapping droops
+	// on one server add up, and their sum must stay below 1.
 	PSUDroop
 	// PSUFail takes server Server dark: the slot draws nothing at the wall,
 	// injects no heat, its fans spin down and its health reports Failed —
@@ -41,12 +42,14 @@ const (
 	CRACOutage
 	// ChillerDegraded derates the chiller: cooling power is inflated by
 	// 1/(1−Severity) — the COP chain delivering the same heat removal at
-	// degraded efficiency. Severity must lie in (0, 1).
+	// degraded efficiency. Severity must lie in (0, 1); zero selects
+	// DefaultPSUDroop. Overlapping derates add up, and their sum must stay
+	// below 1.
 	ChillerDegraded
 )
 
-// DefaultPSUDroop is the efficiency derate a PSUDroop event with zero
-// Severity applies.
+// DefaultPSUDroop is the efficiency derate a PSUDroop or ChillerDegraded
+// event with zero Severity applies.
 const DefaultPSUDroop = 0.05
 
 // DefaultCRACOutageC is the aisle heat-soak a CRACOutage event with zero
@@ -163,9 +166,13 @@ type Schedule struct {
 	Events []Event
 }
 
-// Validate checks every event against the rack shape and that the schedule
+// Validate checks every event against the rack shape, that the schedule
 // is sorted by inject time (ties broken by declaration order are fine; a
-// descending pair is rejected so plans stay readable).
+// descending pair is rejected so plans stay readable), and that stacked
+// derates stay below 1: at no instant may one server's active PSUDroop
+// severities, or the active ChillerDegraded severities, sum to 1 or more,
+// which would divide the AC input or the cooling power by a non-positive
+// efficiency.
 func (s *Schedule) Validate(nServers, nFans int) error {
 	if s == nil {
 		return nil
@@ -178,7 +185,48 @@ func (s *Schedule) Validate(nServers, nFans int) error {
 			return fmt.Errorf("fault: events must be sorted by inject time (event %d at %g after %g)", i, e.At, s.Events[i-1].At)
 		}
 	}
+	return s.checkDerateStacks()
+}
+
+// checkDerateStacks sums the active derates at every derate inject — the
+// only instants a sum can grow. An event is active from At until its
+// Clear, or for the rest of the run when permanent, and at a shared
+// instant clears go before injects, as the trace runners order their
+// edges. The check runs in trace seconds: pinning edges to a step grid
+// never reorders them, it only merges or drops them, so a schedule that
+// passes here cannot stack on any grid.
+func (s *Schedule) checkDerateStacks() error {
+	for i, e := range s.Events {
+		if e.Kind != PSUDroop && e.Kind != ChillerDegraded {
+			continue
+		}
+		var sum float64
+		for _, o := range s.Events {
+			if o.Kind != e.Kind || (e.Kind == PSUDroop && o.Server != e.Server) {
+				continue
+			}
+			if o.At <= e.At && !(o.Windowed() && o.Clear <= e.At) {
+				sum += o.derate()
+			}
+		}
+		if sum < 1 {
+			continue
+		}
+		if e.Kind == PSUDroop {
+			return fmt.Errorf("fault: event %d: %s stacks server %d's PSU derates to %g at %gs; they must sum below 1", i, e, e.Server, sum, e.At)
+		}
+		return fmt.Errorf("fault: event %d: %s stacks the chiller derates to %g at %gs; they must sum below 1", i, e, sum, e.At)
+	}
 	return nil
+}
+
+// derate resolves a PSUDroop/ChillerDegraded severity, zero picking the
+// documented default.
+func (e Event) derate() float64 {
+	if e.Severity == 0 {
+		return DefaultPSUDroop
+	}
+	return e.Severity
 }
 
 // Sort orders the events by inject time (stable, so same-instant events

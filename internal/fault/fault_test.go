@@ -101,3 +101,41 @@ func TestStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestScheduleValidateRejectsStackedDerates(t *testing.T) {
+	droop := func(srv int, at, clear, sev float64) Event {
+		return Event{Kind: PSUDroop, Server: srv, At: at, Clear: clear, Severity: sev}
+	}
+	chiller := func(srv int, at, clear, sev float64) Event {
+		return Event{Kind: ChillerDegraded, Server: srv, At: at, Clear: clear, Severity: sev}
+	}
+	cases := []struct {
+		name   string
+		events []Event
+		ok     bool
+	}{
+		{"stacked droops", []Event{droop(0, 10, 60, 0.6), droop(0, 30, 90, 0.5)}, false},
+		{"stacked droops at one instant", []Event{droop(1, 10, 0, 0.6), droop(1, 10, 0, 0.4)}, false},
+		{"droops on different servers", []Event{droop(0, 10, 60, 0.6), droop(1, 30, 90, 0.5)}, true},
+		{"back-to-back windows share an instant", []Event{droop(0, 10, 30, 0.6), droop(0, 30, 90, 0.5)}, true},
+		{"permanent overlaps a later window", []Event{droop(0, 10, 0, 0.6), droop(0, 500, 600, 0.5)}, false},
+		{"window overlaps a later permanent", []Event{droop(0, 10, 600, 0.6), droop(0, 500, 0, 0.5)}, false},
+		{"permanent starts as the window clears", []Event{droop(0, 10, 30, 0.6), droop(0, 30, 0, 0.5)}, true},
+		{"zero severity counts as the default", []Event{droop(0, 10, 0, 0.96), droop(0, 20, 0, 0)}, false},
+		{"zero severity below the limit", []Event{droop(0, 10, 0, 0.94), droop(0, 20, 0, 0)}, true},
+		{"chiller derates ignore the server", []Event{chiller(0, 10, 0, 0.5), chiller(3, 20, 40, 0.5)}, false},
+		{"chiller and droop do not stack", []Event{droop(0, 10, 0, 0.6), chiller(0, 10, 0, 0.6)}, true},
+		{"three windows, only two at once", []Event{droop(2, 0, 20, 0.45), droop(2, 10, 30, 0.45), droop(2, 20, 40, 0.45)}, true},
+		{"three windows all at once", []Event{droop(2, 0, 25, 0.4), droop(2, 10, 30, 0.4), droop(2, 20, 40, 0.4)}, false},
+	}
+	for _, c := range cases {
+		s := Schedule{Events: c.events}
+		err := s.Validate(4, 2)
+		if c.ok && err != nil {
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		}
+		if !c.ok && (err == nil || !strings.Contains(err.Error(), "sum below 1")) {
+			t.Errorf("%s: want a stacked-derate error, got %v", c.name, err)
+		}
+	}
+}

@@ -8,11 +8,14 @@ import (
 // FuzzScheduleValidate throws arbitrary two-event schedules at the
 // validator and pins the invariants the trace runner depends on: Sort is
 // idempotent and yields inject-time order, a schedule of individually
-// valid events always validates after Sort (the sortedness rejection is
-// only ever about order, never a new failure mode), every event a
-// validated schedule carries satisfies the documented field contracts, and
-// String never panics. The committed corpus seeds the taxonomy's corners —
-// rack-scope kinds, the Server<0 ambient wildcard, windowed clears and the
+// valid events validates after Sort exactly when its derates do not stack
+// (the sortedness rejection is only ever about order; the one other
+// failure mode is two overlapping PSUDroops on one server, or two
+// overlapping ChillerDegradeds, summing to 1 or more, which the oracle
+// below decides on its own), every event a validated schedule carries
+// satisfies the documented field contracts, and String never panics. The
+// committed corpus seeds the taxonomy's corners — rack-scope kinds, the
+// Server<0 ambient wildcard, windowed clears, stacked droops and the
 // non-finite rejections; CI runs a short -fuzz smoke on top.
 func FuzzScheduleValidate(f *testing.F) {
 	f.Add(0, 0, 0, 600.0, 900.0, 0.0, 3, 1, 0, 1200.0, 0.0, 0.0)   // fan-stick window, then psu-fail forever
@@ -55,8 +58,12 @@ func FuzzScheduleValidate(f *testing.F) {
 			_ = e.String() // must not panic, even for garbage kinds
 		}
 		err := s.Validate(nServers, nFans)
-		if allValid && err != nil {
+		stacked := allValid && derateStack(s.Events[0], s.Events[1])
+		if allValid && !stacked && err != nil {
 			t.Fatalf("all events valid and sorted, yet Validate failed: %v", err)
+		}
+		if stacked && err == nil {
+			t.Fatalf("stacked derates %v and %v validated", s.Events[0], s.Events[1])
 		}
 		if !allValid && err == nil {
 			t.Fatal("Validate accepted a schedule containing an invalid event")
@@ -76,4 +83,32 @@ func FuzzScheduleValidate(f *testing.F) {
 			}
 		}
 	})
+}
+
+// derateStack is the fuzz oracle for the stacked-derate rejection, written
+// apart from the validator: two valid events stack when both are PSUDroops
+// on one server or both ChillerDegradeds, their active spans [At, Clear)
+// overlap (a permanent event never ends; a clear at the other's inject
+// instant goes first), and their severities, zero meaning the default,
+// sum to 1 or more.
+func derateStack(a, b Event) bool {
+	if a.Kind != b.Kind || (a.Kind != PSUDroop && a.Kind != ChillerDegraded) {
+		return false
+	}
+	if a.Kind == PSUDroop && a.Server != b.Server {
+		return false
+	}
+	end := func(e Event) float64 {
+		if e.Clear > e.At {
+			return e.Clear
+		}
+		return math.Inf(1)
+	}
+	sev := func(e Event) float64 {
+		if e.Severity == 0 {
+			return DefaultPSUDroop
+		}
+		return e.Severity
+	}
+	return a.At < end(b) && b.At < end(a) && sev(a)+sev(b) >= 1
 }

@@ -107,6 +107,15 @@ type Bank struct {
 	cfg   Config
 	temps []float64
 
+	// Cached roll-ups of temps, so MaxTemp and TempSum are O(1) reads: the
+	// server, the rack observation and the divergence guard ask for them
+	// several times per step. Every writer of temps — NewBank, Step, StepN,
+	// Settle, SetState — must refresh both, with the same scan MaxTemp and
+	// TempSum would run: a > comparison from −Inf (NaN skipped) and a plain
+	// index-order sum (NaN poisons it).
+	maxTemp float64
+	tempSum float64
+
 	// first-order lag coefficient cache: alpha = 1 - e^(-dt/τ) for the last
 	// step size seen. Experiments step with a fixed dt, so this saves one
 	// math.Exp per step.
@@ -140,6 +149,7 @@ func NewBank(cfg Config, ambient units.Celsius) (*Bank, error) {
 		b.temps[i] = float64(ambient)
 		b.rowFrac[i] = float64(i) / float64(cfg.NumDIMMs-1+1)
 	}
+	b.refreshRollups()
 	return b, nil
 }
 
@@ -205,10 +215,17 @@ func (b *Bank) Step(dt float64, ambient units.Celsius, u units.Percent, r units.
 	}
 	alpha := b.alphaVal
 	rise, preheat := b.eqTerms(u, r)
+	m, sum := math.Inf(-1), 0.0
 	for i := range b.temps {
 		eq := b.eqAt(i, ambient, rise, preheat)
 		b.temps[i] += alpha * (eq - b.temps[i])
+		v := b.temps[i]
+		if v > m {
+			m = v
+		}
+		sum += v
 	}
+	b.maxTemp, b.tempSum = m, sum
 }
 
 // StepN advances DIMM temperatures by n consecutive Step(dt, …) calls with
@@ -231,10 +248,17 @@ func (b *Bank) StepN(dt float64, n int, ambient units.Celsius, u units.Percent, 
 	}
 	shrink := math.Pow(1-b.alphaVal, float64(n))
 	rise, preheat := b.eqTerms(u, r)
+	m, sum := math.Inf(-1), 0.0
 	for i := range b.temps {
 		eq := b.eqAt(i, ambient, rise, preheat)
 		b.temps[i] = eq + shrink*(b.temps[i]-eq)
+		v := b.temps[i]
+		if v > m {
+			m = v
+		}
+		sum += v
 	}
+	b.maxTemp, b.tempSum = m, sum
 }
 
 // Temp returns DIMM i's temperature.
@@ -254,16 +278,8 @@ func (b *Bank) Temps() []units.Celsius {
 	return out
 }
 
-// MaxTemp returns the hottest DIMM.
-func (b *Bank) MaxTemp() units.Celsius {
-	m := math.Inf(-1)
-	for _, v := range b.temps {
-		if v > m {
-			m = v
-		}
-	}
-	return units.Celsius(m)
-}
+// MaxTemp returns the hottest DIMM. NaN temperatures are skipped.
+func (b *Bank) MaxTemp() units.Celsius { return units.Celsius(b.maxTemp) }
 
 // NumDIMMs returns the DIMM count.
 func (b *Bank) NumDIMMs() int { return len(b.temps) }
@@ -271,12 +287,19 @@ func (b *Bank) NumDIMMs() int { return len(b.temps) }
 // TempSum returns the plain sum of all DIMM temperatures. A NaN or Inf
 // DIMM poisons the sum, whereas MaxTemp's comparisons would skip it —
 // the divergence guard reads this, not the max.
-func (b *Bank) TempSum() float64 {
-	var s float64
+func (b *Bank) TempSum() float64 { return b.tempSum }
+
+// refreshRollups recomputes the cached MaxTemp and TempSum from temps, for
+// the writers that do not already walk the bank in an update loop.
+func (b *Bank) refreshRollups() {
+	m, sum := math.Inf(-1), 0.0
 	for _, v := range b.temps {
-		s += v
+		if v > m {
+			m = v
+		}
+		sum += v
 	}
-	return s
+	b.maxTemp, b.tempSum = m, sum
 }
 
 // Settle snaps all DIMMs to equilibrium for the given conditions.
@@ -284,4 +307,5 @@ func (b *Bank) Settle(ambient units.Celsius, u units.Percent, r units.RPM) {
 	for i := range b.temps {
 		b.temps[i] = b.equilibrium(i, ambient, u, r)
 	}
+	b.refreshRollups()
 }

@@ -2,7 +2,10 @@ package mem
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/units"
 )
 
 func newBank(t *testing.T) *Bank {
@@ -155,5 +158,77 @@ func TestTempsCopyIsolation(t *testing.T) {
 	got, _ := b.Temp(0)
 	if got == 999 {
 		t.Fatal("Temps() must return a copy")
+	}
+}
+
+// TestRollupsMatchScan drives banks through random sequences of every
+// writer of the DIMM temperatures — Step, StepN (n = 1 and n > 1), Settle
+// and SetState, the last also with NaN and ±Inf entries — and checks the
+// cached MaxTemp and TempSum against a brute-force scan, bit for bit: the
+// max skips NaN, and NaN poisons the sum.
+func TestRollupsMatchScan(t *testing.T) {
+	scan := func(b *Bank) (maxT, sum float64) {
+		maxT = math.Inf(-1)
+		for _, v := range b.Temps() {
+			if float64(v) > maxT {
+				maxT = float64(v)
+			}
+			sum += float64(v)
+		}
+		return maxT, sum
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, n := range []int{1, 7, 32} {
+		cfg := DefaultConfig()
+		cfg.NumDIMMs = n
+		b, err := NewBank(cfg, 22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		for op := 0; op < 400; op++ {
+			amb := units.Celsius(15 + 15*rng.Float64())
+			u := units.Percent(100 * rng.Float64())
+			r := units.RPM(800 + 4000*rng.Float64())
+			var what string
+			switch rng.Intn(5) {
+			case 0:
+				what = "Step"
+				b.Step(0.5+2*rng.Float64(), amb, u, r)
+			case 1:
+				what = "StepN(1)"
+				b.StepN(1, 1, amb, u, r)
+			case 2:
+				what = "StepN"
+				b.StepN(1, 2+rng.Intn(500), amb, u, r)
+			case 3:
+				what = "Settle"
+				b.Settle(amb, u, r)
+			default:
+				what = "SetState"
+				st := b.State()
+				for i := range st.Temps {
+					st.Temps[i] = 20 + 60*rng.Float64()
+				}
+				if rng.Intn(2) == 0 {
+					for k := rng.Intn(3); k >= 0; k-- {
+						st.Temps[rng.Intn(n)] = specials[rng.Intn(len(specials))]
+					}
+				}
+				if err := b.SetState(st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantMax, wantSum := scan(b)
+			if got := float64(b.MaxTemp()); !same(got, wantMax) {
+				t.Fatalf("n=%d op %d (%s): MaxTemp %v, scan %v", n, op, what, got, wantMax)
+			}
+			if got := b.TempSum(); !same(got, wantSum) {
+				t.Fatalf("n=%d op %d (%s): TempSum %v, scan %v", n, op, what, got, wantSum)
+			}
+		}
 	}
 }

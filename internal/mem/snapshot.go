@@ -5,7 +5,8 @@ import "fmt"
 // State is the serializable mutable state of a Bank: the DIMM temperatures.
 // The lag-coefficient and inlet-preheat memos are derived caches — restoring
 // invalidates them and the next Step recomputes both, bit-identically,
-// because they are pure functions of (dt) and (utilization, fan speed).
+// because they are pure functions of (dt) and (utilization, fan speed). The
+// MaxTemp/TempSum roll-ups are derived from Temps and recomputed on restore.
 type State struct {
 	Temps []float64
 }
@@ -24,6 +25,7 @@ func (b *Bank) SetState(st State) error {
 		return fmt.Errorf("mem: state has %d DIMMs, bank has %d", len(st.Temps), len(b.temps))
 	}
 	copy(b.temps, st.Temps)
+	b.refreshRollups()
 	b.alphaDt = 0
 	b.phValid = false
 	return nil

@@ -58,9 +58,12 @@
 // integrated from each server's closed-form window energy, with the
 // window's mean DC draw lifted through the PSU/PDU/CRAC chain once
 // instead of per step; temperature maxima fold in every sub-step boundary
-// sample. Advance(dt, 1) is Step(dt) minus the controller tick, which is
-// how the kernel preserves exact fixed-dt semantics wherever a quiet
-// window cannot be granted.
+// sample. After TickControllers, Advance(dt, 1) leaves every server in
+// exactly Step(dt)'s state (bar the MacroStats attribution) and costs one
+// plain server.Step per slot, which is how the kernel preserves exact
+// fixed-dt semantics wherever a quiet window cannot be granted; only the
+// rack's energy meters differ, by rounding (Advance charges the
+// window-mean draw ΔE/span, Step the endpoint draw).
 //
 // # Faults and health
 //
@@ -70,7 +73,10 @@
 // dark slot, zero draw and heat, skipped controller tick), forced trips,
 // ambient excursions and facility faults (a CRAC outage zeroes cooling
 // power and heat-soaks every aisle; a degraded chiller inflates cooling
-// power). Both calls are serial rack mutations, never concurrent with
+// power). Overlapping derates add up; ApplyFault refuses an edge that
+// would take one slot's PSU derates, or the chiller derates, to 1 or more,
+// and fault.Schedule.Validate rejects such a schedule up front. Both calls
+// are serial rack mutations, never concurrent with
 // Step/Advance; windowed events additionally pin their affected servers to
 // plain fixed-dt stepping (server.PinFixedDt) for the window, preserving
 // the macro-window contract. Health(i) folds the fault state into the

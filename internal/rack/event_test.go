@@ -2,6 +2,7 @@ package rack
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cooling"
@@ -104,7 +105,10 @@ func TestAdvanceWorkerCountInvariant(t *testing.T) {
 }
 
 // TestRackStepAllocationFree pins the zero-allocation satellite at rack
-// scope (serial workers: the fan-out itself is the parallel path's cost).
+// scope (serial workers: the fan-out itself is the parallel path's cost):
+// Step, and every call of the event kernel's pinned step — the controller
+// tick, a single-step Advance, the cap admission query and the divergence
+// guard's StateSum.
 func TestRackStepAllocationFree(t *testing.T) {
 	r := eventChainRack(t, 4, 1)
 	for i := 0; i < 4; i++ {
@@ -113,7 +117,84 @@ func TestRackStepAllocationFree(t *testing.T) {
 	for k := 0; k < 64; k++ {
 		r.Step(1)
 	}
-	if avg := testing.AllocsPerRun(200, func() { r.Step(1) }); avg != 0 {
-		t.Fatalf("Rack.Step allocates %.1f objects/op at steady state, want 0", avg)
+	extra := []units.Watts{0, 40, 0, 0}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Step", func() { r.Step(1) }},
+		{"TickControllers", func() { r.TickControllers(r.Now()) }},
+		{"Advance(1, 1)", func() { r.Advance(1, 1) }},
+		{"WallPowerWithAll", func() { _ = r.WallPowerWithAll(extra) }},
+		{"StateSum", func() { _ = r.StateSum() }},
+	} {
+		if avg := testing.AllocsPerRun(200, c.fn); avg != 0 {
+			t.Errorf("Rack.%s allocates %.1f objects/op at steady state, want 0", c.name, avg)
+		}
+	}
+}
+
+// TestAdvanceOneIsStepMinusTick pins what a pinned event-kernel step
+// shares with the fixed-dt step: after TickControllers, Advance(dt, 1)
+// leaves every server's state bit-identical to Step(dt)'s, apart from the
+// macro attribution counter, which charges the step to PlainTail; the
+// instantaneous draws, peaks and maxima match too. The rack's energy
+// meters may differ by rounding only: Advance charges the window-mean
+// draw ΔE/span, Step the endpoint draw.
+func TestAdvanceOneIsStepMinusTick(t *testing.T) {
+	const n, steps = 4, 600
+	ev := eventChainRack(t, n, 1)
+	ref := eventChainRack(t, n, 1)
+	for k := 0; k < steps; k++ {
+		if k%150 == 0 {
+			for i := 0; i < n; i++ {
+				u := units.Percent((k/150*37 + 23*i) % 101)
+				ev.SetLoad(i, u)
+				ref.SetLoad(i, u)
+			}
+		}
+		ev.TickControllers(ev.Now())
+		ev.Advance(1, 1)
+		ref.Step(1)
+	}
+	for i := 0; i < n; i++ {
+		a, b := ev.Server(i).State(), ref.Server(i).State()
+		if a.Macro.PlainTail != steps || b.Macro != (server.MacroStats{}) {
+			t.Fatalf("slot %d macro attribution: advance %+v, step %+v", i, a.Macro, b.Macro)
+		}
+		a.Macro = b.Macro
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("slot %d state differs:\nadvance %+v\nstep    %+v", i, a, b)
+		}
+		if ev.Server(i).Breakdown() != ref.Server(i).Breakdown() {
+			t.Fatalf("slot %d breakdown differs", i)
+		}
+	}
+	if a, b := ev.StateSum(), ref.StateSum(); a != b {
+		t.Fatalf("StateSum %v vs %v", a, b)
+	}
+	if ev.Now() != ref.Now() {
+		t.Fatalf("clocks %v vs %v", ev.Now(), ref.Now())
+	}
+	a, b := ev.Telemetry(), ref.Telemetry()
+	for _, m := range []struct {
+		name string
+		x, y float64
+	}{
+		{"DCEnergyJoules", ev.DCEnergyJoules(), ref.DCEnergyJoules()},
+		{"WallEnergyKWh", a.WallEnergyKWh, b.WallEnergyKWh},
+		{"LossEnergyKWh", a.LossEnergyKWh, b.LossEnergyKWh},
+		{"CoolingEnergyKWh", a.CoolingEnergyKWh, b.CoolingEnergyKWh},
+		{"FacilityEnergyKWh", a.FacilityEnergyKWh, b.FacilityEnergyKWh},
+		{"PUE", a.PUE, b.PUE},
+	} {
+		if d := math.Abs(m.x-m.y) / math.Abs(m.y); d > 1e-12 {
+			t.Errorf("%s: advance %v vs step %v (rel %g > 1e-12)", m.name, m.x, m.y, d)
+		}
+	}
+	a.WallEnergyKWh, a.LossEnergyKWh, a.CoolingEnergyKWh, a.FacilityEnergyKWh, a.PUE =
+		b.WallEnergyKWh, b.LossEnergyKWh, b.CoolingEnergyKWh, b.FacilityEnergyKWh, b.PUE
+	if a != b {
+		t.Fatalf("telemetry beyond the wall-side meters differs:\nadvance %+v\nstep    %+v", a, b)
 	}
 }

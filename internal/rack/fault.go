@@ -65,6 +65,8 @@ func (r *Rack) targets(ev fault.Event, visit func(st *serverState)) {
 // directly between steps (never concurrently with Step/Advance). A
 // windowed event additionally pins its affected servers to plain fixed-dt
 // stepping until ClearFault (the PR 5 event-kernel contract).
+// A PSUDroop or ChillerDegraded edge that would take the slot's (or the
+// rack's) summed derate to 1 or more errors and changes nothing.
 func (r *Rack) ApplyFault(ev fault.Event) error {
 	if err := ev.Validate(len(r.servers), r.fanCountFor(ev)); err != nil {
 		return err
@@ -79,7 +81,12 @@ func (r *Rack) ApplyFault(ev fault.Event) error {
 			return err
 		}
 	case fault.PSUDroop:
-		r.servers[ev.Server].psuDerate += droopSeverity(ev)
+		st := r.servers[ev.Server]
+		d := st.psuDerate + droopSeverity(ev)
+		if d >= 1 {
+			return fmt.Errorf("rack: %s would stack server %d's PSU derates to %g; they must sum below 1", ev, ev.Server, d)
+		}
+		st.psuDerate = d
 	case fault.PSUFail:
 		r.servers[ev.Server].srv.SetPowered(false)
 	case fault.ServerTrip:
@@ -96,7 +103,11 @@ func (r *Rack) ApplyFault(ev fault.Event) error {
 			st.srv.SetAmbientOffset(st.srv.AmbientOffset() + d)
 		})
 	case fault.ChillerDegraded:
-		r.chillerDerate += droopSeverity(ev)
+		d := r.chillerDerate + droopSeverity(ev)
+		if d >= 1 {
+			return fmt.Errorf("rack: %s would stack the chiller derates to %g; they must sum below 1", ev, d)
+		}
+		r.chillerDerate = d
 	default:
 		return fmt.Errorf("rack: unknown fault kind %v", ev.Kind)
 	}

@@ -291,3 +291,52 @@ func TestReliabilitySamplingOffIsBitIdentical(t *testing.T) {
 		t.Fatalf("sampling-off telemetry carries reliability values: %+v", plain)
 	}
 }
+
+// TestApplyFaultRejectsStackedDerates: a droop or chiller edge that would
+// take the summed derate to 1 or more errors and leaves the rack as it
+// was — the wall and cooling draws stay finite and positive.
+func TestApplyFaultRejectsStackedDerates(t *testing.T) {
+	fac := cooling.DefaultFacility(cooling.DefaultCRAC().ReferenceC)
+	r, err := New(Config{Servers: testSpecs(t, 2), Workers: 1, Facility: &fac})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetLoad(0, 60)
+	r.Step(1)
+	first := fault.Event{Kind: fault.PSUDroop, Server: 0, At: 0, Clear: 100, Severity: 0.6}
+	if err := r.ApplyFault(first); err != nil {
+		t.Fatal(err)
+	}
+	wall := r.ServerWallPower(0)
+	if err := r.ApplyFault(fault.Event{Kind: fault.PSUDroop, Server: 0, At: 10, Severity: 0.5}); err == nil {
+		t.Fatal("droops summing to 1.1 on one server must be refused")
+	}
+	if got := r.ServerWallPower(0); got != wall {
+		t.Fatalf("refused droop changed slot 0's wall draw: %v, was %v", got, wall)
+	}
+	if err := r.ApplyFault(fault.Event{Kind: fault.PSUDroop, Server: 1, At: 10, Severity: 0.5}); err != nil {
+		t.Fatalf("a droop on another server must apply: %v", err)
+	}
+	if err := r.ClearFault(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ApplyFault(fault.Event{Kind: fault.PSUDroop, Server: 0, At: 100, Severity: 0.5}); err != nil {
+		t.Fatalf("a droop after the first cleared must apply: %v", err)
+	}
+
+	if err := r.ApplyFault(fault.Event{Kind: fault.ChillerDegraded, At: 0, Severity: 0.7}); err != nil {
+		t.Fatal(err)
+	}
+	r.Step(1)
+	cool := r.CoolingPower()
+	if err := r.ApplyFault(fault.Event{Kind: fault.ChillerDegraded, At: 0, Severity: 0.3}); err == nil {
+		t.Fatal("chiller derates summing to 1 must be refused")
+	}
+	r.Step(1)
+	if got := r.CoolingPower(); got <= 0 || got > 2*cool {
+		t.Fatalf("cooling power %v after a refused derate, was %v", got, cool)
+	}
+	if applied := r.faultsApplied; applied != 4 {
+		t.Fatalf("faultsApplied = %d, want 4: refused edges must not count", applied)
+	}
+}

@@ -110,8 +110,19 @@ type serverState struct {
 
 	// psuDerate is the summed fault.PSUDroop severity on this slot: the AC
 	// input for a given DC load is inflated by 1/(1−psuDerate). Overlapping
-	// droop windows compose additively and must sum below 1.
+	// droop windows compose additively and must sum below 1 (ApplyFault
+	// refuses an edge that would reach it).
 	psuDerate float64
+
+	// One-entry memo of psuIn, keyed on the DC draw and psuDerate: observe
+	// stores the endpoint value and the policy views and cap admission
+	// reuse it. Slot state touched only in the rack's serial sections
+	// (after the fan-out barrier, or between steps); a pure function of
+	// its key for the slot's fixed curve, so it is never snapshotted.
+	psuMemoOK     bool
+	psuMemoDC     float64
+	psuMemoDerate float64
+	psuMemoW      float64
 
 	// Per-macro-window scratch (Advance): the energy meter at window start
 	// and the temperature maxima sampled at every sub-step boundary, folded
@@ -122,10 +133,22 @@ type serverState struct {
 	winMaxInlet float64
 }
 
-// psuIn returns the AC power this slot draws from the PDU to deliver its
-// current DC load — the identity when no PSU is configured and no droop
-// fault is active.
+// psuIn returns the AC power this slot draws from the PDU to deliver a DC
+// load of dc, through the slot's memo (see psuMemoOK).
 func (st *serverState) psuIn(dc float64) float64 {
+	if st.psuMemoOK && dc == st.psuMemoDC && st.psuDerate == st.psuMemoDerate {
+		return st.psuMemoW
+	}
+	w := st.psuCurve(dc)
+	st.psuMemoOK, st.psuMemoDC, st.psuMemoDerate, st.psuMemoW = true, dc, st.psuDerate, w
+	return w
+}
+
+// psuCurve evaluates the slot's delivery curve without touching the memo —
+// the identity when no PSU is configured and no droop fault is active.
+// Off-endpoint queries (window means, what-if increments) use it so they
+// do not evict the endpoint value.
+func (st *serverState) psuCurve(dc float64) float64 {
 	w := dc
 	if st.psu != nil {
 		w = float64(st.psu.Wall(units.Watts(dc)))
@@ -552,8 +575,16 @@ func (r *Rack) FansUnsettled() bool {
 // PSU/PDU/CRAC chain as the per-step path (the chain's curvature over a
 // window's sub-watt DC drift is far below the kernel's equivalence
 // tolerance) — and the temperature maxima fold in every sub-step boundary
-// sample collected inside the window. Advance(dt, 1) is Step(dt) minus the
-// controller tick.
+// sample collected inside the window.
+//
+// Advance(dt, 1) after TickControllers(now) costs one plain server.Step
+// per slot and leaves every server in exactly the state Step(dt) would,
+// bit for bit, bar the MacroStats counter that attributes the step; the
+// instantaneous draws, peaks and maxima match too. The rack's energy
+// meters agree only to rounding (~1e-15 relative): Step charges the
+// endpoint DC draw, Advance the window mean ΔE/span — the same draw
+// re-derived through each server's energy meter — lifted through the
+// PSU/PDU/CRAC chain.
 func (r *Rack) Advance(dt float64, steps int) {
 	if dt <= 0 || steps <= 0 {
 		return
@@ -565,7 +596,7 @@ func (r *Rack) Advance(dt float64, steps int) {
 	for _, st := range r.servers {
 		mean := (float64(st.srv.Energy()) - st.winEnergy0) / span
 		dcMeanW += mean
-		acInMeanW += st.psuIn(mean)
+		acInMeanW += st.psuCurve(mean)
 		if st.winMaxCPUC > r.maxCPUC {
 			r.maxCPUC = st.winMaxCPUC
 		}
@@ -638,10 +669,11 @@ func (r *Rack) WallPowerWith(i int, extraDC units.Watts) units.Watts {
 	var acInW float64
 	for j, st := range r.servers {
 		dc := float64(st.srv.Breakdown().Total())
-		if j == i {
-			dc += float64(extraDC)
+		if j == i && extraDC != 0 {
+			acInW += st.psuCurve(dc + float64(extraDC))
+		} else {
+			acInW += st.psuIn(dc)
 		}
-		acInW += st.psuIn(dc)
 	}
 	return units.Watts(r.pduIn(acInW))
 }
@@ -654,10 +686,11 @@ func (r *Rack) WallPowerWithAll(extraDC []units.Watts) units.Watts {
 	var acInW float64
 	for j, st := range r.servers {
 		dc := float64(st.srv.Breakdown().Total())
-		if j < len(extraDC) {
-			dc += float64(extraDC[j])
+		if j < len(extraDC) && extraDC[j] != 0 {
+			acInW += st.psuCurve(dc + float64(extraDC[j]))
+		} else {
+			acInW += st.psuIn(dc)
 		}
-		acInW += st.psuIn(dc)
 	}
 	return units.Watts(r.pduIn(acInW))
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/power"
 	"repro/internal/server"
 	"repro/internal/units"
@@ -171,5 +172,108 @@ func TestRackWallDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if ref.WallEnergyKWh <= ref.TotalEnergyKWh || ref.LossEnergyKWh <= 0 {
 		t.Fatalf("implausible wall telemetry: %+v", ref)
+	}
+}
+
+// slotWallRef evaluates slot i's supply directly — the PSU curve at DC
+// draw dc, inflated by the slot's droop derate — as the unmemoized
+// reference for the psuIn memo.
+func slotWallRef(r *Rack, i int, dc float64) float64 {
+	st := r.servers[i]
+	w := dc
+	if st.psu != nil {
+		w = float64(st.psu.Wall(units.Watts(dc)))
+	}
+	if st.psuDerate > 0 {
+		w /= 1 - st.psuDerate
+	}
+	return w
+}
+
+// wallWithRef is the unmemoized WallPowerWithAll: every slot's supply
+// evaluated directly at its DC draw plus extra, then the PDU.
+func wallWithRef(r *Rack, extra []units.Watts) float64 {
+	var ac float64
+	for j := 0; j < r.NumServers(); j++ {
+		dc := float64(r.ServerDCPower(j))
+		if j < len(extra) {
+			dc += float64(extra[j])
+		}
+		ac += slotWallRef(r, j, dc)
+	}
+	return r.pduIn(ac)
+}
+
+// checkWallQueries compares ServerWallPower, WallPowerWith and
+// WallPowerWithAll against unmemoized evaluations at the same DC draws.
+func checkWallQueries(t *testing.T, when string, r *Rack) {
+	t.Helper()
+	n := r.NumServers()
+	for i := 0; i < n; i++ {
+		if got, want := float64(r.ServerWallPower(i)), slotWallRef(r, i, float64(r.ServerDCPower(i))); got != want {
+			t.Fatalf("%s: ServerWallPower(%d) = %v, unmemoized %v", when, i, got, want)
+		}
+		for _, x := range []units.Watts{50, 0} {
+			one := make([]units.Watts, n)
+			one[i] = x
+			if got, want := float64(r.WallPowerWith(i, x)), wallWithRef(r, one); got != want {
+				t.Fatalf("%s: WallPowerWith(%d, %v) = %v, unmemoized %v", when, i, x, got, want)
+			}
+		}
+	}
+	extra := make([]units.Watts, n)
+	for i := 0; i < n; i += 2 {
+		extra[i] = units.Watts(25 * (i + 1))
+	}
+	if got, want := float64(r.WallPowerWithAll(extra)), wallWithRef(r, extra); got != want {
+		t.Fatalf("%s: WallPowerWithAll = %v, unmemoized %v", when, got, want)
+	}
+}
+
+// TestWallQueriesMatchUnmemoizedCurve pins the per-slot PSU memo: every
+// wall query equals a direct evaluation of the delivery chain,
+// including right after a droop edge (same DC draw, new derate) and after
+// a Restore into a fresh rack whose memo holds its construction draws.
+func TestWallQueriesMatchUnmemoizedCurve(t *testing.T) {
+	psu, pdu := power.DefaultPSU(), power.DefaultPDU()
+	r := chainRack(t, 4, 1, &psu, &pdu)
+	for s := 0; s < 30; s++ {
+		r.Step(1)
+	}
+	checkWallQueries(t, "steady", r)
+	droop := fault.Event{Kind: fault.PSUDroop, Server: 1, At: 30, Clear: 60, Severity: 0.2}
+	if err := r.ApplyFault(droop); err != nil {
+		t.Fatal(err)
+	}
+	checkWallQueries(t, "droop applied", r)
+	for s := 0; s < 10; s++ {
+		r.Step(1)
+	}
+	checkWallQueries(t, "droop active", r)
+	if err := r.ClearFault(droop); err != nil {
+		t.Fatal(err)
+	}
+	checkWallQueries(t, "droop cleared", r)
+	r.SetLoad(2, 20)
+	r.Step(1)
+	checkWallQueries(t, "after clear", r)
+
+	if err := r.ApplyFault(droop); err != nil {
+		t.Fatal(err)
+	}
+	r.Step(1)
+	st, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := chainRack(t, 4, 1, &psu, &pdu)
+	if err := fresh.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	checkWallQueries(t, "restored", fresh)
+	for i := 0; i < 4; i++ {
+		if a, b := fresh.ServerWallPower(i), r.ServerWallPower(i); a != b {
+			t.Fatalf("restored slot %d wall %v, original %v", i, a, b)
+		}
 	}
 }

@@ -335,10 +335,18 @@ func (rm *Room) coolingPowerNow(wallW float64) float64 {
 // exactly zero) and ChillerDegraded severities sum into its derate — while
 // the outage's ambient heat soak still lands on the targeted rack's
 // servers; a room-wide outage is modelled by scheduling the event against
-// every rack (the outage count nests).
+// every rack (the outage count nests). An edge that would take the
+// shared chiller derate to 1 or more errors and changes nothing.
 func (rm *Room) ApplyFault(rackIdx int, ev fault.Event) error {
 	if rackIdx < 0 || rackIdx >= len(rm.racks) {
 		return fmt.Errorf("room: fault targets rack %d of %d", rackIdx, len(rm.racks))
+	}
+	if ev.Kind == fault.ChillerDegraded {
+		// The shared bank sums every rack's derates: refuse the edge before
+		// the rack applies it, so an error changes nothing.
+		if d := rm.chillerDerate + degradeSeverity(ev); d >= 1 {
+			return fmt.Errorf("room: %s on rack %d would stack the shared chiller derates to %g; they must sum below 1", ev, rackIdx, d)
+		}
 	}
 	if err := rm.racks[rackIdx].ApplyFault(ev); err != nil {
 		return err

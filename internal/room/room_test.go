@@ -566,7 +566,8 @@ func TestRoomEventMatchesFixed(t *testing.T) {
 
 // TestRoomSharedBankFaults covers the facility-scope fault plumbing on the
 // shared CRAC bank: an outage darkens it (cooling exactly zero), a chiller
-// derate inflates it, and clears restore the baseline exactly.
+// derate inflates it, derates stacking to 1 across racks are refused, and
+// clears restore the baseline exactly.
 func TestRoomSharedBankFaults(t *testing.T) {
 	fac := cooling.DefaultFacility(cooling.DefaultCRAC().ReferenceC)
 	rm := testRoom(t, 2, 2, 1, nil, &fac, false)
@@ -605,6 +606,23 @@ func TestRoomSharedBankFaults(t *testing.T) {
 	rm.Step(1)
 	if got := float64(rm.CoolingPower()); relDiff(got, base) > 0.05 {
 		t.Errorf("cooling power %g did not return near baseline %g after clears", got, base)
+	}
+
+	// Derates on different racks stack on the shared bank: an edge that
+	// would take their sum to 1 errors and changes nothing.
+	first := fault.Event{Kind: fault.ChillerDegraded, At: 0, Severity: 0.6}
+	if err := rm.ApplyFault(0, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := rm.ApplyFault(1, fault.Event{Kind: fault.ChillerDegraded, At: 0, Severity: 0.5}); err == nil {
+		t.Error("chiller derates summing to 1.1 across racks must be refused")
+	}
+	if err := rm.ClearFault(0, first); err != nil {
+		t.Fatal(err)
+	}
+	rm.Step(1)
+	if got := float64(rm.CoolingPower()); relDiff(got, base) > 0.05 {
+		t.Errorf("cooling power %g did not return near baseline %g: the refused derate stuck", got, base)
 	}
 
 	if err := rm.ApplyFault(7, outage); err == nil {

@@ -84,6 +84,7 @@ func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInlet
 	// post-step states — a start fold would see "new load, pre-slew fan"
 	// combinations that never exist on the reference path.
 	pendingMem := 0
+	lastPlain := false
 	for done := 0; done < steps; {
 		// A macro sub-window needs at least two steps to collapse; don't
 		// pay the linearization setup on pinned (single-step) windows.
@@ -93,6 +94,7 @@ func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInlet
 					done += n
 					pendingMem += n
 					fold()
+					lastPlain = false
 					continue
 				}
 				// Eligible but the doubling ladder refused its first level:
@@ -114,6 +116,15 @@ func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInlet
 		done++
 		fold()
 		foldSlow()
+		lastPlain = true
+	}
+	if lastPlain {
+		// The window ended on a plain Step, which left nothing to flush
+		// (pendingMem is flushed before every plain step), already ran the
+		// trip check, breakdown refresh and peak sample finishMacroWindow
+		// would repeat on this exact state, and was sampled by foldSlow. A
+		// pinned single-step window therefore costs one plain Step.
+		return maxDieC, maxDIMMC, maxInletC
 	}
 	if pendingMem > 0 {
 		s.flushMacro(dt, pendingMem)

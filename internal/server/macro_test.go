@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/thermal"
@@ -156,5 +157,109 @@ func TestMacroStepAllocationFree(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() { srv.MacroStep(1, 1<<20) }); avg != 0 {
 		t.Fatalf("Server.MacroStep allocates %.1f objects/op at steady state, want 0", avg)
+	}
+}
+
+// TestMacroWindowPlainEndSkipsTail pins the early return of a window whose
+// last sub-step is a plain Step: the returned maxima and the server's
+// state, peak, energies and breakdown must equal those of the same window
+// followed by the generic tail — an explicit finishMacroWindow plus the
+// DIMM/inlet fold — because that Step already ran the trip check, the
+// breakdown refresh and the peak sample on the same state.
+func TestMacroWindowPlainEndSkipsTail(t *testing.T) {
+	const dt = 1.0
+	hot := func(c *Config) { c.Ambient = 45 } // runs away at low fan speed
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		// prepare brings both twins to the window start and returns the
+		// window length.
+		prepare  func(t *testing.T, s *Server) int
+		anchors  int  // closed-form sub-windows the window must take
+		wantTrip bool // the window must latch a trip partway through
+	}{
+		{"K=1", nil, func(t *testing.T, s *Server) int {
+			s.SetLoad(50)
+			for k := 0; k < 30; k++ {
+				s.Step(dt)
+			}
+			return 1
+		}, 0, false},
+		{"slewing fans", nil, func(t *testing.T, s *Server) int {
+			lo, hi := s.Fans().Range()
+			s.SetLoad(70)
+			s.Fans().SetAll(lo)
+			for k := 0; k < 30; k++ {
+				s.Step(dt)
+			}
+			s.Fans().SetAll(hi)
+			// Every step of the window starts with the fans still slewing.
+			return int(math.Ceil(float64(hi-lo) / s.cfg.Fans.SlewRate))
+		}, 0, false},
+		{"collapsed then plain tail", nil, func(t *testing.T, s *Server) int {
+			s.SetLoad(40)
+			for k := 0; k < 1200; k++ {
+				s.Step(dt)
+			}
+			return 5 // a power-of-two sub-window, then one plain step
+		}, 1, false},
+		{"trips partway", hot, func(t *testing.T, s *Server) int {
+			s.SetLoad(100)
+			s.Fans().SetAll(1800)
+			for k := 0; k < 20000; k++ {
+				if s.MaxCPUTemp() >= s.cfg.CriticalTemp-0.2 {
+					return 8
+				}
+				s.Step(dt)
+			}
+			t.Fatal("server never approached its critical temperature")
+			return 0
+		}, 0, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			a, b := macroPair(t, c.mutate)
+			k := c.prepare(t, a)
+			if c.prepare(t, b) != k {
+				t.Fatal("twins prepared differently")
+			}
+			if a.Tripped() {
+				t.Fatal("tripped before the window")
+			}
+			before := a.MacroStats()
+			dieA, dimmA, inletA := a.MacroWindow(dt, k)
+			after := a.MacroStats()
+			if got := after.Anchors - before.Anchors; got != c.anchors {
+				t.Fatalf("window took %d closed-form sub-windows, want %d", got, c.anchors)
+			}
+			if a.Tripped() != c.wantTrip {
+				t.Fatalf("tripped = %v, want %v", a.Tripped(), c.wantTrip)
+			}
+			plain := after.PlainTail + after.PlainSlew + after.PlainTripBand + after.PlainDrift -
+				(before.PlainTail + before.PlainSlew + before.PlainTripBand + before.PlainDrift)
+			if plain == 0 {
+				t.Fatal("window took no plain step")
+			}
+
+			dieB, dimmB, inletB := b.MacroWindow(dt, k)
+			b.finishMacroWindow()
+			if v := float64(b.mem.MaxTemp()); v > dimmB {
+				dimmB = v
+			}
+			if v := float64(b.InletTemp()); v > inletB {
+				inletB = v
+			}
+			if dieA != dieB || dimmA != dimmB || inletA != inletB {
+				t.Fatalf("maxima (%v, %v, %v), with the tail (%v, %v, %v)", dieA, dimmA, inletA, dieB, dimmB, inletB)
+			}
+			if !reflect.DeepEqual(a.State(), b.State()) {
+				t.Fatalf("state differs from the tail's:\n%+v\n%+v", a.State(), b.State())
+			}
+			if a.PeakPower() != b.PeakPower() || a.Energy() != b.Energy() ||
+				a.FanEnergy() != b.FanEnergy() || a.Breakdown() != b.Breakdown() {
+				t.Fatalf("meters differ from the tail's: peak %v/%v energy %v/%v fan %v/%v breakdown %+v/%+v",
+					a.PeakPower(), b.PeakPower(), a.Energy(), b.Energy(), a.FanEnergy(), b.FanEnergy(), a.Breakdown(), b.Breakdown())
+			}
+		})
 	}
 }
