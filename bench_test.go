@@ -712,15 +712,14 @@ func BenchmarkRackStepWall(b *testing.B) {
 	b.ReportMetric(float64(r.DCPower()), "dcW")
 }
 
-// BenchmarkRackACTrace regenerates the AC-side rack experiment — five
+// benchRackACTrace regenerates the AC-side rack experiment — five
 // policies, uncapped and capped halves, PSU/PDU losses at the wall — on
-// the event-driven kernel, and reports the headline wall-side quantities.
-// (The capped half pins the kernel to fixed-dt while placements defer, so
-// its speedup is smaller than the uncapped trace's.)
-func BenchmarkRackACTrace(b *testing.B) {
+// the selected kernel, and reports the headline wall-side quantities plus
+// the capped half's rack advances and deferrals.
+func benchRackACTrace(b *testing.B, eventStepping bool) {
 	base := T3Config()
 	ev := experiments.DefaultRackEval()
-	ev.EventStepping = true
+	ev.EventStepping = eventStepping
 	psu, pdu := power.DefaultPSU(), power.DefaultPDU()
 	ev.PSU, ev.PDU = &psu, &pdu
 	var res *experiments.RackACResult
@@ -741,13 +740,31 @@ func BenchmarkRackACTrace(b *testing.B) {
 			b.ReportMetric(r.WallWh(), "capAwareWallWh")
 		}
 	}
+	steps, deferrals := 0, 0
 	for _, r := range res.Capped {
+		steps += r.Sched.RackSteps
+		deferrals += r.Sched.Deferrals
 		if r.Policy == "cap-aware" {
 			b.ReportMetric(float64(r.Sched.Deferrals), "capAwareDeferrals")
 			b.ReportMetric(r.Rack.PeakWallPowerW, "capAwareCappedPeakWallW")
 		}
 	}
+	b.ReportMetric(float64(steps), "cappedRackSteps")
+	b.ReportMetric(float64(deferrals), "cappedDeferrals")
 }
+
+// BenchmarkRackACTrace is the AC-side experiment on the event-driven
+// kernel. In the capped half, round-robin, least-utilized and
+// leakage-aware cross a cap-deferred queue head in macro windows as far
+// as the wall-floor proof reaches (rack.WallFloorSteps), while
+// coolest-first and cap-aware, which rank slots by temperature and DC
+// draw, retry it every step; cappedRackSteps counts the advances that
+// leaves, cappedDeferrals the deferrals, identical to the fixed-dt twin's.
+func BenchmarkRackACTrace(b *testing.B) { benchRackACTrace(b, true) }
+
+// BenchmarkRackACTraceFixed is the fixed-dt reference of the same
+// experiment: cappedRackSteps is the full grid, five policies long.
+func BenchmarkRackACTraceFixed(b *testing.B) { benchRackACTrace(b, false) }
 
 // BenchmarkRackStepFacility is BenchmarkRackStepWall with the CRAC/chiller
 // loop attached on top of the delivery chain: the facility roll-up is two

@@ -422,10 +422,10 @@ func main() {
 			return
 		}
 		if *capW < 0 {
-			// Uncapped runs only: the capped half deliberately keeps the
-			// backlog pin (cap admission watches evolving transients), so
-			// skipping it — typically together with -policy — makes the
-			// -metrics pin shares of one trace readable.
+			// Uncapped runs only: the -metrics registry aggregates every
+			// run it instruments, so skipping the capped half — typically
+			// together with -policy — makes the pin shares of one trace
+			// readable.
 			ev.WallCapW = 0
 			rows, err := experiments.RackPolicyComparison(cfg, ev)
 			if err != nil {

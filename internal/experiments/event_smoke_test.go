@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/power"
 	"repro/internal/server"
 )
 
@@ -24,6 +25,14 @@ func compareKernels(t *testing.T, ev RackEval) (rows []RackPolicyResult, speedup
 	if err != nil {
 		t.Fatal(err)
 	}
+	speedups, fixedSteps, eventSteps = compareRows(t, fixedRows, eventRows)
+	return fixedRows, speedups, fixedSteps, eventSteps
+}
+
+// compareRows checks compareKernels' per-row contract on two kernels'
+// rows of one comparison.
+func compareRows(t *testing.T, fixedRows, eventRows []RackPolicyResult) (speedups map[string]float64, fixedSteps, eventSteps int) {
+	t.Helper()
 	if len(fixedRows) != len(eventRows) {
 		t.Fatalf("row count mismatch: %d vs %d", len(fixedRows), len(eventRows))
 	}
@@ -71,7 +80,7 @@ func compareKernels(t *testing.T, ev RackEval) (rows []RackPolicyResult, speedup
 			t.Errorf("%s: MaxCPUTempC off by %g °C", f.Policy, d)
 		}
 	}
-	return fixedRows, speedups, fixedSteps, eventSteps
+	return speedups, fixedSteps, eventSteps
 }
 
 // TestEventSteppingSmoke is the CI gate for the event-driven kernel on the
@@ -82,7 +91,9 @@ func compareKernels(t *testing.T, ev RackEval) (rows []RackPolicyResult, speedup
 // cannot collapse the default trace at least 5× in aggregate — or, since
 // PR 8's load-only refusal un-pin, the saturated trace at least 5× on the
 // load-only policies — or if any headline metric drifts past the
-// macro-stepping tolerance.
+// macro-stepping tolerance. The capped half of RackACComparison gates the
+// policies that decide on loads alone: they cross cap-deferred heads as
+// far as the wall-floor proof reaches.
 func TestEventSteppingSmoke(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		_, _, fixedSteps, eventSteps := compareKernels(t, DefaultRackEval())
@@ -120,6 +131,44 @@ func TestEventSteppingSmoke(t *testing.T) {
 			}
 			if s < 5 {
 				t.Errorf("%s: saturated trace collapsed only %.1f×, want ≥5× from the load-only un-pin", policy, s)
+			}
+		}
+	})
+	t.Run("capped", func(t *testing.T) {
+		base := server.T3Config()
+		ev := DefaultRackEval()
+		// The saturated shape behind the delivery chain: under the auto
+		// cap the queue head spends most steps deferred.
+		ev.Rate *= 4
+		psu, pdu := power.DefaultPSU(), power.DefaultPDU()
+		ev.PSU, ev.PDU = &psu, &pdu
+		fixed, err := RackACComparison(base, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Both kernels run under the fixed-dt auto cap: the event kernel's
+		// uncapped peak, which would set its own, sits within its drift.
+		ev.WallCapW = fixed.CapW
+		ev.EventStepping = true
+		event, err := RackACComparison(base, ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		speedups, fixedSteps, eventSteps := compareRows(t, fixed.Capped, event.Capped)
+		t.Logf("capped half at %.0f W: %d fixed rack steps vs %d event rack steps", fixed.CapW, fixedSteps, eventSteps)
+		for _, r := range fixed.Capped {
+			if r.Sched.Deferrals*4 < r.Sched.RackSteps {
+				t.Fatalf("%s: %d deferrals in %d steps — the cap does not bind and the gate below is vacuous",
+					r.Policy, r.Sched.Deferrals, r.Sched.RackSteps)
+			}
+		}
+		for _, policy := range []string{"round-robin", "least-utilized", "leakage-aware"} {
+			s, ok := speedups[policy]
+			if !ok {
+				t.Fatalf("policy %q missing from comparison rows", policy)
+			}
+			if s < 3 {
+				t.Errorf("%s: capped trace collapsed only %.1f×, want ≥3× from crossing proven deferrals", policy, s)
 			}
 		}
 	})

@@ -25,6 +25,9 @@
 // share one curve family, eta(load) = Eta0 − Droop/(1+load/Knee) —
 // efficiency sags at low load and approaches Eta0 asymptotically — so
 // conversion losses are monotone in load and every DC watt a placement
-// saves is amplified at the wall. internal/rack owns the roll-up and the
-// wall-side telemetry; this package only defines the curves.
+// saves is amplified at the wall. Validate admits the parameters that
+// provably keep the input power increasing in the load (finite,
+// 0 < Eta0 ≤ 1, 0 ≤ Droop < Eta0, Knee > 0). internal/rack owns the
+// roll-up and the wall-side telemetry; this package only defines the
+// curves.
 package power

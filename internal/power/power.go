@@ -80,6 +80,29 @@ func convEfficiency(load, eta0, droop, knee float64) float64 {
 	return eta
 }
 
+// validateCurve checks one delivery stage's efficiency-curve parameters:
+// all finite, 0 < eta0 ≤ 1, 0 ≤ droop < eta0 and knee > 0. On that range
+// the input power load/eta(load) has derivative
+//
+//	(eta0 − droop·(1+2x)/(1+x)²) / eta² ≥ (eta0 − droop) / eta² > 0,  x = load/knee,
+//
+// so the stage's input is strictly increasing in its load — the property
+// power-capped placement and the event kernel's wall-floor proof rely on
+// (internal/rack.WallFloorSteps). Outside it the 5 % efficiency floor can
+// make the input fall as the load rises. The range checks reject NaN and
+// infinite parameters too: NaN fails every comparison.
+func validateCurve(stage string, eta0, droop, knee float64) error {
+	switch {
+	case !(eta0 > 0 && eta0 <= 1):
+		return fmt.Errorf("power: %s Eta0 %g must be in (0, 1]", stage, eta0)
+	case !(droop >= 0 && droop < eta0):
+		return fmt.Errorf("power: %s Droop %g must be in [0, Eta0=%g)", stage, droop, eta0)
+	case !(knee > 0 && knee <= math.MaxFloat64):
+		return fmt.Errorf("power: %s Knee %g must be positive and finite", stage, knee)
+	}
+	return nil
+}
+
 // PSUModel converts DC load power to AC wall power through a load-dependent
 // efficiency curve (efficiency sags at very low load). Efficiency is modelled
 // as Eta0 - Droop/(1+load/Knee) which rises from (Eta0-Droop) at zero load
@@ -89,6 +112,10 @@ type PSUModel struct {
 	Droop float64 // efficiency loss at zero load, e.g. 0.10
 	Knee  float64 // load (W) where half of the droop is recovered
 }
+
+// Validate reports whether the curve parameters keep Wall strictly
+// increasing in the DC load (see validateCurve).
+func (p PSUModel) Validate() error { return validateCurve("PSU", p.Eta0, p.Droop, p.Knee) }
 
 // DefaultPSU returns an 80-Plus-class server supply sized for the T3
 // server's 400-1100 W DC envelope: 94% asymptotic efficiency, sagging
@@ -117,6 +144,10 @@ type PDUModel struct {
 	Droop float64 // efficiency loss at zero load, e.g. 0.04
 	Knee  float64 // load (W) where half of the droop is recovered
 }
+
+// Validate reports whether the curve parameters keep Wall strictly
+// increasing in the outlet load (see validateCurve).
+func (p PDUModel) Validate() error { return validateCurve("PDU", p.Eta0, p.Droop, p.Knee) }
 
 // DefaultPDU returns a rack PDU sized for tens of servers: 98% asymptotic
 // efficiency with a small low-load droop and a 2 kW knee.

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -170,10 +171,96 @@ func TestPSUModel(t *testing.T) {
 			t.Fatalf("wall %v <= dc %v", p.Wall(dc), dc)
 		}
 	}
-	// Efficiency floor guards degenerate parameters.
+	// Efficiency floor guards degenerate parameters, which Validate
+	// rejects.
 	bad := PSUModel{Eta0: 0.0, Droop: 1.0, Knee: 0}
 	if bad.Efficiency(10) < 0.05 {
 		t.Fatal("efficiency floor not applied")
+	}
+	if bad.Validate() == nil {
+		t.Fatal("degenerate PSU validated")
+	}
+}
+
+// TestCurveValidateRejects: every malformed curve is a configuration
+// error, for both stages — including the one whose Wall falls as the load
+// rises (Eta0 0.5, Droop 0.9, Knee 100: 2 000 W at 100 W DC, 1 000 W at
+// 200 W) and NaN parameters, which would otherwise surface only at the
+// divergence guard.
+func TestCurveValidateRejects(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name              string
+		eta0, droop, knee float64
+	}{
+		{"droop above eta0", 0.5, 0.9, 100},
+		{"droop equals eta0", 0.9, 0.9, 100},
+		{"negative droop", 0.9, -0.1, 100},
+		{"zero eta0", 0, 0, 100},
+		{"negative eta0", -0.5, 0, 100},
+		{"eta0 above one", 1.2, 0.1, 100},
+		{"zero knee", 0.94, 0.1, 0},
+		{"negative knee", 0.94, 0.1, -5},
+		{"NaN eta0", nan, 0.1, 100},
+		{"NaN droop", 0.94, nan, 100},
+		{"NaN knee", 0.94, 0.1, nan},
+		{"infinite knee", 0.94, 0.1, inf},
+		{"infinite droop", 0.94, -inf, 100},
+	} {
+		if err := (PSUModel{Eta0: c.eta0, Droop: c.droop, Knee: c.knee}).Validate(); err == nil {
+			t.Errorf("PSU %s: validated", c.name)
+		}
+		if err := (PDUModel{Eta0: c.eta0, Droop: c.droop, Knee: c.knee}).Validate(); err == nil {
+			t.Errorf("PDU %s: validated", c.name)
+		}
+	}
+	// The counterexample really is non-monotone, which is why it must go.
+	p := PSUModel{Eta0: 0.5, Droop: 0.9, Knee: 100}
+	if !(p.Wall(200) < p.Wall(100)) {
+		t.Fatalf("counterexample lost: Wall(100) %v, Wall(200) %v", p.Wall(100), p.Wall(200))
+	}
+	for _, err := range []error{DefaultPSU().Validate(), DefaultPDU().Validate(),
+		(PSUModel{Eta0: 1, Droop: 0, Knee: 1}).Validate()} {
+		if err != nil {
+			t.Errorf("valid curve rejected: %v", err)
+		}
+	}
+}
+
+// TestValidCurveWallNondecreasing is the property the wall-floor proof
+// stands on: over random valid curves, the input power of a PSU — also
+// scaled by a slot droop derate 1/(1−d), d < 1 — and of a PDU never falls
+// as the load rises.
+func TestValidCurveWallNondecreasing(t *testing.T) {
+	rng := rand.New(rand.NewSource(2013))
+	for trial := 0; trial < 2000; trial++ {
+		eta0 := 0.01 + 0.99*rng.Float64()
+		droop := eta0 * rng.Float64()
+		if rng.Intn(8) == 0 {
+			droop = math.Nextafter(eta0, 0) // the edge of the valid range
+		}
+		knee := math.Exp(rng.Float64()*12 - 4) // ~0.02 W … 3 kW
+		derate := 0.999 * rng.Float64()
+		psu := PSUModel{Eta0: eta0, Droop: droop, Knee: knee}
+		pdu := PDUModel{Eta0: eta0, Droop: droop, Knee: knee}
+		if err := psu.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := pdu.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		scale := math.Exp(rng.Float64()*14 - 4)
+		prevPSU, prevPDU := -1.0, -1.0
+		for k := 0; k <= 200; k++ {
+			load := units.Watts(scale * float64(k) / 100)
+			w := float64(psu.Wall(load)) / (1 - derate)
+			d := float64(pdu.Wall(load))
+			if w < prevPSU || d < prevPDU {
+				t.Fatalf("trial %d (%+v, derate %g): input falls at load %v: PSU %g→%g, PDU %g→%g",
+					trial, psu, derate, load, prevPSU, w, prevPDU, d)
+			}
+			prevPSU, prevPDU = w, d
+		}
 	}
 }
 

@@ -25,10 +25,13 @@
 // feed. Telemetry tracks wall energy, conversion-loss energy and the peak
 // wall draw next to the DC-side metrics; WallPowerWith answers the
 // what-if query ("what would the wall draw if slot i carried extra DC
-// load?") behind power-capped placement. With no PSUs and no PDU the
-// chain is the identity: wall telemetry mirrors the DC side exactly and
-// the loss is exactly zero, so attaching the chain never perturbs the
-// physics.
+// load?") behind power-capped placement, and WallFloorSteps bounds it
+// from below over the next grid steps, which lets the event kernel cross
+// deferrals it can prove. New rejects a PSU or PDU curve that fails
+// Validate: the chain must be nondecreasing in the DC draw for either
+// query to mean anything. With no PSUs and no PDU the chain is the
+// identity: wall telemetry mirrors the DC side exactly and the loss is
+// exactly zero, so attaching the chain never perturbs the physics.
 //
 // # Facility cooling loop
 //

@@ -108,7 +108,9 @@ func TestAdvanceWorkerCountInvariant(t *testing.T) {
 // scope (serial workers: the fan-out itself is the parallel path's cost):
 // Step, and every call of the event kernel's pinned step — the controller
 // tick, a single-step Advance, the cap admission query and the divergence
-// guard's StateSum.
+// guard's StateSum — plus the wall-floor proof that lets a capped window
+// cross deferrals, walking every slot's die floor (both a proven and a
+// refused query, so the bisection runs too).
 func TestRackStepAllocationFree(t *testing.T) {
 	r := eventChainRack(t, 4, 1)
 	for i := 0; i < 4; i++ {
@@ -127,6 +129,16 @@ func TestRackStepAllocationFree(t *testing.T) {
 		{"Advance(1, 1)", func() { r.Advance(1, 1) }},
 		{"WallPowerWithAll", func() { _ = r.WallPowerWithAll(extra) }},
 		{"StateSum", func() { _ = r.StateSum() }},
+		{"WallFloorSteps/proven", func() {
+			if r.WallFloorSteps(1, 16, extra, float64(r.WallPower())/2) != 16 {
+				t.Fatal("a cap at half the draw must defer every step")
+			}
+		}},
+		{"WallFloorSteps/refused", func() {
+			if r.WallFloorSteps(1, 16, extra, 2*float64(r.WallPower())) != 0 {
+				t.Fatal("a cap at twice the draw must defer nothing")
+			}
+		}},
 	} {
 		if avg := testing.AllocsPerRun(200, c.fn); avg != 0 {
 			t.Errorf("Rack.%s allocates %.1f objects/op at steady state, want 0", c.name, avg)

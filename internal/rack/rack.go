@@ -205,6 +205,11 @@ type Rack struct {
 	faultsApplied int
 	faultsCleared int
 
+	// WallFloorSteps scratch: per-slot die-temperature floors, one row of
+	// walked steps per slot, folded in place into running minima. Grown to
+	// the longest walk once, then reused.
+	floorC []float64
+
 	// Reliability sampling (Config.ReliabilitySampleEvery): per-server
 	// hottest-die traces appended serially at observation instants.
 	relEvery   float64
@@ -239,6 +244,16 @@ func New(cfg Config) (*Rack, error) {
 		}
 		ambientDelta = cfg.Facility.AmbientDelta()
 	}
+	if cfg.PSU != nil {
+		if err := cfg.PSU.Validate(); err != nil {
+			return nil, fmt.Errorf("rack: default PSU: %w", err)
+		}
+	}
+	if cfg.PDU != nil {
+		if err := cfg.PDU.Validate(); err != nil {
+			return nil, fmt.Errorf("rack: PDU: %w", err)
+		}
+	}
 	r := &Rack{workers: cfg.Workers, pdu: cfg.PDU, fac: cfg.Facility}
 	if cfg.ReliabilitySampleEvery > 0 {
 		r.relEvery = cfg.ReliabilitySampleEvery
@@ -246,6 +261,11 @@ func New(cfg Config) (*Rack, error) {
 		r.relSamples = make([][]float64, len(cfg.Servers))
 	}
 	for i, spec := range cfg.Servers {
+		if spec.PSU != nil {
+			if err := spec.PSU.Validate(); err != nil {
+				return nil, fmt.Errorf("rack: server %d (%s) PSU: %w", i, spec.Name, err)
+			}
+		}
 		spec.Config = spec.Config.ShiftAmbient(ambientDelta)
 		srv, err := server.New(spec.Config)
 		if err != nil {
@@ -693,6 +713,85 @@ func (r *Rack) WallPowerWithAll(extraDC []units.Watts) units.Watts {
 		}
 	}
 	return units.Watts(r.pduIn(acInW))
+}
+
+// WallFloorSteps proves wall-cap deferrals ahead of time. It returns how
+// many of the next maxSteps grid steps provably see a wall draw strictly
+// above capW, however a placement charges one of the per-slot DC
+// increments extraDC — the admission WallPowerWithAll makes for a single
+// pending placement. A slot that cannot take the placement carries a +Inf
+// increment.
+//
+// The claim holds for the plain fixed-dt steps the rack would take with
+// every input at its current value: the loads, the fan commands, the
+// delivery chain and the fault state, which only change at scheduling
+// events. Each powered slot walks a floor on its hottest die
+// (server.DieFloor); the floor's running minimum over a prefix of the
+// steps gives a DC floor (server.DCFloor) valid at every step of that
+// prefix, and a dark slot draws nothing. The delivery chain is
+// nondecreasing (power.PSUModel and PDUModel validate that), so the
+// slots' PSU floors summed, plus the cheapest increment, lifted through
+// the PDU, bound every such admission from below. The full walk is tried
+// first; when it fails, the longest proven prefix is found by bisection —
+// the floor only falls as the prefix grows.
+//
+// It changes no simulation state and returns 0 whenever some slot cannot
+// walk (see server.DieFloor).
+func (r *Rack) WallFloorSteps(dt float64, maxSteps int, extraDC []units.Watts, capW float64) int {
+	if maxSteps < 1 {
+		return 0
+	}
+	if need := len(r.servers) * maxSteps; len(r.floorC) < need {
+		r.floorC = make([]float64, need)
+	}
+	steps := maxSteps
+	for i, st := range r.servers {
+		if !st.srv.Powered() {
+			continue
+		}
+		row := r.floorC[i*maxSteps : (i+1)*maxSteps]
+		if steps = st.srv.DieFloor(dt, steps, row); steps == 0 {
+			return 0
+		}
+		for j := 1; j < steps; j++ {
+			row[j] = math.Min(row[j], row[j-1])
+		}
+	}
+	if r.wallFloor(steps-1, maxSteps, extraDC) > capW {
+		return steps
+	}
+	lo, hi := 0, steps // steps ≤ lo are proven, steps ≥ hi are not
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		if r.wallFloor(mid-1, maxSteps, extraDC) > capW {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// wallFloor is the wall-draw floor over the first j+1 walked steps: the
+// PSU floors of every slot at its running-minimum die floor, plus the
+// cheapest per-slot increment, through the PDU.
+func (r *Rack) wallFloor(j, stride int, extraDC []units.Watts) float64 {
+	var acInW float64
+	minInc := math.Inf(1)
+	for i, st := range r.servers {
+		var dc float64
+		if st.srv.Powered() {
+			dc = st.srv.DCFloor(r.floorC[i*stride+j])
+		}
+		w := st.psuCurve(dc)
+		acInW += w
+		if i < len(extraDC) {
+			if inc := st.psuCurve(dc+float64(extraDC[i])) - w; inc < minInc {
+				minInc = inc
+			}
+		}
+	}
+	return r.pduIn(acInW + minInc)
 }
 
 // WallEnergyJoules returns the integrated wall-side (AC) energy meter in

@@ -59,29 +59,45 @@
 // against freshly evolved telemetry), controller wake-ups (the
 // control.HorizonPromiser contract: hold-off expiries and poll outcomes
 // bound when a fan decision can next happen), and optional fixed-cadence
-// telemetry samples (TraceConfig.SampleEvery). The kernel visits exactly
-// the grid steps at which the fixed-dt loop could act — decisions run
-// through literally the same code at the same instants, so placements,
-// deferral counts and queue statistics are identical — and advances the
-// rack across each quiet gap in one closed-form macro window
-// (rack.Advance over server.MacroWindow over thermal.StepLinearizedN).
-// Energies agree with the fixed-dt reference to ≤1e-6 relative (the
-// leakage-linearization drift cap, server.Config.MacroDriftTolC, is the
-// knob), and wall-clock scales with the number of events instead of
-// horizon/dt — ~27× fewer rack advances on the default Poisson trace.
+// telemetry samples (TraceConfig.SampleEvery). The kernel visits the grid
+// steps at which the fixed-dt loop could decide something new —
+// decisions run through literally the same code at the same instants —
+// and advances the rack across each quiet gap in one closed-form macro
+// window (rack.Advance over server.MacroWindow over
+// thermal.StepLinearizedN). Energies agree with the fixed-dt reference to
+// ≤1e-6 relative (the leakage-linearization drift cap,
+// server.Config.MacroDriftTolC, is the knob), and wall-clock scales with
+// the number of events instead of horizon/dt — ~27× fewer rack advances
+// on the default Poisson trace. Decisions see telemetry within that
+// drift of the reference's, so placements, deferral counts and queue
+// statistics are identical except where a temperature- or power-ranked
+// pick, or a cap admission, sits within the drift of a tie (coolest-first
+// flips about one benchmark trace in a hundred); policies that decide on
+// loads and health alone match whenever the cap admissions do.
 //
 // Fixed-dt remains mandatory — the kernel pins itself to single-step
 // windows — while any fan controller cannot promise a quiet horizon
 // (control.HorizonPromiser), while fans are slewing, or near the
-// thermal-trip threshold. A non-empty backlog pins the kernel too, with
-// one carve-out: when the policy declares its refusals load-only
-// (LoadOnlyRefuser — refusing depends only on what placements would
-// observe, and placements only change at arrivals and completions) and no
-// wall cap is set (cap admission watches evolving fan/leak transients),
-// the head retry is provably futile between events and the kernel
-// macro-steps completion-to-completion over the blocked head. Round-robin
-// and least-utilized opt in; the thermally-informed policies stay
-// conservative and keep the pin. Reactive temperature-thresholding
+// thermal-trip threshold. A blocked FIFO head pins the kernel too, unless
+// the policy decides on loads and health alone (LoadOnlyRefuser:
+// round-robin, least-utilized and leakage-aware opt in). Those change
+// only at scheduling events, so the kernel crosses the blocked head:
+//
+//   - a refused head is refused again at every step to the next event;
+//     the window runs there without a Place call per step;
+//   - a cap-deferred head is deferred again as long as a lower bound on
+//     the rack's wall draw, plus the head's cheapest increment, stays
+//     above the cap (rack.WallFloorSteps over server.DieFloor: convex
+//     leakage and a nonnegative propagator make the walked linearized
+//     trajectory a floor on every die); the window runs as far as the
+//     bound holds, at most 16 steps, and each crossed step replays the
+//     Place call, its validation and the deferral count.
+//
+// Behind a blocked head an arrival only joins the tail, so it ends no
+// window unless backfill would try it; the crossed steps admit it at its
+// step and update the queue statistics. Coolest-first, cap-aware and
+// pue-aware keep the pin, as does backfill under a cap (its candidates
+// face the same evolving admission). Reactive temperature-thresholding
 // controllers are no longer an automatic pin either: BangBang promises
 // its own decision cadence (ticks strictly before the next due instant
 // are non-mutating no-ops), and its control.BandPromiser band lets the

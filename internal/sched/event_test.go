@@ -3,12 +3,15 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/control"
 	"repro/internal/cooling"
+	"repro/internal/fault"
 	"repro/internal/loadgen"
 	"repro/internal/lut"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/rack"
 	"repro/internal/server"
@@ -168,46 +171,136 @@ func assertEquivalent(t *testing.T, label string, fixed, event Result, ftel, ete
 	}
 }
 
+// syntheticTables returns n copies of syntheticTable: per-slot cost tables
+// for the table-driven policies and conservative cap admission.
+func syntheticTables(n int) []*lut.Table {
+	out := make([]*lut.Table, n)
+	for i := range out {
+		out[i] = syntheticTable()
+	}
+	return out
+}
+
 // TestEventTraceMatchesFixed is the randomized equivalence property test:
 // random traces × policies × delivery chains × caps, event vs fixed.
 func TestEventTraceMatchesFixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
+	leakageAware := func(n int) func() Policy {
+		return func() Policy {
+			p, err := NewLeakageAwareFromTables(syntheticTables(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}
+	}
+	// droop is a PSU-droop window on slot 1 across the middle of the trace:
+	// it pins that slot to plain steps and derates its supply, which the
+	// wall-floor proof must lift through.
+	droop := &fault.Schedule{Events: []fault.Event{{Kind: fault.PSUDroop, Server: 1, At: 500, Clear: 1300, Severity: 0.15}}}
 	cases := []struct {
-		name     string
-		servers  int
-		offered  float64 // mean offered load per server
-		chain    bool
-		fac      bool
-		capW     float64
-		collapse bool // assert ≥3× fewer rack steps (drained-queue regime)
-		mkPolicy func() Policy
+		name        string
+		servers     int
+		offered     float64 // mean offered load per server
+		chain       bool
+		fac         bool
+		capW        float64
+		capMarginal bool // conservative admission from the per-slot tables
+		faults      *fault.Schedule
+		collapse    bool // assert ≥3× fewer rack steps
+		mkPolicy    func() Policy
 	}{
-		{"roundrobin", 3, 0.15, false, false, 0, true, func() Policy { return NewRoundRobin() }},
-		{"leastutilized", 3, 0.2, true, false, 0, true, func() Policy { return NewLeastUtilized() }},
-		{"coolest", 4, 0.25, true, true, 0, true, func() Policy { return NewCoolestFirst() }},
-		// A binding cap keeps the kernel pinned to fixed-dt: wall-cap
-		// admission depends on evolving fan/leak transients, so backlog
-		// windows stay shut there, trading the collapse for exactness.
-		{"capped", 3, 0.5, true, false, 1600, false, func() Policy { return NewRoundRobin() }},
+		{"roundrobin", 3, 0.15, false, false, 0, false, nil, true, func() Policy { return NewRoundRobin() }},
+		{"leastutilized", 3, 0.2, true, false, 0, false, nil, true, func() Policy { return NewLeastUtilized() }},
+		{"coolest", 4, 0.25, true, true, 0, false, nil, true, func() Policy { return NewCoolestFirst() }},
+		// A binding cap: the policies that decide on loads alone cross
+		// deferred heads as far as the wall-floor proof reaches.
+		{"capped/roundrobin", 3, 0.5, true, false, 1600, false, nil, true, func() Policy { return NewRoundRobin() }},
+		{"capped/roundrobin/marginal", 3, 0.5, true, false, 1700, true, nil, true, func() Policy { return NewRoundRobin() }},
+		{"capped/leastutilized", 3, 0.5, true, false, 1700, false, nil, true, func() Policy { return NewLeastUtilized() }},
+		{"capped/leastutilized/marginal/droop", 3, 0.5, true, true, 1750, true, droop, true, func() Policy { return NewLeastUtilized() }},
+		{"capped/leakageaware", 3, 0.5, true, false, 1600, false, nil, true, leakageAware(3)},
+		{"capped/leakageaware/marginal", 3, 0.5, true, false, 1700, true, nil, true, leakageAware(3)},
 		// Saturated but uncapped: LeastUtilized is a LoadOnlyRefuser, so
 		// the backlog un-pin macro-steps completion-to-completion even
 		// with jobs queued.
-		{"saturated", 2, 1.5, false, false, 0, true, func() Policy { return NewLeastUtilized() }},
+		{"saturated", 2, 1.5, false, false, 0, false, nil, true, func() Policy { return NewLeastUtilized() }},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			jobs := randomTrace(t, rng, 1800, tc.servers, tc.offered)
+	// Traces are drawn in table order up front, so every case keeps its
+	// trace however the cases are grouped into subtests below.
+	traces := make([][]Job, len(cases))
+	for i, tc := range cases {
+		traces[i] = randomTrace(t, rng, 1800, tc.servers, tc.offered)
+	}
+	run := func(t *testing.T, i int) {
+		tc, jobs := cases[i], traces[i]
+		t.Run(strings.TrimPrefix(tc.name, "capped/"), func(t *testing.T) {
 			build := func() *rack.Rack {
 				return eventRack(t, eventRackCfg{servers: tc.servers, workers: 1, chain: tc.chain, fac: tc.fac})
 			}
-			cfg := TraceConfig{Dt: 1, Horizon: 1800, WallCapW: tc.capW}
+			cfg := TraceConfig{Dt: 1, Horizon: 1800, WallCapW: tc.capW, Faults: tc.faults}
+			if tc.capMarginal {
+				cfg.CapMarginal = syntheticTables(tc.servers)
+			}
 			fixed, event, ftel, etel := runBoth(t, build, jobs, tc.mkPolicy, cfg)
-			if tc.capW > 0 && fixed.Deferrals == 0 {
-				t.Logf("capped case produced no deferrals; cap too loose for this trace")
+			if tc.capW > 0 && fixed.Deferrals < 100 {
+				t.Fatalf("only %d deferrals; the cap does not bind and the case is vacuous", fixed.Deferrals)
 			}
 			assertEquivalent(t, tc.name, fixed, event, ftel, etel)
 			if tc.collapse && event.RackSteps*3 > fixed.RackSteps {
 				t.Errorf("%s: only %d→%d rack steps (<3× collapse)", tc.name, fixed.RackSteps, event.RackSteps)
+			}
+			t.Logf("%d→%d rack steps, %d deferrals, %d placed", fixed.RackSteps, event.RackSteps, fixed.Deferrals, fixed.Placed)
+		})
+	}
+	for i, tc := range cases {
+		if tc.capW == 0 {
+			run(t, i)
+		}
+	}
+	t.Run("capped", func(t *testing.T) {
+		for i, tc := range cases {
+			if tc.capW > 0 {
+				run(t, i)
+			}
+		}
+	})
+}
+
+// TestEventCappedThermalPoliciesStayPinned: coolest-first ranks slots by
+// die temperature and cap-aware by DC draw, so behind a cap-deferred head
+// their picks can move with the physics; the kernel keeps retrying them
+// every step, and the backlog pin dominates the advances.
+func TestEventCappedThermalPoliciesStayPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(808))
+	jobs := randomTrace(t, rng, 1200, 3, 0.5)
+	for _, pc := range []struct {
+		name     string
+		mkPolicy func() Policy
+	}{
+		{"coolest", func() Policy { return NewCoolestFirst() }},
+		{"capaware", func() Policy {
+			cfg := server.T3Config()
+			p, err := NewCapAwareFromTables(syntheticTables(3), []power.ServerModel{cfg.Power, cfg.Power, cfg.Power}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
+	} {
+		t.Run(pc.name, func(t *testing.T) {
+			build := func() *rack.Rack {
+				return eventRack(t, eventRackCfg{servers: 3, workers: 1, chain: true})
+			}
+			reg := obs.NewRegistry()
+			fixed, event, ftel, etel := runBoth(t, build, jobs, pc.mkPolicy, TraceConfig{Dt: 1, Horizon: 1200, WallCapW: 1600, Metrics: reg})
+			assertEquivalent(t, pc.name, fixed, event, ftel, etel)
+			if fixed.Deferrals*4 < fixed.RackSteps {
+				t.Fatalf("only %d deferrals in %d steps; the cap does not bind", fixed.Deferrals, fixed.RackSteps)
+			}
+			// The registry saw both runs; the fixed run charges no backlog pins.
+			if pins := reg.Counter("kernel.pin.backlog").Value(); pins < int64(fixed.Deferrals) {
+				t.Errorf("%d backlog pins for %d deferrals: a temperature-ranked policy crossed a deferred head", pins, fixed.Deferrals)
 			}
 		})
 	}

@@ -27,7 +27,8 @@ func pinSum(reg *obs.Registry) (pins, steps, macro, grid int64) {
 // either a macro window or exactly one pinned single step, so the
 // per-reason counts sum to (total rack advances − macro windows), and the
 // grid steps crossed add back up to the fixed-dt step count — in both
-// stepping modes, with and without faults.
+// stepping modes, with and without faults, and under a wall cap whose
+// deferrals the event kernel crosses.
 func TestPinReasonIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	jobs := randomTrace(t, rng, 1800, 4, 0.4)
@@ -36,12 +37,21 @@ func TestPinReasonIdentity(t *testing.T) {
 		{Kind: fault.PSUFail, Server: 1, At: 600, Clear: 1200},
 		{Kind: fault.CRACOutage, At: 900, Clear: 1500},
 	}}
+	leakageAware := func() Policy {
+		p, err := NewLeakageAwareFromTables(syntheticTables(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
 	cases := []struct {
 		name   string
 		event  bool
 		faults *fault.Schedule
 		sample float64
 		ctrl   func(i int) control.Controller
+		capW   float64
+		policy func() Policy // nil = coolest-first
 	}{
 		{name: "fixed", event: false},
 		{name: "event", event: true},
@@ -55,16 +65,25 @@ func TestPinReasonIdentity(t *testing.T) {
 			}
 			return b
 		}},
+		{name: "event-capped", event: true, capW: 2200, policy: leakageAware},
+		{name: "event-capped-faults", event: true, faults: cascade, capW: 2200, policy: leakageAware},
+		{name: "event-capped-roundrobin", event: true, sample: 30, capW: 2150, policy: func() Policy { return NewRoundRobin() }},
+		{name: "fixed-capped", event: false, capW: 2200, policy: leakageAware},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := eventRack(t, eventRackCfg{servers: 4, workers: 2, ctrl: tc.ctrl})
+			r := eventRack(t, eventRackCfg{servers: 4, workers: 2, ctrl: tc.ctrl, chain: tc.capW > 0})
 			reg := obs.NewRegistry()
-			res, err := RunTraceCfg(r, jobs, NewCoolestFirst(), TraceConfig{
+			var p Policy = NewCoolestFirst()
+			if tc.policy != nil {
+				p = tc.policy()
+			}
+			res, err := RunTraceCfg(r, jobs, p, TraceConfig{
 				Dt: 1, Horizon: 1800,
 				EventStepping: tc.event,
 				SampleEvery:   tc.sample,
 				Faults:        tc.faults,
+				WallCapW:      tc.capW,
 				Metrics:       reg,
 			})
 			if err != nil {
@@ -99,6 +118,12 @@ func TestPinReasonIdentity(t *testing.T) {
 			}
 			if got := int(reg.Gauge("sched.backlog.highwater").Value()); got != res.MaxQueueLen {
 				t.Errorf("sched.backlog.highwater = %d, Result.MaxQueueLen = %d", got, res.MaxQueueLen)
+			}
+			if got := reg.Counter("sched.deferrals").Value(); got != int64(res.Deferrals) {
+				t.Errorf("sched.deferrals = %d, Result.Deferrals = %d", got, res.Deferrals)
+			}
+			if tc.capW > 0 && res.Deferrals < 100 {
+				t.Errorf("only %d deferrals: the cap does not bind", res.Deferrals)
 			}
 			if res.Metrics != reg {
 				t.Errorf("Result.Metrics must echo the attached registry")

@@ -187,6 +187,100 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestResumeInsideDeferralStreak: a capped leakage-aware run on the event
+// kernel crosses cap-deferred heads in macro windows, replaying the skipped
+// retries. Interrupted at a decision step inside a deferral streak — the
+// head deferred at the previous checkpoint and still queued — and resumed,
+// it must be byte-identical to the uninterrupted run, with the reference
+// serial and the interrupted and resumed runs fanned out (run under
+// -race).
+func TestResumeInsideDeferralStreak(t *testing.T) {
+	table := resumeRackTable(t)
+	const n, horizon = 4, 600.0
+	jobs := faultTraceJobs(t, 500)
+	tables := []*lut.Table{table, table, table, table}
+	mkP := func() Policy {
+		p, err := NewLeakageAwareFromTables(tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	idle := float64(resumeRack(t, table, n, 1, true).WallPower())
+	for _, capMarginal := range []bool{false, true} {
+		tc := TraceConfig{Dt: 1, Horizon: horizon, EventStepping: true, WallCapW: idle + 250}
+		if capMarginal {
+			tc.CapMarginal = tables
+			tc.WallCapW = idle + 180
+		}
+		label := fmt.Sprintf("capMarginal=%v", capMarginal)
+
+		rA := resumeRack(t, table, n, 1, true)
+		regA := obs.NewRegistry()
+		tcA := tc
+		tcA.Metrics = regA
+		resA, err := RunTraceCfg(rA, jobs, mkP(), tcA)
+		if err != nil {
+			t.Fatalf("%s: reference run: %v", label, err)
+		}
+		if pins := regA.Counter("kernel.pin.backlog").Value(); resA.Deferrals < 100 || pins*2 > int64(resA.Deferrals) {
+			t.Fatalf("%s: %d deferrals, %d backlog pins: the run does not cross deferral streaks", label, resA.Deferrals, pins)
+		}
+
+		// Interrupt at the first checkpoint past 150 s whose head was
+		// deferred since the previous one and is still queued.
+		rB := resumeRack(t, table, n, 4, true)
+		tcB := tc
+		tcB.Metrics = obs.NewRegistry()
+		var captured *Checkpoint
+		lastDeferrals := -1
+		tcB.CheckpointEvery = 7
+		tcB.CheckpointSink = func(ck Checkpoint) error {
+			streak := lastDeferrals >= 0 && ck.Counts.Deferrals > lastDeferrals && len(ck.Pending) > 0
+			lastDeferrals = ck.Counts.Deferrals
+			if float64(ck.K) < 150 || !streak {
+				return nil
+			}
+			captured = &ck
+			return errInterrupt
+		}
+		if _, err := RunTraceCfg(rB, jobs, mkP(), tcB); !errors.Is(err, errInterrupt) || captured == nil {
+			t.Fatalf("%s: no checkpoint inside a deferral streak (run returned %v)", label, err)
+		}
+		var buf bytes.Buffer
+		if err := snap.Encode(&buf, *captured); err != nil {
+			t.Fatal(err)
+		}
+		var ck Checkpoint
+		if err := snap.Decode(bytes.NewReader(buf.Bytes()), &ck); err != nil {
+			t.Fatal(err)
+		}
+		if ck.Counts.Deferrals >= resA.Deferrals {
+			t.Fatalf("%s: interrupted at step %d after every deferral", label, ck.K)
+		}
+		t.Logf("%s: %d placed, %d deferrals over %d advances, interrupted at step %d with %d queued",
+			label, resA.Placed, resA.Deferrals, resA.RackSteps, ck.K, len(ck.Pending))
+
+		rC := resumeRack(t, table, n, 4, true)
+		regC := obs.NewRegistry()
+		tcC := tc
+		tcC.Metrics = regC
+		resC, err := ResumeTraceCfg(rC, jobs, mkP(), tcC, ck)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", label, err)
+		}
+		if !reflect.DeepEqual(stripMetrics(resA), stripMetrics(resC)) {
+			t.Fatalf("%s: resumed Result differs\nfull:    %+v\nresumed: %+v", label, stripMetrics(resA), stripMetrics(resC))
+		}
+		if telA, telC := rA.Telemetry(), rC.Telemetry(); !reflect.DeepEqual(telA, telC) {
+			t.Fatalf("%s: resumed telemetry differs\nfull:    %+v\nresumed: %+v", label, telA, telC)
+		}
+		if dumpA, dumpC := dumpRegistry(t, regA), dumpRegistry(t, regC); dumpA != dumpC {
+			t.Fatalf("%s: metrics dumps differ\n--- full ---\n%s\n--- resumed ---\n%s", label, dumpA, dumpC)
+		}
+	}
+}
+
 // TestCancelReturnsPartialResultAndResumes: cancelling mid-run (the sink
 // pulls the trigger, the boundary check notices) returns the partial
 // Result alongside a *Cancelled whose checkpoint resumes to the identical

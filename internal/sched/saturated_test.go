@@ -180,3 +180,31 @@ func TestSaturatedWorkerDumpInvariant(t *testing.T) {
 		t.Fatalf("metric dumps differ across workers:\n--- workers=1\n%s\n--- workers=4\n%s", dump1, dumpN)
 	}
 }
+
+// TestBlockedHeadArrivalsJoinTail: behind a refused head an arrival can
+// only join the queue's tail, so without backfill it ends no window. A
+// head waiting out one long job while fifty arrivals queue behind it is
+// crossed completion to completion, and the crossed steps still admit
+// every arrival at its step (MaxQueueLen and waits match fixed-dt). With
+// backfill the arrivals could place, so they end windows again.
+func TestBlockedHeadArrivalsJoinTail(t *testing.T) {
+	jobs := []Job{{ID: 0, Arrival: 0, Duration: 600, Demand: 100}}
+	for i := 1; i <= 50; i++ {
+		jobs = append(jobs, Job{ID: i, Arrival: float64(10 * i), Duration: 30, Demand: 50})
+	}
+	for _, backfill := range []bool{false, true} {
+		build := func() *rack.Rack { return eventRack(t, eventRackCfg{servers: 1, workers: 1}) }
+		cfg := TraceConfig{Dt: 1, Horizon: 900, Backfill: backfill}
+		fixed, event, ftel, etel := runBoth(t, build, jobs, func() Policy { return NewLeastUtilized() }, cfg)
+		assertEquivalent(t, "arrivals", fixed, event, ftel, etel)
+		if fixed.MaxQueueLen < 50 {
+			t.Fatalf("backfill=%v: max queue %d, the arrivals never queued behind the head", backfill, fixed.MaxQueueLen)
+		}
+		switch {
+		case !backfill && event.RackSteps > 40:
+			t.Errorf("arrivals behind a refused head ended windows: %d advances", event.RackSteps)
+		case backfill && event.RackSteps < 50:
+			t.Errorf("backfill: %d advances, yet each of the 50 arrivals must wake a backfill pass", event.RackSteps)
+		}
+	}
+}

@@ -71,23 +71,25 @@ type Policy interface {
 func fits(v ServerView, j Job) bool { return v.Health == rack.Healthy && v.Free >= j.Demand }
 
 // LoadOnlyRefuser is the opt-in Policy attribute behind the event kernel's
-// backlog un-pin: a policy returning true promises that its *refusal*
-// (Place returning -1) depends only on the views' Load/Free/Health fields
-// — never on temperatures, powers or internal clocks — and that a refused
-// Place call mutates no internal state. Loads and health change only at
-// scheduling events (completions, kills, fault edges, arrivals), which are
-// all macro-window wake bounds, so a load-only refusal observed at one
-// decision step provably holds at every skipped step until the next event:
-// the kernel may macro-step completion-to-completion over a non-empty
-// backlog instead of retrying the blocked head every dt. Refusal is
-// monotone in load for every shipped policy (refusal == no view passes
-// fits), so placements can only make a refused head more refused, never
-// less. Policies whose *choice* reads evolving telemetry (coolest-first,
-// leakage/cap/pue-aware) must stay conservative: their refusal is still
-// load-only, but opting in is deliberately limited to policies whose whole
-// decision is — the blind round-robin and least-utilized baselines — so
-// the attribute never has to reason about tie-breaks drifting between
-// kernels.
+// blocked-head un-pin. A policy returning true promises that the return
+// value of Place, and any state Place changes, depend only on the views'
+// Index, Name, Load, Free and Health fields — never on temperatures,
+// powers or anything else that evolves between scheduling events — and
+// that a refused Place call (-1) changes no state. Loads and health change
+// only at scheduling events (completions, kills, fault edges, arrivals),
+// which bound every macro window, so a decision observed at one decision
+// step repeats at every step until the next event. The kernel therefore
+// crosses a refused head in one window, with no Place call for the skipped
+// retries, and a cap-deferred head as far as it can prove the wall cap
+// still defers it (rack.WallFloorSteps), replaying the skipped Place calls
+// with the decision step's views. Refusal is monotone in load for every
+// shipped policy (refusal == no view passes fits), so placements can only
+// make a refused head more refused, never less.
+//
+// Round-robin, least-utilized and leakage-aware opt in: leakage-aware's
+// cost tables are indexed by load, so its ranking reads no telemetry.
+// Coolest-first ranks by die temperature and cap-aware and pue-aware by
+// DC and wall draw, so they stay pinned behind a blocked head.
 type LoadOnlyRefuser interface {
 	RefusalIsLoadOnly() bool
 }
@@ -251,6 +253,11 @@ func (p *LeakageAware) Name() string { return "leakage-aware" }
 
 // Reset implements Policy.
 func (p *LeakageAware) Reset() {}
+
+// RefusalIsLoadOnly implements LoadOnlyRefuser: the cost tables are read
+// at each view's Load, candidates pass through fits, and the policy is
+// stateless.
+func (p *LeakageAware) RefusalIsLoadOnly() bool { return true }
 
 // SteadyFanLeakMarginal returns the predicted steady-state fan+leakage
 // increase of raising utilization u by d, read from a per-slot cost table
@@ -562,7 +569,9 @@ type TraceConfig struct {
 	// (MarginalDCPower) of this job plus every placement already admitted
 	// in the same step, whose power the physics has not drawn yet; a
 	// placement landing exactly on the cap is admitted. Zero disables
-	// capping.
+	// capping. Under EventStepping a retry the kernel can prove defers
+	// again (rack.WallFloorSteps) is crossed in a macro window and counted
+	// without re-running the admission; see LoadOnlyRefuser.
 	WallCapW float64
 
 	// CapMarginal, when non-nil, holds one steady-state cost table per
@@ -582,17 +591,22 @@ type TraceConfig struct {
 	// optional telemetry samples — the rack advances in one closed-form
 	// macro window (rack.Advance) instead of gap/dt fixed steps, so
 	// wall-clock scales with the number of scheduling events rather than
-	// the horizon. Scheduling decisions are taken at exactly the same grid
-	// steps as the fixed-dt path, so placements, deferral counts and queue
-	// statistics are identical; energies agree to the macro-stepping drift
-	// tolerance (≤1e-6 relative, see server.Config.MacroDriftTolC). While
-	// the backlog is non-empty — unless the policy promises load-only
-	// refusals (LoadOnlyRefuser) and no wall cap is set, in which case the
-	// kernel macro-steps completion-to-completion over the blocked head —
-	// or whenever some fan controller cannot promise a quiet horizon
-	// (control.HorizonPromiser), the kernel pins itself to fixed-dt
-	// stepping. false — the default — is the fixed-dt reference path,
-	// bit-identical to prior behaviour.
+	// the horizon. Scheduling decisions are taken at the same grid steps
+	// as the fixed-dt path, through the same code, on telemetry within
+	// the macro drift of the reference's; energies agree to the
+	// macro-stepping drift tolerance (≤1e-6 relative, see
+	// server.Config.MacroDriftTolC). Placements, deferral counts and queue
+	// statistics are identical unless a decision that ranks slots by
+	// temperature or power, or a cap admission, sits within that drift of
+	// a tie: coolest-first picks another server on about one in a hundred
+	// benchmark traces. Policies that decide on loads and health alone
+	// (LoadOnlyRefuser) match whenever the cap admissions do. A blocked
+	// queue head pins the kernel to fixed-dt stepping unless such a
+	// policy lets the kernel cross it — a refused head to the next event,
+	// a cap-deferred one as far as the wall-floor proof reaches — and so
+	// does any fan controller that cannot promise a quiet horizon
+	// (control.HorizonPromiser). false — the default — is the fixed-dt
+	// reference path, bit-identical to prior behaviour.
 	EventStepping bool
 
 	// Backfill enables a FIFO backfill pass whenever the queue head blocks
@@ -760,11 +774,14 @@ func newTraceRun(r *rack.Rack, jobs []Job, p Policy, tc TraceConfig) (*traceRun,
 		nextCkpt:  tc.CheckpointEvery,
 		hooks:     tc.Ctx != nil || tc.CheckpointSink != nil,
 		m:         newRunMetrics(tc.Metrics),
-		// The backlog un-pin engages only when the head's block is provably
-		// invariant between events: a load-only policy refusal. A wall cap
-		// makes deferrals depend on the evolving wall draw (fan and leakage
-		// transients), so capped runs keep the conservative per-step retry.
-		backlogMacro: tc.WallCapW <= 0 && RefusalIsLoadOnly(p),
+		// A blocked head can be crossed only when the policy's decision
+		// reads loads and health alone. Backfill under a cap would retry
+		// every queued job against the evolving wall draw each step, which
+		// the wall-floor proof does not cover.
+		crossBlocked: RefusalIsLoadOnly(p) && !(tc.WallCapW > 0 && tc.Backfill),
+	}
+	if tc.WallCapW > 0 {
+		e.capExtra = make([]units.Watts, r.NumServers())
 	}
 	if !tc.Faults.Empty() {
 		if err := tc.Faults.Validate(r.NumServers(), r.Server(0).Fans().NumFans()); err != nil {
@@ -829,10 +846,12 @@ type traceRun struct {
 	nextCkpt float64
 	hooks    bool
 
-	// backlogMacro, fixed at run start, allows the event kernel to grant
-	// macro windows over a non-empty backlog (see LoadOnlyRefuser): the
-	// policy's refusals are load-only and no wall cap is set.
-	backlogMacro bool
+	// crossBlocked, fixed at run start, allows the event kernel to grant
+	// macro windows over a blocked FIFO head (see LoadOnlyRefuser and
+	// foldBlocked). capExtra is the wall-floor query's scratch: the head's
+	// DC increment per slot, +Inf where it cannot go.
+	crossBlocked bool
+	capExtra     []units.Watts
 
 	// Pinned fault edges in application order (k ascending, clears before
 	// applies at a shared step), the cursor into them, and the sorted wake
@@ -855,7 +874,7 @@ func (e *traceRun) runFixed() error {
 				return err
 			}
 		}
-		if err := e.processStep(k); err != nil {
+		if _, err := e.processStep(k); err != nil {
 			return err
 		}
 		e.applyLoads()
@@ -869,10 +888,20 @@ func (e *traceRun) runFixed() error {
 	return nil
 }
 
+// headBlock says how the FIFO head ended a decision step.
+type headBlock uint8
+
+const (
+	headClear    headBlock = iota // the backlog drained
+	headRefused                   // the policy refused the head
+	headDeferred                  // the wall cap deferred the head
+)
+
 // processStep takes every scheduling decision of grid step k: completions
 // free capacity, arrivals join the backlog, and the FIFO head places while
-// the policy (and the wall cap) accepts.
-func (e *traceRun) processStep(k int) error {
+// the policy (and the wall cap) accepts. It reports how the head ended the
+// step.
+func (e *traceRun) processStep(k int) (headBlock, error) {
 	elapsed := float64(k) * e.dt
 	now := e.start + elapsed
 	for i := range e.pendingDC {
@@ -904,7 +933,7 @@ func (e *traceRun) processStep(k int) error {
 			err = e.r.ClearFault(a.ev)
 		}
 		if err != nil {
-			return fmt.Errorf("sched: fault at step %d: %w", k, err)
+			return headClear, fmt.Errorf("sched: fault at step %d: %w", k, err)
 		}
 		e.nextAction++
 	}
@@ -958,21 +987,24 @@ func (e *traceRun) processStep(k int) error {
 	e.m.backlogHW.SetMax(float64(len(e.pending)))
 
 	// Place from the head while the policy accepts.
+	blk := headClear
 	for len(e.pending) > 0 {
 		e.buildViews()
 		j := e.pending[0]
 		slot := e.p.Place(j, e.views)
 		if slot < 0 {
+			blk = headRefused
 			break
 		}
 		if err := e.checkPlacement(j, slot); err != nil {
-			return err
+			return blk, err
 		}
 		if !e.admitCap(j, slot) {
 			// Deferral: the head blocks under the budget and is retried
 			// next step, after completions free power.
 			e.res.Deferrals++
 			e.m.deferrals.Inc()
+			blk = headDeferred
 			break
 		}
 		e.place(j, slot, now, elapsed)
@@ -982,10 +1014,10 @@ func (e *traceRun) processStep(k int) error {
 	// later jobs place past a blocked head when enabled.
 	if e.tc.Backfill && len(e.pending) > 1 {
 		if err := e.backfill(now, elapsed); err != nil {
-			return err
+			return blk, err
 		}
 	}
-	return nil
+	return blk, nil
 }
 
 // buildViews refreshes the policy's per-slot telemetry snapshot from the
@@ -1028,6 +1060,18 @@ func (e *traceRun) admitCap(j Job, slot int) bool {
 	if e.tc.WallCapW <= 0 {
 		return true
 	}
+	mdc := e.capMarginal(j, slot)
+	e.pendingDC[slot] += mdc
+	if float64(e.r.WallPowerWithAll(e.pendingDC)) > e.tc.WallCapW {
+		e.pendingDC[slot] -= mdc
+		return false
+	}
+	return true
+}
+
+// capMarginal is the DC increment cap admission charges for placing j on
+// slot at the current loads.
+func (e *traceRun) capMarginal(j Job, slot int) units.Watts {
 	mdc := MarginalDCPower(e.r.Server(slot).Config().Power, e.loads[slot], j.Demand)
 	if slot < len(e.tc.CapMarginal) && e.tc.CapMarginal[slot] != nil {
 		// Conservative admission: charge the settled fan+leak cost up
@@ -1037,12 +1081,7 @@ func (e *traceRun) admitCap(j Job, slot int) bool {
 			mdc += steady
 		}
 	}
-	e.pendingDC[slot] += mdc
-	if float64(e.r.WallPowerWithAll(e.pendingDC)) > e.tc.WallCapW {
-		e.pendingDC[slot] -= mdc
-		return false
-	}
-	return true
+	return mdc
 }
 
 // place commits job j to slot at decision instant (now absolute, elapsed
@@ -1098,13 +1137,13 @@ func (e *traceRun) applyLoads() {
 }
 
 // runEvents is the event-driven kernel. It visits exactly the grid steps
-// at which the fixed-dt path could do something — a job arrival or
-// completion, a blocked backlog retry, a controller wake-up, a telemetry
-// sample — and collapses every gap in between into one rack.Advance macro
-// window. Decision code, decision instants and decision inputs are shared
-// with runFixed, so placements, deferrals and queue statistics are
-// identical; only the physics between decisions is advanced in closed
-// form.
+// at which the fixed-dt path could decide something new — a job arrival
+// or completion, a blocked backlog retry, a controller wake-up, a
+// telemetry sample — and collapses every gap in between into one
+// rack.Advance macro window. Decision code and decision inputs are shared
+// with runFixed; the steps a window crosses over a blocked head replay
+// their bookkeeping in foldBlocked. Only the physics between decisions is
+// advanced in closed form.
 func (e *traceRun) runEvents() error {
 	sampleSteps := 0
 	if e.tc.SampleEvery > 0 {
@@ -1119,7 +1158,8 @@ func (e *traceRun) runEvents() error {
 				return err
 			}
 		}
-		if err := e.processStep(k); err != nil {
+		blk, err := e.processStep(k)
+		if err != nil {
 			return err
 		}
 		e.applyLoads()
@@ -1132,14 +1172,19 @@ func (e *traceRun) runEvents() error {
 		now := e.start + float64(k)*e.dt
 		e.r.TickControllers(now)
 		window, reason := 1, pinBacklog
-		// A non-empty backlog pins the kernel to fixed-dt — the head is
-		// retried, against freshly evolved telemetry views, every step,
-		// exactly like the reference path — unless the head's refusal is
-		// provably load-only (LoadOnlyRefuser, no wall cap): loads and
-		// health change only at wake events, so the refusal holds at every
-		// skipped step and the kernel macro-steps completion-to-completion.
-		if len(e.pending) == 0 || e.backlogMacro {
-			window, reason = e.window(k, now, sampleSteps)
+		// A blocked head pins the kernel to fixed-dt — the head is retried,
+		// against freshly evolved telemetry views, every step, exactly like
+		// the reference path — unless the policy decides on loads and
+		// health alone (LoadOnlyRefuser). Those change only at wake events,
+		// so a refusal holds at every skipped step, and window() bounds a
+		// deferral by the steps whose cap admission it can prove fails.
+		if blk == headClear || e.crossBlocked {
+			window, reason = e.window(k, now, sampleSteps, blk)
+		}
+		if blk != headClear && window > 1 {
+			if err := e.foldBlocked(k, window, blk); err != nil {
+				return err
+			}
 		}
 		e.r.Advance(e.dt, window)
 		e.res.RackSteps++
@@ -1152,14 +1197,20 @@ func (e *traceRun) runEvents() error {
 	return nil
 }
 
+// deferWalkSteps caps how many grid steps one wall-floor proof walks
+// ahead: the proof costs a propagator walk per slot, and the margin a
+// deferral keeps over the cap shrinks as the floor reaches further.
+const deferWalkSteps = 16
+
 // window returns the macro-window length from step k — up to, exclusive,
 // the next grid step at which anything can happen — plus the pin reason
 // charged when that length is a single step. The reason is the bound that
 // strictly lowered `next` last; on ties the earlier check wins, so the
 // attribution precedence is horizon-end, arrival, fault-edge, completion,
-// controller horizon, sample grid — deterministic for every worker count
-// because every bound is computed from serial state.
-func (e *traceRun) window(k int, now float64, sampleSteps int) (int, pinReason) {
+// controller horizon, sample grid, and last the deferral proof (charged
+// as backlog) — deterministic for every worker count because every bound
+// is computed from serial state. blk is how the head ended step k.
+func (e *traceRun) window(k int, now float64, sampleSteps int, blk headBlock) (int, pinReason) {
 	if (len(e.actions) > 0 || len(e.pending) > 0) && e.r.TripRisk() {
 		// Fault runs pin to single steps while any live server sits inside
 		// the trip-guard band: a natural trip latching mid-window would
@@ -1173,7 +1224,9 @@ func (e *traceRun) window(k int, now float64, sampleSteps int) (int, pinReason) 
 		return 1, pinTripGuard
 	}
 	next, cause := e.steps, pinHorizonEnd
-	if e.nextJob < len(e.jobs) {
+	// Behind a blocked head an arrival can only join the tail, unless a
+	// backfill pass would try it; foldBlocked admits it at its step.
+	if e.nextJob < len(e.jobs) && (blk == headClear || e.tc.Backfill) {
 		if ka := e.arrivalStep(e.jobs[e.nextJob].Arrival); ka < next {
 			next, cause = ka, pinArrival
 		}
@@ -1215,7 +1268,72 @@ func (e *traceRun) window(k int, now float64, sampleSteps int) (int, pinReason) 
 	if next <= k {
 		next = k + 1
 	}
+	if blk == headDeferred && next > k+1 {
+		skip := min(next-k-1, deferWalkSteps)
+		if proven := e.deferSteps(skip); proven < next-k-1 {
+			next, cause = k+1+proven, pinBacklog
+		}
+	}
 	return next - k, cause
+}
+
+// deferSteps returns how many of the next maxSkip grid steps provably
+// defer the head again (rack.WallFloorSteps). The head's slot may move
+// between retries — round-robin rotates on every pick — so the proof
+// takes the cheapest increment over every slot a placement could pass
+// checkPlacement on.
+func (e *traceRun) deferSteps(maxSkip int) int {
+	j := e.pending[0]
+	for s := range e.capExtra {
+		if e.r.Health(s) != rack.Healthy || e.loads[s]+j.Demand > 100 {
+			e.capExtra[s] = units.Watts(math.Inf(1))
+			continue
+		}
+		e.capExtra[s] = e.capMarginal(j, s)
+	}
+	return e.r.WallFloorSteps(e.dt, maxSkip, e.capExtra, e.tc.WallCapW)
+}
+
+// foldBlocked replays the bookkeeping of the grid steps k+1 … k+window−1
+// that a macro window crosses while the FIFO head stays blocked — what the
+// fixed-dt loop does there, minus the physics. Nothing completes and no
+// fault edge fires inside a window, so at each step arrivals join the
+// tail (window() ends windows at arrivals whenever one could place) and
+// the head is retried:
+//   - a refused head is refused again — the policy decides on loads and
+//     health, which have not changed — so no Place call is made, exactly
+//     as a LoadOnlyRefuser's refusal changes no state;
+//   - a deferred head is offered to the policy again with step k's views,
+//     which equal the skipped step's in every field the policy reads; the
+//     pick is validated and, as window() proved, deferred. Place is
+//     called on every step because the pick may change state (round-robin
+//     advances its cursor on every pick).
+func (e *traceRun) foldBlocked(k, window int, blk headBlock) error {
+	last := k + window - 1
+	for e.nextJob < len(e.jobs) && e.jobs[e.nextJob].Arrival < float64(last)*e.dt+e.dt {
+		e.pending = append(e.pending, e.jobs[e.nextJob])
+		e.nextJob++
+	}
+	if len(e.pending) > e.res.MaxQueueLen {
+		e.res.MaxQueueLen = len(e.pending)
+	}
+	e.m.backlogHW.SetMax(float64(len(e.pending)))
+	if blk != headDeferred {
+		return nil
+	}
+	j := e.pending[0]
+	for s := k + 1; s <= last; s++ {
+		slot := e.p.Place(j, e.views)
+		if slot < 0 {
+			return fmt.Errorf("sched: policy %s refused job %d at step %d, deferred at step %d with the same loads: it breaks the LoadOnlyRefuser contract", e.p.Name(), j.ID, s, k)
+		}
+		if err := e.checkPlacement(j, slot); err != nil {
+			return err
+		}
+		e.res.Deferrals++
+		e.m.deferrals.Inc()
+	}
+	return nil
 }
 
 // arrivalStep returns the grid step at which the fixed-dt loop admits an

@@ -58,8 +58,37 @@ func (s *Server) BandDecisionHorizon(dt float64, first, stride, maxChecks int, l
 		return 0
 	}
 
-	// Anchor at the live state: boundary temperature and conductances are
-	// window-constant, so syncing once here pins them for the whole walk.
+	tol := s.predictAnchor()
+	verified := 0
+	reached := 0 // grid steps walked from now
+	anchors := 0
+	for next := first; verified < maxChecks; next += stride {
+		reached += s.predictWalk(dt, next-reached, tol, &anchors, nil)
+		if reached < next {
+			// The walk ran out of anchors, or a fresh anchor could not
+			// advance one step inside the drift cap: a transient too fast
+			// to predict. Promise what we have.
+			break
+		}
+		maxDie := s.predTemps[s.dieNodes[0]]
+		for _, die := range s.dieNodes[1:] {
+			if t := s.predTemps[die]; t > maxDie {
+				maxDie = t
+			}
+		}
+		if maxDie < dieLo || maxDie > dieHi {
+			break // this instant may act: the promise ends just before it
+		}
+		verified++
+	}
+	return verified
+}
+
+// predictAnchor starts a read-only trajectory prediction at the live
+// state and returns the drift tolerance the walk re-anchors under. The
+// boundary temperature and conductances are window-constant, so syncing
+// once here pins them for the whole walk.
+func (s *Server) predictAnchor() float64 {
 	s.syncThermalInputs()
 	m := s.net.NumNodes()
 	if len(s.predTemps) != m {
@@ -77,35 +106,87 @@ func (s *Server) BandDecisionHorizon(dt float64, first, stride, maxChecks int, l
 	if tol > tripGuardC {
 		tol = tripGuardC
 	}
+	return tol
+}
 
-	verified := 0
-	reached := 0 // grid steps walked from now
-	next := first
-	for anchors := 0; verified < maxChecks && anchors < bandMaxAnchors; anchors++ {
+// predictWalk advances the predicted state in predTemps by up to n grid
+// steps of the linearized propagator map (thermal.PredictLinearized),
+// starting a fresh anchor — powers and leakage slopes re-evaluated at the
+// predicted temperatures — at its first step and after every drift stop.
+// anchors counts the anchors spent across one query; the walk stops when
+// it reaches bandMaxAnchors or a fresh anchor cannot advance one step. It
+// returns the steps advanced; hottest, when non-nil, receives the hottest
+// predicted die after each of them.
+func (s *Server) predictWalk(dt float64, n int, tol float64, anchors *int, hottest []float64) int {
+	done := 0
+	for done < n && *anchors < bandMaxAnchors {
+		*anchors++
 		s.fillPredictInputs()
-		adv := s.net.PredictLinearized(dt, next-reached, s.predTemps, s.predPowers, s.predSlopes, tol)
+		var h []float64
+		if hottest != nil {
+			h = hottest[done:]
+		}
+		adv := s.net.PredictLinearized(dt, n-done, s.predTemps, s.predPowers, s.predSlopes, tol, s.dieNodes, h)
 		if adv == 0 {
-			// A fresh anchor could not advance one step inside the drift
-			// cap: a transient too fast to predict. Promise what we have.
 			break
 		}
-		reached += adv
-		if reached < next {
-			continue // drift stop mid-segment: re-anchor and keep walking
-		}
-		maxDie := s.predTemps[s.dieNodes[0]]
-		for _, die := range s.dieNodes[1:] {
-			if t := s.predTemps[die]; t > maxDie {
-				maxDie = t
-			}
-		}
-		if maxDie < dieLo || maxDie > dieHi {
-			break // this instant may act: the promise ends just before it
-		}
-		verified++
-		next += stride
+		done += adv
 	}
-	return verified
+	return done
+}
+
+// DieFloor walks a lower bound on the server's hottest-die temperature
+// along the fixed-dt trajectory from the live state, with every input held
+// at its current value — the regime between scheduling events. floor[j]
+// receives the bound after j+1 grid steps; the return value is how many
+// steps were walked (at most steps and len(floor)).
+//
+// The walk is the linearized propagator map BandDecisionHorizon predicts
+// with, and in exact arithmetic it is a floor, not an estimate. The
+// leakage curve C + K2·e^{K3·T} is convex for K2, K3 ≥ 0, so every
+// tangent the walk linearizes with lies below it and rises with
+// temperature. The exact
+// propagator's Ad and Phi·C⁻¹ are elementwise nonnegative (the RC network
+// is a cooperative system), so a step map fed a lower temperature and a
+// lower source power lands lower. By induction on the steps — the
+// comparison principle for cooperative systems (H. L. Smith, Monotone
+// Dynamical Systems, AMS 1995) — each walked die temperature bounds the
+// plain Step trajectory's from below. The first walked step is the plain
+// step itself, up to rounding, so each reported floor sits bandLinMarginC
+// below the walk to keep the bound in floating point.
+//
+// It walks nothing (returns 0) when that argument or the live state does
+// not support it: a non-exact integrator, a dark machine, slewing fans
+// (conductances move every step), a negative leakage K2 or K3, or a die
+// inside the trip-guard band (a trip would change the fan command).
+// Active fault windows (PinFixedDt) do not stop it: they pin the server
+// to the plain steps the floor bounds. Like BandDecisionHorizon it never
+// touches the live thermal state.
+func (s *Server) DieFloor(dt float64, steps int, floor []float64) int {
+	lm := s.cfg.Power.Leakage
+	if dt <= 0 || steps < 1 || len(floor) < steps || lm.K2 < 0 || lm.K3 < 0 ||
+		s.cfg.ThermalIntegrator != thermal.IntegratorExact || !s.powered || !s.fans.Settled() ||
+		float64(s.MaxCPUTemp()) >= float64(s.cfg.CriticalTemp)-tripGuardC {
+		return 0
+	}
+	tol := s.predictAnchor()
+	anchors := 0
+	n := s.predictWalk(dt, steps, tol, &anchors, floor)
+	for j := range floor[:n] {
+		floor[j] -= bandLinMarginC
+	}
+	return n
+}
+
+// DCFloor returns a lower bound on the server's DC draw at any instant
+// before its next input change whose hottest die is at or above dieC — a
+// DieFloor value: every term but leakage is window-constant, and leakage
+// rises with the die temperature. A dark machine draws nothing.
+func (s *Server) DCFloor(dieC float64) float64 {
+	if !s.powered {
+		return 0
+	}
+	return float64(s.breakdownAt(float64(s.cfg.Power.Leakage.Power(units.Celsius(dieC)))).Total())
 }
 
 // fillPredictInputs computes the injected node powers and leakage feedback

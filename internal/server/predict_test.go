@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/thermal"
 	"repro/internal/units"
 )
 
@@ -143,5 +144,139 @@ func TestBandDecisionHorizonNoise(t *testing.T) {
 	hi = units.Celsius(die + off + 5)
 	if m := quiet.BandDecisionHorizon(1, 10, 10, 10, lo, hi); m == 0 {
 		t.Error("the same band with zero noise must verify at steady state")
+	}
+}
+
+// TestDieFloorSound is the wall-floor proof's thermal half: over random
+// machines, loads (uneven across sockets, so the hottest die moves), fan
+// speeds, drift tolerances and step sizes, the walked floor never exceeds
+// the hottest die a plain-Step twin reaches at the same step, and
+// DCFloor of it never exceeds the twin's DC draw. The walk must also leave
+// the live state untouched.
+func TestDieFloorSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(4607))
+	const maxWalk = 48
+	floor := make([]float64, maxWalk)
+	walked, tight := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		mutate := func(c *Config) {
+			c.Ambient = units.Celsius(16 + 16*rng.Float64())
+			c.MacroDriftTolC = 0.1 + 2*rng.Float64()
+			c.Mem.NumDIMMs = 16 + 8*rng.Intn(3)
+			c.Power.Leakage.K2 *= 0.5 + rng.Float64()
+			c.Power.Leakage.K3 *= 0.8 + 0.4*rng.Float64()
+		}
+		pred, ref := macroPair(t, mutate)
+		dt := []float64{0.5, 1, 2}[rng.Intn(3)]
+		lo, hi := pred.Fans().Range()
+		rpm := lo + units.RPM(rng.Float64())*(hi-lo)
+		warmLoad := units.Percent(rng.Intn(101))
+		warm := 100 + rng.Intn(300)
+		for _, s := range []*Server{pred, ref} {
+			s.Fans().SetAll(rpm)
+			s.SetLoad(warmLoad)
+			for k := 0; k < warm; k++ {
+				s.Step(dt)
+			}
+		}
+		for !pred.FansSettled() { // the floor needs settled fans
+			pred.Step(dt)
+			ref.Step(dt)
+		}
+		// A fresh load, uneven across the cores, right before the query.
+		load := units.Percent(rng.Intn(101))
+		pred.SetLoad(load)
+		ref.SetLoad(load)
+		cores := pred.CPU().Topology().Cores()
+		for c := 0; c < cores; c++ {
+			if rng.Intn(3) == 0 {
+				u := units.Percent(rng.Intn(101))
+				if err := pred.CPU().SetCoreLoad(c, u); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.CPU().SetCoreLoad(c, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		steps := 1 + rng.Intn(maxWalk)
+		// A transient faster than the drift tolerance may stop the walk
+		// early, even at its first step; that claims nothing.
+		n := pred.DieFloor(dt, steps, floor)
+		if n < 0 || n > steps {
+			t.Fatalf("trial %d: walked %d of %d steps", trial, n, steps)
+		}
+		walked += n
+		for j := 0; j < n; j++ {
+			ref.Step(dt)
+			die := float64(ref.MaxCPUTemp())
+			if floor[j] > die {
+				t.Fatalf("trial %d step %d: floor %.9f °C above the fixed-dt hottest die %.9f °C", trial, j+1, floor[j], die)
+			}
+			if die-floor[j] < bandLinMarginC+0.01 {
+				tight++
+			}
+			if f, dc := pred.DCFloor(floor[j]), float64(ref.Breakdown().Total()); f > dc {
+				t.Fatalf("trial %d step %d: DC floor %.9f W above the fixed-dt draw %.9f W", trial, j+1, f, dc)
+			}
+		}
+		// Read-only: stepped the same way, the walker matches its twin.
+		for j := 0; j < n; j++ {
+			pred.Step(dt)
+		}
+		if a, b := pred.MaxCPUTemp(), ref.MaxCPUTemp(); a != b {
+			t.Fatalf("trial %d: DieFloor perturbed the live state: %v vs %v °C", trial, a, b)
+		}
+	}
+	t.Logf("walked %d steps, %d of them within 0.01 °C of the margin below the trajectory", walked, tight)
+	// The floor must be a useful bound, not just a sound one.
+	if walked < 30*maxWalk/2 || tight*2 < walked {
+		t.Errorf("walked %d steps, %d of them within 0.01 °C of the margin below the trajectory", walked, tight)
+	}
+}
+
+// TestDieFloorRefusals: the floor walks nothing where its argument does
+// not hold — slewing fans, a dark machine, a non-exact integrator, a
+// negative leakage constant, the trip-guard band — and a dark machine's
+// DC floor is zero.
+func TestDieFloorRefusals(t *testing.T) {
+	floor := make([]float64, 8)
+	warm := func(mutate func(*Config)) *Server {
+		s, _ := macroPair(t, mutate)
+		s.SetLoad(60)
+		for k := 0; k < 200; k++ {
+			s.Step(1)
+		}
+		return s
+	}
+	if n := warm(nil).DieFloor(1, 8, floor); n != 8 {
+		t.Fatalf("baseline walked %d of 8 steps", n)
+	}
+	slew := warm(nil)
+	slew.Fans().SetAll(slew.Fans().Target() + 600)
+	dark := warm(nil)
+	dark.SetPowered(false)
+	hot := warm(nil)
+	hot.cfg.CriticalTemp = hot.MaxCPUTemp() + tripGuardC/2
+	for _, c := range []struct {
+		name string
+		s    *Server
+	}{
+		{"slewing fans", slew},
+		{"dark", dark},
+		{"RK4", warm(func(c *Config) { c.ThermalIntegrator = thermal.IntegratorRK4 })},
+		{"negative K2", warm(func(c *Config) { c.Power.Leakage.K2 = -c.Power.Leakage.K2 })},
+		{"negative K3", warm(func(c *Config) { c.Power.Leakage.K3 = -c.Power.Leakage.K3 })},
+		{"trip band", hot},
+	} {
+		if n := c.s.DieFloor(1, 8, floor); n != 0 {
+			t.Errorf("%s: walked %d steps, want 0", c.name, n)
+		}
+	}
+	if f := dark.DCFloor(50); f != 0 {
+		t.Errorf("dark machine DC floor %g, want 0", f)
+	}
+	if n := warm(nil).DieFloor(1, 8, floor[:4]); n != 0 {
+		t.Errorf("a floor buffer shorter than the walk must refuse, got %d", n)
 	}
 }

@@ -209,11 +209,18 @@ func (s *Server) updateBreakdown() {
 		s.lastBreakdown = power.Breakdown{}
 		return
 	}
+	s.lastBreakdown = s.breakdownAt(s.leakageAt(s.MaxCPUTemp()))
+}
+
+// breakdownAt is the power breakdown of a powered server at its current
+// utilization, DVFS state and fan speed, with leakW of leakage at full
+// voltage.
+func (s *Server) breakdownAt(leakW float64) power.Breakdown {
 	u := s.cpu.Utilization()
-	s.lastBreakdown = power.Breakdown{
+	return power.Breakdown{
 		Idle:    s.cfg.Power.IdleFloor,
 		Active:  units.Watts(float64(s.cfg.Power.Active.Power(s.effectiveUtil(u))) * s.dynScale()),
-		Leakage: units.Watts(s.leakageAt(s.MaxCPUTemp()) * s.voltScale),
+		Leakage: units.Watts(leakW * s.voltScale),
 		Memory:  s.cfg.Power.Memory.Power(u),
 		Fan:     s.fans.Power(),
 	}

@@ -4,7 +4,9 @@ package thermal
 // per-step affine map, iterated forward from a caller-supplied anchor to
 // *predict* the fixed-dt trajectory without touching node state. It is what
 // lets a controller promise "no threshold crossing before t" (the bang-bang
-// quiet band, internal/server.BandDecisionHorizon) — the prediction runs on
+// quiet band, internal/server.BandDecisionHorizon), and what lets the event
+// kernel prove a wall-cap deferral ahead (internal/server.DieFloor walks
+// it as a floor on the die temperatures) — the prediction runs on
 // the identical M = Ad + Phi·C⁻¹·S map the simulation itself will apply, so
 // the only divergence from the eventual reference path is the leakage
 // curvature over the drift-capped excursion, exactly macro.go's error
@@ -26,7 +28,11 @@ package thermal
 // returns the number of steps advanced (0 when the very first step
 // breaches the cap, the integrator is not exact, or the propagator cannot
 // be built; temps is then unchanged).
-func (n *Network) PredictLinearized(dt float64, maxSteps int, temps, powers, slopes []float64, driftCap float64) int {
+//
+// hottest, when non-nil, receives the walk's per-step maximum over the
+// watch nodes: hottest[s] is the hottest watched temperature after step
+// s+1, for every step advanced (len(hottest) must be at least maxSteps).
+func (n *Network) PredictLinearized(dt float64, maxSteps int, temps, powers, slopes []float64, driftCap float64, watch []NodeID, hottest []float64) int {
 	m := len(n.nodes)
 	if dt <= 0 || m == 0 || maxSteps < 1 || n.integrator != IntegratorExact {
 		return 0
@@ -92,6 +98,15 @@ func (n *Network) PredictLinearized(dt float64, maxSteps int, temps, powers, slo
 			break
 		}
 		copy(s.tn, s.tc)
+		if hottest != nil {
+			h := s.tn[watch[0]]
+			for _, id := range watch[1:] {
+				if t := s.tn[id]; t > h {
+					h = t
+				}
+			}
+			hottest[steps] = h
+		}
 		steps++
 	}
 	if steps > 0 {
