@@ -5,23 +5,113 @@ import (
 	"math"
 )
 
-// Expm computes the matrix exponential exp(A) of a dense square matrix using
-// scaling-and-squaring with a [6/6] Padé approximant (Moler & Van Loan,
-// method 3). The input is not modified.
+// ExpmWorkspace is the reusable scratch of Expm and ExpmIntegral. Its
+// buffers are sized on first use and kept while the order stays the same,
+// so repeated exponentials of one size allocate nothing. The zero value is
+// ready to use; a workspace must not be shared between goroutines.
+type ExpmWorkspace struct {
+	n    int         // order of the buffered matrices
+	back []float64   // backing store of five n×n buffers
+	rows [][]float64 // their row views, re-sliced at every call
+}
+
+// size re-slices the row views over the backing store for order n,
+// allocating only when the order changes, and returns the five buffers:
+// a holds the (scaled) input, num and den the Padé sums, pow the running
+// power and tmp the product scratch. Every call re-slices because the
+// elimination permutes the row views of den and num.
+func (w *ExpmWorkspace) size(n int) (a, num, den, pow, tmp [][]float64) {
+	if w.n != n {
+		w.n = n
+		w.back = make([]float64, 5*n*n)
+		w.rows = make([][]float64, 5*n)
+	}
+	for i := range w.rows {
+		w.rows[i] = w.back[i*n : (i+1)*n : (i+1)*n]
+	}
+	r := w.rows
+	return r[:n], r[n : 2*n], r[2*n : 3*n], r[3*n : 4*n], r[4*n:]
+}
+
+// Expm writes the matrix exponential exp(A) of the n×n row-major matrix a
+// into dst (also n×n row-major), using scaling-and-squaring with a [6/6]
+// Padé approximant (Moler & Van Loan, method 3). a is not modified.
 //
 // The intended use is the exact discrete propagator of a linear ODE
 // dT/dt = A·T + u: exp(A·h) advances the homogeneous part by h exactly, for
 // any h, which is what lets the thermal network replace many RK4 substeps
 // with one cached matvec.
-func Expm(a [][]float64) ([][]float64, error) {
-	n := len(a)
+func (w *ExpmWorkspace) Expm(dst, a []float64, n int) error {
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	for i := range a {
-		if len(a[i]) != n {
-			return nil, fmt.Errorf("mathx: expm of non-square matrix: row %d has %d columns, want %d", i, len(a[i]), n)
+	if len(a) != n*n || len(dst) != n*n {
+		return fmt.Errorf("mathx: expm of order %d needs %d entries, got %d in and %d out", n, n*n, len(a), len(dst))
+	}
+	in, num, den, pow, tmp := w.size(n)
+	for i, row := range in {
+		copy(row, a[i*n:(i+1)*n])
+	}
+	e, err := expm(in, num, den, pow, tmp)
+	if err != nil {
+		return err
+	}
+	for i, row := range e {
+		copy(dst[i*n:(i+1)*n], row)
+	}
+	return nil
+}
+
+// ExpmIntegral writes the exact discretization pair of the linear system
+// dT/dt = A·T + u over a step h into ad and phi (n×n row-major, like a):
+//
+//	ad  = exp(A·h)
+//	phi = ∫₀ʰ exp(A·s) ds
+//
+// so that T(t+h) = ad·T(t) + phi·u for u constant over the step. Both are
+// read off one exponential of the augmented matrix [[A·h, h·I], [0, 0]]
+// (Van Loan's block trick), which stays well defined even when A is
+// singular, unlike the closed form A⁻¹(ad − I). a is not modified, and ad
+// and phi are written only on success.
+func (w *ExpmWorkspace) ExpmIntegral(a []float64, n int, h float64, ad, phi []float64) error {
+	if n == 0 {
+		return nil
+	}
+	if h <= 0 || math.IsNaN(h) || math.IsInf(h, 0) {
+		return fmt.Errorf("mathx: expm integral needs positive finite step, got %g", h)
+	}
+	if len(a) != n*n || len(ad) != n*n || len(phi) != n*n {
+		return fmt.Errorf("mathx: expm integral of order %d needs %d entries, got %d in and %d/%d out", n, n*n, len(a), len(ad), len(phi))
+	}
+	in, num, den, pow, tmp := w.size(2 * n)
+	for i, row := range in {
+		for j := range row {
+			row[j] = 0
 		}
+		if i < n {
+			for j := 0; j < n; j++ {
+				row[j] = a[i*n+j] * h
+			}
+			row[n+i] = h
+		}
+	}
+	e, err := expm(in, num, den, pow, tmp)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		copy(ad[i*n:(i+1)*n], e[i][:n])
+		copy(phi[i*n:(i+1)*n], e[i][n:])
+	}
+	return nil
+}
+
+// expm computes exp(a) in the workspace buffers of ExpmWorkspace.size,
+// overwriting a with its scaled copy, and returns the result as row views
+// into them.
+func expm(a, num, den, pow, tmp [][]float64) ([][]float64, error) {
+	n := len(a)
+	for i := range a {
 		for j := range a[i] {
 			if math.IsNaN(a[i][j]) || math.IsInf(a[i][j], 0) {
 				return nil, fmt.Errorf("mathx: expm input not finite at (%d,%d)", i, j)
@@ -46,26 +136,28 @@ func Expm(a [][]float64) ([][]float64, error) {
 		s = int(math.Ceil(math.Log2(norm / 0.5)))
 	}
 	scale := math.Ldexp(1, -s)
-	as := make([][]float64, n)
 	for i := range a {
-		as[i] = make([]float64, n)
 		for j := range a[i] {
-			as[i][j] = a[i][j] * scale
+			a[i][j] *= scale
 		}
 	}
 
 	// [6/6] Padé: N = Σ c_k A^k, D = Σ (-1)^k c_k A^k with
 	// c_0 = 1, c_k = c_{k-1}·(q-k+1)/(k·(2q-k+1)), q = 6.
 	const q = 6
-	num := eye(n)
-	den := eye(n)
-	pow := eye(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			num[i][j], den[i][j], pow[i][j] = 0, 0, 0
+		}
+		num[i][i], den[i][i], pow[i][i] = 1, 1, 1
+	}
 	c := 1.0
 	sign := 1.0
 	for k := 1; k <= q; k++ {
 		c *= float64(q-k+1) / float64(k*(2*q-k+1))
 		sign = -sign
-		pow = matMul(pow, as)
+		matMulInto(tmp, pow, a)
+		pow, tmp = tmp, pow
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				num[i][j] += c * pow[i][j]
@@ -74,58 +166,17 @@ func Expm(a [][]float64) ([][]float64, error) {
 		}
 	}
 
-	f, err := solveMatrix(den, num)
-	if err != nil {
+	// Solve D·F = N in place: the solution lands in num's rows, and den's
+	// rows are free to serve as squaring scratch afterwards.
+	if err := solveRows(den, num); err != nil {
 		return nil, fmt.Errorf("mathx: expm Padé denominator: %w", err)
 	}
+	f, spare := num, den
 	for ; s > 0; s-- {
-		f = matMul(f, f)
+		matMulInto(spare, f, f)
+		f, spare = spare, f
 	}
 	return f, nil
-}
-
-// ExpmIntegral returns the exact discretization pair of the linear system
-// dT/dt = A·T + u over a step h:
-//
-//	ad  = exp(A·h)
-//	phi = ∫₀ʰ exp(A·s) ds
-//
-// so that T(t+h) = ad·T(t) + phi·u for u constant over the step. Both are
-// read off one exponential of the augmented matrix [[A·h, h·I], [0, 0]]
-// (Van Loan's block trick), which stays well defined even when A is
-// singular, unlike the closed form A⁻¹(ad − I).
-func ExpmIntegral(a [][]float64, h float64) (ad, phi [][]float64, err error) {
-	n := len(a)
-	if n == 0 {
-		return nil, nil, nil
-	}
-	if h <= 0 || math.IsNaN(h) || math.IsInf(h, 0) {
-		return nil, nil, fmt.Errorf("mathx: expm integral needs positive finite step, got %g", h)
-	}
-	m := make([][]float64, 2*n)
-	for i := range m {
-		m[i] = make([]float64, 2*n)
-	}
-	for i := 0; i < n; i++ {
-		if len(a[i]) != n {
-			return nil, nil, fmt.Errorf("mathx: expm integral of non-square matrix: row %d has %d columns, want %d", i, len(a[i]), n)
-		}
-		for j := 0; j < n; j++ {
-			m[i][j] = a[i][j] * h
-		}
-		m[i][n+i] = h
-	}
-	e, err := Expm(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	ad = make([][]float64, n)
-	phi = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		ad[i] = e[i][:n:n]
-		phi[i] = e[i][n:]
-	}
-	return ad, phi, nil
 }
 
 // SolveLinearInPlace solves a·x = b by Gaussian elimination with partial
@@ -204,48 +255,23 @@ func solveRows(m [][]float64, rhs [][]float64) error {
 	return nil
 }
 
-// eye returns the n×n identity matrix.
-func eye(n int) [][]float64 {
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-		m[i][i] = 1
-	}
-	return m
-}
-
-// matMul returns a·b for square matrices of equal size.
-func matMul(a, b [][]float64) [][]float64 {
-	n := len(a)
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = make([]float64, n)
-		for k := 0; k < n; k++ {
-			aik := a[i][k]
+// matMulInto writes a·b into dst for square matrices of equal order; dst
+// must not alias a or b. Zero entries of a are skipped: the skip is part of
+// the operation order every cached propagator's bits depend on, and it
+// keeps the zeros of a block-diagonal product exact.
+func matMulInto(dst, a, b [][]float64) {
+	for i, di := range dst {
+		for j := range di {
+			di[j] = 0
+		}
+		for k, aik := range a[i] {
 			if aik == 0 {
 				continue
 			}
 			row := b[k]
-			for j := 0; j < n; j++ {
-				out[i][j] += aik * row[j]
+			for j := range di {
+				di[j] += aik * row[j]
 			}
 		}
 	}
-	return out
-}
-
-// solveMatrix solves d·F = nmat with one elimination of d applied to every
-// column of nmat. Both inputs are copied, not modified.
-func solveMatrix(d, nmat [][]float64) ([][]float64, error) {
-	n := len(d)
-	m := make([][]float64, n)
-	f := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		m[i] = append([]float64(nil), d[i]...)
-		f[i] = append([]float64(nil), nmat[i]...)
-	}
-	if err := solveRows(m, f); err != nil {
-		return nil, err
-	}
-	return f, nil
 }

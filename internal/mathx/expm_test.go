@@ -6,9 +6,29 @@ import (
 	"testing"
 )
 
+// expmRows runs ExpmWorkspace.Expm on a matrix given as rows, the shape
+// the cases below are written in, through a fresh workspace.
+func expmRows(a [][]float64) ([][]float64, error) {
+	n := len(a)
+	var flat []float64
+	for _, row := range a {
+		flat = append(flat, row...)
+	}
+	dst := make([]float64, n*n)
+	var w ExpmWorkspace
+	if err := w.Expm(dst, flat, n); err != nil {
+		return nil, err
+	}
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = dst[i*n : (i+1)*n]
+	}
+	return out, nil
+}
+
 func TestExpmScalar(t *testing.T) {
 	for _, x := range []float64{-3, -0.5, 0, 0.1, 2.7} {
-		e, err := Expm([][]float64{{x}})
+		e, err := expmRows([][]float64{{x}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -19,7 +39,7 @@ func TestExpmScalar(t *testing.T) {
 }
 
 func TestExpmZeroIsIdentity(t *testing.T) {
-	e, err := Expm([][]float64{{0, 0}, {0, 0}})
+	e, err := expmRows([][]float64{{0, 0}, {0, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +56,7 @@ func TestExpmZeroIsIdentity(t *testing.T) {
 func TestExpmRotation(t *testing.T) {
 	// exp([[0,-θ],[θ,0]]) is the rotation matrix by θ.
 	theta := 1.2
-	e, err := Expm([][]float64{{0, -theta}, {theta, 0}})
+	e, err := expmRows([][]float64{{0, -theta}, {theta, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +84,7 @@ func TestExpmVsTaylor(t *testing.T) {
 				a[i][j] = 4 * (rng.Float64() - 0.5)
 			}
 		}
-		got, err := Expm(a)
+		got, err := expmRows(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,16 +105,31 @@ func taylorExpm(a [][]float64, terms int) [][]float64 {
 	n := len(a)
 	const halvings = 20
 	as := make([][]float64, n)
+	sum := make([][]float64, n)
+	term := make([][]float64, n)
 	for i := range a {
 		as[i] = make([]float64, n)
 		for j := range a[i] {
 			as[i][j] = a[i][j] / (1 << halvings)
 		}
+		sum[i] = make([]float64, n)
+		term[i] = make([]float64, n)
+		sum[i][i], term[i][i] = 1, 1
 	}
-	sum := eye(n)
-	term := eye(n)
+	mul := func(x, y [][]float64) [][]float64 {
+		out := make([][]float64, n)
+		for i := range out {
+			out[i] = make([]float64, n)
+			for k := 0; k < n; k++ {
+				for j := 0; j < n; j++ {
+					out[i][j] += x[i][k] * y[k][j]
+				}
+			}
+		}
+		return out
+	}
 	for k := 1; k <= terms; k++ {
-		term = matMul(term, as)
+		term = mul(term, as)
 		for i := range term {
 			for j := range term[i] {
 				term[i][j] /= float64(k)
@@ -103,7 +138,7 @@ func taylorExpm(a [][]float64, terms int) [][]float64 {
 		}
 	}
 	for s := 0; s < halvings; s++ {
-		sum = matMul(sum, sum)
+		sum = mul(sum, sum)
 	}
 	return sum
 }
@@ -111,15 +146,16 @@ func taylorExpm(a [][]float64, terms int) [][]float64 {
 func TestExpmIntegralScalar(t *testing.T) {
 	// For dT/dt = -λT + u: ad = e^{-λh}, phi = (1 - e^{-λh})/λ.
 	lambda, h := 0.7, 2.5
-	ad, phi, err := ExpmIntegral([][]float64{{-lambda}}, h)
-	if err != nil {
+	ad, phi := make([]float64, 1), make([]float64, 1)
+	var w ExpmWorkspace
+	if err := w.ExpmIntegral([]float64{-lambda}, 1, h, ad, phi); err != nil {
 		t.Fatal(err)
 	}
-	if want := math.Exp(-lambda * h); math.Abs(ad[0][0]-want) > 1e-12 {
-		t.Fatalf("ad = %g, want %g", ad[0][0], want)
+	if want := math.Exp(-lambda * h); math.Abs(ad[0]-want) > 1e-12 {
+		t.Fatalf("ad = %g, want %g", ad[0], want)
 	}
-	if want := (1 - math.Exp(-lambda*h)) / lambda; math.Abs(phi[0][0]-want) > 1e-12 {
-		t.Fatalf("phi = %g, want %g", phi[0][0], want)
+	if want := (1 - math.Exp(-lambda*h)) / lambda; math.Abs(phi[0]-want) > 1e-12 {
+		t.Fatalf("phi = %g, want %g", phi[0], want)
 	}
 }
 
@@ -127,15 +163,18 @@ func TestExpmIntegralScalar(t *testing.T) {
 // exact step and compares against many fine RK4 steps.
 func TestExpmIntegralMatchesFineRK4(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var w ExpmWorkspace // one workspace across orders: size changes re-slice it
 	for trial := 0; trial < 10; trial++ {
 		n := 1 + rng.Intn(5)
 		a := make([][]float64, n)
+		flat := make([]float64, 0, n*n)
 		for i := range a {
 			a[i] = make([]float64, n)
 			for j := range a[i] {
 				a[i][j] = 0.4 * (rng.Float64() - 0.5)
 			}
 			a[i][i] -= 1.0 // diagonally dominant, stable
+			flat = append(flat, a[i]...)
 		}
 		u := make([]float64, n)
 		y := make([]float64, n)
@@ -145,14 +184,14 @@ func TestExpmIntegralMatchesFineRK4(t *testing.T) {
 		}
 		h := 0.5 + 2*rng.Float64()
 
-		ad, phi, err := ExpmIntegral(a, h)
-		if err != nil {
+		ad, phi := make([]float64, n*n), make([]float64, n*n)
+		if err := w.ExpmIntegral(flat, n, h, ad, phi); err != nil {
 			t.Fatal(err)
 		}
 		exact := make([]float64, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				exact[i] += ad[i][j]*y[j] + phi[i][j]*u[j]
+				exact[i] += ad[i*n+j]*y[j] + phi[i*n+j]*u[j]
 			}
 		}
 
@@ -179,17 +218,55 @@ func TestExpmIntegralMatchesFineRK4(t *testing.T) {
 }
 
 func TestExpmBadInput(t *testing.T) {
-	if _, err := Expm([][]float64{{1, 2}}); err == nil {
+	if _, err := expmRows([][]float64{{1, 2}}); err == nil {
 		t.Fatal("expected error for non-square input")
 	}
-	if _, err := Expm([][]float64{{math.NaN()}}); err == nil {
+	if _, err := expmRows([][]float64{{math.NaN()}}); err == nil {
 		t.Fatal("expected error for NaN input")
 	}
-	if _, _, err := ExpmIntegral([][]float64{{1}}, 0); err == nil {
+	var w ExpmWorkspace
+	ad, phi := make([]float64, 1), make([]float64, 1)
+	if err := w.ExpmIntegral([]float64{1}, 1, 0, ad, phi); err == nil {
 		t.Fatal("expected error for zero step")
 	}
-	if _, _, err := ExpmIntegral([][]float64{{1, 2}}, 1); err == nil {
+	if err := w.ExpmIntegral([]float64{1, 2}, 1, 1, ad, phi); err == nil {
 		t.Fatal("expected error for non-square input")
+	}
+	if err := w.ExpmIntegral([]float64{1}, 1, 1, ad, phi[:0]); err == nil {
+		t.Fatal("expected error for a short output")
+	}
+}
+
+// TestExpmIntegralWorkspaceReuse: a warm workspace allocates nothing, and
+// its results do not depend on what it computed before — an order change
+// in between included.
+func TestExpmIntegralWorkspaceReuse(t *testing.T) {
+	a := []float64{-0.9, 0.3, 0, 0.2, -1.4, 0.5, 0.1, 0, -0.7}
+	want, phiWant := make([]float64, 9), make([]float64, 9)
+	var fresh ExpmWorkspace
+	if err := fresh.ExpmIntegral(a, 3, 1.5, want, phiWant); err != nil {
+		t.Fatal(err)
+	}
+	var w ExpmWorkspace
+	ad, phi := make([]float64, 9), make([]float64, 9)
+	other := make([]float64, 4)
+	if err := w.ExpmIntegral([]float64{-2, 1, 1, -3}, 2, 0.5, other, make([]float64, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ExpmIntegral(a, 3, 1.5, ad, phi); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if math.Float64bits(ad[i]) != math.Float64bits(want[i]) || math.Float64bits(phi[i]) != math.Float64bits(phiWant[i]) {
+			t.Fatalf("entry %d: reused workspace gave (%g, %g), fresh (%g, %g)", i, ad[i], phi[i], want[i], phiWant[i])
+		}
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := w.ExpmIntegral(a, 3, 1.5, ad, phi); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("warm ExpmIntegral allocated %.1f times per call", avg)
 	}
 }
 

@@ -1,5 +1,7 @@
 package thermal
 
+import "math"
+
 // This file implements the closed-form composition of many exact-propagator
 // steps — the thermal half of the event-driven macro-stepping kernel
 // (internal/sched). Between scheduling events the rack's inputs are
@@ -18,31 +20,39 @@ package thermal
 //	Σ_{k≤K} T_k = (M·G_K)·T₀ + H_K·c,    H_K = Σ_{k≤K} G_k = Σ_{j<K}(K−j)·M^j
 //
 // computed by doubling (A_{2K} = A_K², G_{2K} = G_K + A_K·G_K, H_{2K} =
-// H_K + K·G_K + A_K·H_K) in O(log K) small dense multiplies. The running
-// temperature sum is what turns the fixed-dt rectangle-rule energy
-// accounting into a closed form: the caller charges K·dt·P(ΣT/K) instead of
-// K separate post-step evaluations. Because the composition reproduces the
+// H_K + K·G_K + A_K·H_K) in O(log K) small multiplies. M and every A_K are
+// block-diagonal (see "Block structure" in doc.go), so each product runs
+// per block on in-block entries, a block twin of an earlier one is copied
+// rather than computed, and a level's four matrix–vector products
+// (A_K·T_K, A_K·H_K·c, A_K·G_K·c, A_K·G_K·T₀) share one pass over A_K's
+// rows. The running temperature sum is what turns the fixed-dt
+// rectangle-rule energy accounting into a closed form: the caller charges
+// K·dt·P(ΣT/K) instead of K separate post-step evaluations. Because the composition reproduces the
 // *discrete* fixed-dt trajectory — not the continuous-time integral — the
 // only deviation from the reference path is the curvature of the leakage
 // model over the window's temperature excursion, which the drift cap
 // bounds.
 
-// macroScratch holds the m×m and m-vector work buffers of StepLinearizedN,
-// reused across calls so macro-stepping does not allocate at steady state.
+// macroScratch holds the m×m and m-vector work buffers of StepLinearizedN
+// and PredictLinearized, reused across calls so macro-stepping does not
+// allocate at steady state. Matrices are m×m row-major, and only the
+// in-block entries of the call's computed blocks are ever written or read.
 //
 // Only the running power A_n = M^n must be kept as a matrix (it multiplies
 // fresh vectors at every level); the geometric sums appear exclusively
 // applied to the two fixed vectors c and T₀, so they ride along as the
 // vector ladders g_n = G_n·c, y_n = G_n·T₀ and h_n = H_n·c — one matrix
-// multiply per doubling instead of three.
+// multiply per doubling instead of three, and one pass over A_n's rows for
+// the level's four matrix–vector products.
 type macroScratch struct {
 	m          int
 	step       []float64 // M, the one-step linearized map
 	a, a2      []float64 // A_n = M^n and its squaring scratch
 	c          []float64 // affine term of the per-step map
+	v, u       []float64 // anchor inputs S/C and C⁻¹·(P − S·T₀ + Σ g_b·T_b)
 	t0, tn, tc []float64 // start temps, current endpoint, candidate
 	g, y, h    []float64 // vector ladders G_n·c, G_n·T₀, H_n·c
-	vtmp       []float64 // matvec scratch
+	ag, ay, ah []float64 // A_n·g_n, A_n·y_n, A_n·h_n of the level being tried
 }
 
 func (s *macroScratch) size(m int) {
@@ -53,43 +63,48 @@ func (s *macroScratch) size(m int) {
 	s.step = make([]float64, m*m)
 	s.a = make([]float64, m*m)
 	s.a2 = make([]float64, m*m)
-	s.c = make([]float64, m)
-	s.t0 = make([]float64, m)
-	s.tn = make([]float64, m)
-	s.tc = make([]float64, m)
-	s.g = make([]float64, m)
-	s.y = make([]float64, m)
-	s.h = make([]float64, m)
-	s.vtmp = make([]float64, m)
-}
-
-// matMulInto computes dst = a·b for m×m row-major matrices.
-func matMulInto(dst, a, b []float64, m int) {
-	for i := 0; i < m; i++ {
-		di := dst[i*m : (i+1)*m]
-		ai := a[i*m : (i+1)*m]
-		for j := 0; j < m; j++ {
-			di[j] = 0
-		}
-		for k := 0; k < m; k++ {
-			f := ai[k]
-			bk := b[k*m : (k+1)*m]
-			for j := 0; j < m; j++ {
-				di[j] += f * bk[j]
-			}
-		}
+	vs := make([]float64, 12*m)
+	for i, v := range []*[]float64{&s.c, &s.v, &s.u, &s.t0, &s.tn, &s.tc, &s.g, &s.y, &s.h, &s.ag, &s.ay, &s.ah} {
+		*v = vs[i*m : (i+1)*m : (i+1)*m]
 	}
 }
 
-// matVecInto computes dst = a·x.
-func matVecInto(dst, a, x []float64, m int) {
-	for i := 0; i < m; i++ {
-		ai := a[i*m : (i+1)*m]
-		s := 0.0
-		for j := 0; j < m; j++ {
-			s += ai[j] * x[j]
+// anchor assembles the per-step affine map at the anchor temps (copied to
+// t0), powers (which may be the u scratch itself) and slopes: v = S/C and
+// u = C⁻¹·(P − S·T₀ + Σ g_b·T_b) for every node, exactly the way stepExact
+// assembles its per-step input; then it plans the call on (v, u, T₀) and
+// fills M = Ad + Phi·diag(v) and c = Phi·u over the computed blocks. whole
+// plans one block (planCall). StepLinearizedN and PredictLinearized both
+// anchor here.
+func (n *Network) anchor(p *propagator, temps, powers, slopes []float64, whole bool) {
+	s, m := &n.macro, p.m
+	for i := range n.nodes {
+		s.v[i] = slopes[i] / n.nodes[i].capac
+		s.t0[i] = temps[i]
+		s.u[i] = powers[i] - slopes[i]*temps[i]
+	}
+	for _, l := range n.links {
+		if l.toBoundary {
+			s.u[l.a] += l.g * n.boundaries[l.bBound].temp
 		}
-		dst[i] = s
+	}
+	for i := range s.u {
+		s.u[i] /= n.nodes[i].capac
+	}
+	n.planCall(p, whole, s.v, s.u, s.t0)
+	for _, sp := range n.plan.spans {
+		v, u := s.v[sp.lo:sp.hi], s.u[sp.lo:sp.hi]
+		for i := sp.lo; i < sp.hi; i++ {
+			ad := p.ad[i*m+sp.lo : i*m+sp.hi]
+			phi := p.phi[i*m+sp.lo : i*m+sp.hi]
+			mi := s.step[i*m+sp.lo : i*m+sp.hi]
+			c := 0.0
+			for j := range ad {
+				mi[j] = ad[j] + phi[j]*v[j]
+				c += phi[j] * u[j]
+			}
+			s.c[i] = c
+		}
 	}
 }
 
@@ -115,92 +130,80 @@ func (n *Network) StepLinearizedN(dt float64, maxSteps int, slopes []float64, dr
 	if len(slopes) != m || len(sums) != m || driftCap <= 0 {
 		return 0
 	}
-	p := n.lookupPropagator(dt)
-	if p == nil {
-		p = n.buildPropagator(dt)
-	}
+	p := n.propagatorFor(dt)
 	if p.failed {
 		return 0
 	}
 	s := &n.macro
 	s.size(m)
-
-	// One-step map M = Ad + Phi·C⁻¹·S: column j of Phi scaled by s_j/C_j.
-	for j := 0; j < m; j++ {
-		s.vtmp[j] = slopes[j] / n.nodes[j].capac
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			s.step[i*m+j] = p.ad[i*m+j] + p.phi[i*m+j]*s.vtmp[j]
-		}
-	}
-	// Affine term c = Phi·C⁻¹·(P − S·T₀ + Σ g_b·T_b), assembled exactly the
-	// way stepExact assembles its per-step input.
-	for i := range s.t0 {
+	for i := range n.nodes {
 		s.t0[i] = n.nodes[i].temp
-		s.tn[i] = n.nodes[i].powerIn - slopes[i]*s.t0[i] // reuse tn as u scratch
+		s.u[i] = n.nodes[i].powerIn
 	}
-	for _, l := range n.links {
-		if l.toBoundary {
-			s.tn[l.a] += l.g * n.boundaries[l.bBound].temp
-		}
-	}
-	for i := range s.tn {
-		s.tn[i] /= n.nodes[i].capac
-	}
-	matVecInto(s.c, p.phi, s.tn, m)
+	// An infinite cap lets a diverging ladder commit ±Inf, which the dense
+	// product would spread across blocks as NaN: run such calls as one block.
+	n.anchor(p, s.t0, s.u, slopes, math.IsInf(driftCap, 1))
+	bp := &n.plan
 
 	// Ladder start: n = 1 — A = M, g = c, y = T₀, h = c, T₁ = M·T₀ + c.
 	copy(s.a, s.step)
 	copy(s.g, s.c)
 	copy(s.y, s.t0)
 	copy(s.h, s.c)
-	matVecInto(s.tn, s.step, s.t0, m)
-	for i := 0; i < m; i++ {
-		s.tn[i] += s.c[i]
+	bp.mulVec(s.tn, s.step, s.t0, m)
+	for _, sp := range bp.spans {
+		for i := sp.lo; i < sp.hi; i++ {
+			s.tn[i] += s.c[i]
+		}
 	}
 	steps := 1
 	for 2*steps <= maxSteps {
-		// Candidate endpoint T_{2n} = A_n·T_n + g_n; drift-check before
-		// committing the level.
-		matVecInto(s.tc, s.a, s.tn, m)
+		// One pass over A_n's rows: the candidate endpoint
+		// T_{2n} = A_n·T_n + g_n, drift-checked before the level is
+		// committed, and the products A_n·h_n, A_n·g_n, A_n·y_n the vector
+		// ladders need if it is.
 		ok := true
-		for i := 0; i < m; i++ {
-			s.tc[i] += s.g[i]
-			d := s.tc[i] - s.t0[i]
-			if d < 0 {
-				d = -d
-			}
-			if !(d <= driftCap) { // NaN-safe: divergence fails the cap
-				ok = false
+		for _, sp := range bp.spans {
+			tn, g, y, h := s.tn[sp.lo:sp.hi], s.g[sp.lo:sp.hi], s.y[sp.lo:sp.hi], s.h[sp.lo:sp.hi]
+			for i := sp.lo; i < sp.hi; i++ {
+				ai := s.a[i*m+sp.lo : i*m+sp.hi]
+				var at, ah, ag, ay float64
+				for j, aij := range ai {
+					at += aij * tn[j]
+					ah += aij * h[j]
+					ag += aij * g[j]
+					ay += aij * y[j]
+				}
+				s.tc[i] = at + s.g[i]
+				s.ah[i], s.ag[i], s.ay[i] = ah, ag, ay
+				if !withinCap(s.tc[i]-s.t0[i], driftCap) {
+					ok = false
+				}
 			}
 		}
 		if !ok {
 			n.driftStops++ // ladder cut short by the drift cap, not maxSteps
 			break
 		}
-		// Vector ladders, h first (it consumes this level's g and A):
+		// Vector ladders, h first (it consumes this level's g):
 		// h_{2n} = h_n + n·g_n + A_n·h_n, then g_{2n} = g_n + A_n·g_n and
 		// y_{2n} = y_n + A_n·y_n.
 		fn := float64(steps)
-		matVecInto(s.vtmp, s.a, s.h, m)
-		for i := 0; i < m; i++ {
-			s.h[i] += fn*s.g[i] + s.vtmp[i]
+		for _, sp := range bp.spans {
+			for i := sp.lo; i < sp.hi; i++ {
+				s.h[i] += fn*s.g[i] + s.ah[i]
+				s.g[i] += s.ag[i]
+				s.y[i] += s.ay[i]
+				s.tn[i] = s.tc[i]
+			}
 		}
-		matVecInto(s.vtmp, s.a, s.g, m)
-		for i := 0; i < m; i++ {
-			s.g[i] += s.vtmp[i]
-		}
-		matVecInto(s.vtmp, s.a, s.y, m)
-		for i := 0; i < m; i++ {
-			s.y[i] += s.vtmp[i]
-		}
-		copy(s.tn, s.tc)
 		steps *= 2
 		if 2*steps <= maxSteps {
 			// Square up only when another level can still be attempted —
 			// the single matrix multiply of the level.
-			matMulInto(s.a2, s.a, s.a, m)
+			for _, sp := range bp.spans {
+				squareBlock(s.a2, s.a, m, sp.lo, sp.hi)
+			}
 			s.a, s.a2 = s.a2, s.a
 		}
 	}
@@ -208,10 +211,33 @@ func (n *Network) StepLinearizedN(dt float64, maxSteps int, slopes []float64, dr
 		return 0
 	}
 	// Σ_{k=1..n} T_k = M·(G_n·T₀) + H_n·c.
-	matVecInto(s.vtmp, s.step, s.y, m)
-	for i := 0; i < m; i++ {
-		sums[i] = s.vtmp[i] + s.h[i]
+	bp.mulVec(s.ay, s.step, s.y, m)
+	for _, sp := range bp.spans {
+		for i := sp.lo; i < sp.hi; i++ {
+			sums[i] = s.ay[i] + s.h[i]
+		}
+	}
+	bp.copyTwins(sums)
+	bp.copyTwins(s.tn)
+	for i := range n.nodes {
 		n.nodes[i].temp = s.tn[i]
 	}
 	return steps
+}
+
+// squareBlock writes the [lo, hi) diagonal block of a·a into dst; a and dst
+// are m×m row-major and must not alias.
+func squareBlock(dst, a []float64, m, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		di := dst[i*m+lo : i*m+hi]
+		for j := range di {
+			di[j] = 0
+		}
+		for k, f := range a[i*m+lo : i*m+hi] {
+			bk := a[(lo+k)*m+lo : (lo+k)*m+hi]
+			for j := range di {
+				di[j] += f * bk[j]
+			}
+		}
+	}
 }

@@ -286,9 +286,10 @@ func BenchmarkPropagatorLookup(b *testing.B) {
 			n.Step(1) // build once
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if n.lookupPropagator(1) == nil {
-					b.Fatal("lookup missed at steady state")
-				}
+				n.propagatorFor(1)
+			}
+			if n.propMisses != 1 {
+				b.Fatal("lookup missed at steady state")
 			}
 		})
 	}

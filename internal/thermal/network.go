@@ -61,15 +61,16 @@ type link struct {
 // when the system matrix −C⁻¹G it was built from is the current one. gen
 // stamps the conductance generation the entry last matched, making the
 // steady-state lookup a three-int compare instead of an O(#links) float
-// walk (see lookupPropagator).
+// walk (see propagatorFor).
 type propagator struct {
 	failed bool // build attempt failed for this key; don't retry it
 	h      float64
 	m      int
-	gen    uint64    // conductance generation this entry last matched
-	gs     []float64 // per-link conductances this entry was built for
-	ad     []float64 // m×m row-major exp(−C⁻¹G·h)
-	phi    []float64 // m×m row-major ∫₀ʰ exp(−C⁻¹G·s) ds
+	gen    uint64     // conductance generation this entry last matched
+	gs     []float64  // per-link conductances this entry was built for
+	ad     []float64  // m×m row-major exp(−C⁻¹G·h)
+	phi    []float64  // m×m row-major ∫₀ʰ exp(−C⁻¹G·s) ds
+	twin   []twinCopy // per block, its twin source (see block.go)
 }
 
 // propCacheSize bounds the propagator LRU. A server alternates between a
@@ -93,9 +94,12 @@ type Network struct {
 	propMisses int           // lifetime lookup failures (each triggers a build)
 	driftStops int           // macro doubling ladders cut short by the drift cap
 	condGen    uint64        // bumped whenever any link conductance changes
-	u, next    []float64     // exact-step scratch, sized at node addition
+	u, t       []float64     // exact-step scratch, sized by the first step
 
-	macro macroScratch // linearized macro-step work buffers
+	plan  blockPlan           // block structure of the links, derived state
+	expm  mathx.ExpmWorkspace // propagator-build scratch
+	sys   []float64           // m×m system matrix −C⁻¹G, propagator-build scratch
+	macro macroScratch        // linearized macro-step work buffers
 
 	// RK4 integration scratch
 	state   []float64
@@ -133,21 +137,20 @@ func (n *Network) IntegratorInUse() Integrator { return n.integrator }
 func (n *Network) invalidate() {
 	n.props = n.props[:0]
 	n.condGen++ // the conductance vector changed meaning, not just value
-	n.sizeScratch()
+	n.plan.stale = true
 }
 
-// sizeScratch (re)sizes every per-step work buffer to the current node
-// count. Doing this at mutation time — node/link additions — keeps Step
+// sizeScratch sizes every per-step work buffer to the node count. Step
+// calls it when the count moved, so a network allocates its buffers once,
+// at its first step, rather than at every node addition, and Step stays
 // allocation-free at steady state (asserted by testing.AllocsPerRun in the
 // server and rack packages).
 func (n *Network) sizeScratch() {
 	m := len(n.nodes)
-	if len(n.u) != m {
-		n.u = make([]float64, m)
-		n.next = make([]float64, m)
-		n.state = make([]float64, m)
-		n.scratch = mathx.NewScratch(m)
-	}
+	n.u = make([]float64, m)
+	n.t = make([]float64, m)
+	n.state = make([]float64, m)
+	n.scratch = mathx.NewScratch(m)
 }
 
 // AddNode adds a capacitive node with the given heat capacity (J/°C) and
@@ -311,6 +314,9 @@ func (n *Network) Step(dt float64) {
 	if dt <= 0 || len(n.nodes) == 0 {
 		return
 	}
+	if len(n.u) != len(n.nodes) {
+		n.sizeScratch()
+	}
 	if n.integrator == IntegratorExact && n.stepExact(dt) {
 		return
 	}
@@ -320,11 +326,7 @@ func (n *Network) Step(dt float64) {
 // stepExact advances by one exact propagator application. It returns false
 // if the propagator could not be built (the caller then falls back to RK4).
 func (n *Network) stepExact(dt float64) bool {
-	m := len(n.nodes)
-	p := n.lookupPropagator(dt)
-	if p == nil {
-		p = n.buildPropagator(dt)
-	}
+	p := n.propagatorFor(dt)
 	if p.failed {
 		return false // a doomed operating point stays on RK4 until its key changes
 	}
@@ -332,6 +334,7 @@ func (n *Network) stepExact(dt float64) bool {
 	// changes are picked up here without touching the cached propagator.
 	for i := range n.u {
 		n.u[i] = n.nodes[i].powerIn
+		n.t[i] = n.nodes[i].temp
 	}
 	for _, l := range n.links {
 		if l.toBoundary {
@@ -341,23 +344,53 @@ func (n *Network) stepExact(dt float64) bool {
 	for i := range n.u {
 		n.u[i] /= n.nodes[i].capac
 	}
-	for i := 0; i < m; i++ {
-		ad := p.ad[i*m : (i+1)*m]
-		phi := p.phi[i*m : (i+1)*m]
-		s := 0.0
-		for j := 0; j < m; j++ {
-			s += ad[j]*n.nodes[j].temp + phi[j]*n.u[j]
-		}
-		n.next[i] = s
-	}
-	for i := range n.nodes {
-		n.nodes[i].temp = n.next[i]
+	if !n.applyExact(p, p.twin) {
+		// A non-finite input turns the dense product's exact zeros into
+		// NaN (0·Inf, 0·NaN) in every other block: recompute as one block
+		// to reproduce that spread bit for bit.
+		n.applyExact(p, n.plan.whole[:])
 	}
 	return true
 }
 
-// lookupPropagator returns the cached entry matching the current
-// (conductance-set, h) key, promoting it to the front of the LRU, or nil.
+// applyExact sets the node temperatures to ad·T + phi·u, with T and u read
+// from the t and u scratch, block by block over blocks (a twin map, in
+// index order). A twin block whose inputs T and u are bit-identical to its
+// source's is copied from the source, already computed (the twin rule, see
+// planCall); a plain step applies the propagator once, so it skips
+// planCall's span lists. It reports whether every result is finite: adding
+// 1 to an all-ones exponent field carries into the sign bit, which no
+// finite value's field reaches.
+func (n *Network) applyExact(p *propagator, blocks []twinCopy) bool {
+	const exp = 0x7ff << 52
+	var carry uint64
+	m := p.m
+	for _, tc := range blocks {
+		lo, hi := tc.dst, tc.dst+tc.k
+		if src := tc.src; src >= 0 && sameBits(n.u[lo:hi], n.u[src:src+tc.k]) && sameBits(n.t[lo:hi], n.t[src:src+tc.k]) {
+			for i := lo; i < hi; i++ {
+				n.nodes[i].temp = n.nodes[src+i-lo].temp
+			}
+			continue
+		}
+		t, u := n.t[lo:hi], n.u[lo:hi]
+		for i := lo; i < hi; i++ {
+			ad := p.ad[i*m+lo : i*m+hi]
+			phi := p.phi[i*m+lo : i*m+hi]
+			s := 0.0
+			for j := range ad {
+				s += ad[j]*t[j] + phi[j]*u[j]
+			}
+			n.nodes[i].temp = s
+			carry |= math.Float64bits(s)&exp + 1<<52
+		}
+	}
+	return carry>>63 == 0
+}
+
+// propagatorFor returns the cached entry matching the current
+// (conductance-set, h) key, promoting it to the front of the LRU, and
+// builds and inserts it on a miss.
 //
 // The fast path compares (gen, h, m): the generation counter advances
 // exactly when a conductance value changes, so a matching stamp proves the
@@ -369,7 +402,7 @@ func (n *Network) stepExact(dt float64) bool {
 // are bit-identical to the always-walk lookup: a stamp can only equal the
 // current generation if the conductance vector is unchanged since it was
 // stamped.
-func (n *Network) lookupPropagator(h float64) *propagator {
+func (n *Network) propagatorFor(h float64) *propagator {
 	m := len(n.nodes)
 	for k, p := range n.props {
 		if p.gen == n.condGen && p.h == h && p.m == m {
@@ -396,7 +429,8 @@ func (n *Network) lookupPropagator(h float64) *propagator {
 		return n.promote(k, p)
 	}
 	n.propMisses++
-	return nil
+	n.propBuilds++
+	return n.cachePropagator(h, nil, n.condGen)
 }
 
 // promote moves props[k] to the front of the LRU and returns it.
@@ -408,51 +442,59 @@ func (n *Network) promote(k int, p *propagator) *propagator {
 	return p
 }
 
-// buildPropagator assembles A = −C⁻¹G from the current links, computes the
-// exact discretization pair for step h and inserts it at the front of the
-// LRU, evicting the least recently used entry when the cache is full. This
-// is the cold path: it runs once per (conductance-set, h) operating point
-// in the working set (fan-speed updates are holdoff-gated upstream, so
-// steady operation hits the cache). A system the Padé evaluation rejects is
-// cached as failed, keeping the RK4 fallback from re-attempting the build
-// every step.
-func (n *Network) buildPropagator(h float64) *propagator {
-	m := len(n.nodes)
-	n.propBuilds++
+// cachePropagator assembles A = −C⁻¹G for the per-link conductances gs
+// (nil: the live ones), computes the exact discretization pair for step h
+// and the block twin map, and inserts the entry, stamped gen, at the front
+// of the LRU, evicting the least recently used entry when the cache is
+// full. It is the one constructor behind both a cache miss (propagatorFor)
+// and a checkpoint restore (restorePropagator); it touches neither the
+// counters nor the live links. This is the cold path: it runs once per
+// (conductance-set, h) operating point in the working set (fan-speed
+// updates are holdoff-gated upstream, so steady operation hits the cache).
+// A system the Padé evaluation rejects is cached as failed, keeping the
+// RK4 fallback from re-attempting the build every step. The entry is the
+// build's only allocation: the workspace and system matrix are reused.
+func (n *Network) cachePropagator(h float64, gs []float64, gen uint64) *propagator {
+	m, nl := len(n.nodes), len(n.links)
+	n.plan.refresh(n)
+	buf := make([]float64, nl+2*m*m)
 	p := &propagator{
 		h:   h,
 		m:   m,
-		gen: n.condGen,
-		gs:  make([]float64, len(n.links)),
+		gen: gen,
+		gs:  buf[:nl:nl],
+		ad:  buf[nl : nl+m*m : nl+m*m],
+		phi: buf[nl+m*m:],
 	}
-	for j := range n.links {
-		p.gs[j] = n.links[j].g
+	if gs != nil {
+		copy(p.gs, gs)
+	} else {
+		for j := range n.links {
+			p.gs[j] = n.links[j].g
+		}
 	}
-	a := make([][]float64, m)
+	if len(n.sys) != m*m {
+		n.sys = make([]float64, m*m)
+	}
+	a := n.sys
 	for i := range a {
-		a[i] = make([]float64, m)
+		a[i] = 0
 	}
-	for _, l := range n.links {
-		ga := l.g / n.nodes[l.a].capac
-		a[l.a][l.a] -= ga
+	for j, l := range n.links {
+		ga := p.gs[j] / n.nodes[l.a].capac
+		a[int(l.a)*m+int(l.a)] -= ga
 		if l.toBoundary {
 			continue
 		}
-		gb := l.g / n.nodes[l.b].capac
-		a[l.a][l.b] += ga
-		a[l.b][l.b] -= gb
-		a[l.b][l.a] += gb
+		gb := p.gs[j] / n.nodes[l.b].capac
+		a[int(l.a)*m+int(l.b)] += ga
+		a[int(l.b)*m+int(l.b)] -= gb
+		a[int(l.b)*m+int(l.a)] += gb
 	}
-	ad, phi, err := mathx.ExpmIntegral(a, h)
-	if err != nil {
+	if err := n.expm.ExpmIntegral(a, m, h, p.ad, p.phi); err != nil {
 		p.failed = true
 	} else {
-		p.ad = make([]float64, m*m)
-		p.phi = make([]float64, m*m)
-		for i := 0; i < m; i++ {
-			copy(p.ad[i*m:(i+1)*m], ad[i])
-			copy(p.phi[i*m:(i+1)*m], phi[i])
-		}
+		p.twin = n.plan.twinMap(p)
 	}
 	if len(n.props) == propCacheSize {
 		n.props = n.props[:propCacheSize-1]

@@ -1,5 +1,7 @@
 package thermal
 
+import "math"
+
 // This file is the read-only companion of macro.go: the same linearized
 // per-step affine map, iterated forward from a caller-supplied anchor to
 // *predict* the fixed-dt trajectory without touching node state. It is what
@@ -40,64 +42,40 @@ func (n *Network) PredictLinearized(dt float64, maxSteps int, temps, powers, slo
 	if len(temps) != m || len(powers) != m || len(slopes) != m || driftCap <= 0 {
 		return 0
 	}
-	p := n.lookupPropagator(dt)
-	if p == nil {
-		p = n.buildPropagator(dt)
-	}
+	p := n.propagatorFor(dt)
 	if p.failed {
 		return 0
 	}
 	// Reuse the macro scratch: predictions and macro steps never interleave
 	// mid-call (both run to completion on the goroutine stepping this
-	// network) and neither keeps scratch state across calls.
+	// network) and neither keeps scratch state across calls. The map is
+	// anchored at the caller's temps and powers instead of the live node
+	// state; an infinite cap runs as one block, as in StepLinearizedN.
 	s := &n.macro
 	s.size(m)
-
-	// One-step map M = Ad + Phi·C⁻¹·S and affine term
-	// c = Phi·C⁻¹·(P − S·T₀ + Σ g_b·T_b), assembled exactly as
-	// StepLinearizedN assembles them — anchored at the caller's temps and
-	// powers instead of the live node state.
-	for j := 0; j < m; j++ {
-		s.vtmp[j] = slopes[j] / n.nodes[j].capac
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			s.step[i*m+j] = p.ad[i*m+j] + p.phi[i*m+j]*s.vtmp[j]
-		}
-	}
-	for i := 0; i < m; i++ {
-		s.t0[i] = temps[i]
-		s.tn[i] = powers[i] - slopes[i]*temps[i]
-	}
-	for _, l := range n.links {
-		if l.toBoundary {
-			s.tn[l.a] += l.g * n.boundaries[l.bBound].temp
-		}
-	}
-	for i := range s.tn {
-		s.tn[i] /= n.nodes[i].capac
-	}
-	matVecInto(s.c, p.phi, s.tn, m)
+	n.anchor(p, temps, powers, slopes, math.IsInf(driftCap, 1))
+	bp := &n.plan
 
 	copy(s.tn, s.t0)
 	steps := 0
 	for steps < maxSteps {
-		matVecInto(s.tc, s.step, s.tn, m)
+		bp.mulVec(s.tc, s.step, s.tn, m)
 		ok := true
-		for i := 0; i < m; i++ {
-			s.tc[i] += s.c[i]
-			d := s.tc[i] - s.t0[i]
-			if d < 0 {
-				d = -d
-			}
-			if !(d <= driftCap) { // NaN-safe: divergence fails the cap
-				ok = false
+		for _, sp := range bp.spans {
+			for i := sp.lo; i < sp.hi; i++ {
+				s.tc[i] += s.c[i]
+				if !withinCap(s.tc[i]-s.t0[i], driftCap) {
+					ok = false
+				}
 			}
 		}
 		if !ok {
 			break
 		}
-		copy(s.tn, s.tc)
+		for _, sp := range bp.spans {
+			copy(s.tn[sp.lo:sp.hi], s.tc[sp.lo:sp.hi])
+		}
+		bp.copyTwins(s.tn) // twin rows are current before watch reads them
 		if hottest != nil {
 			h := s.tn[watch[0]]
 			for _, id := range watch[1:] {

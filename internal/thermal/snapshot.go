@@ -1,16 +1,13 @@
 package thermal
 
-import (
-	"fmt"
-
-	"repro/internal/mathx"
-)
+import "fmt"
 
 // PropEntry is the serializable key of one cached propagator: the step size
 // and the per-link conductance vector it was built for, in LRU order
-// (most recently used first). The matrices themselves are derived state —
-// mathx.ExpmIntegral is deterministic, so rebuilding from the key
-// reproduces them bit-identically — and stay out of the snapshot.
+// (most recently used first). The matrices, their block twin map and the
+// network's block plan are derived state — the Expm evaluation is
+// deterministic and the plan follows from the links, so rebuilding from
+// the key reproduces them bit-identically — and stay out of the snapshot.
 type PropEntry struct {
 	H  float64
 	Gs []float64
@@ -101,61 +98,21 @@ func (n *Network) SetState(st State) error {
 }
 
 // restorePropagator rebuilds one cache entry from its (h, conductances) key
-// against the current topology and inserts it at the front of the LRU,
-// mirroring buildPropagator but without touching the live link values or
-// the lifetime counters. The generation stamp is made current only when the
-// entry's conductance vector equals the live one, so the O(1) fast path
-// stays sound after restore.
+// against the current topology through the build's own constructor, which
+// touches neither the live link values nor the lifetime counters. The
+// generation stamp is made current only when the entry's conductance vector
+// equals the live one, so the O(1) fast path stays sound after restore.
 func (n *Network) restorePropagator(e PropEntry) error {
-	m := len(n.nodes)
 	if len(e.Gs) != len(n.links) {
 		return fmt.Errorf("thermal: cached propagator has %d conductances, network has %d links", len(e.Gs), len(n.links))
 	}
-	p := &propagator{h: e.H, m: m, gs: append([]float64(nil), e.Gs...)}
-	a := make([][]float64, m)
-	for i := range a {
-		a[i] = make([]float64, m)
-	}
-	for j, l := range n.links {
-		g := e.Gs[j]
-		ga := g / n.nodes[l.a].capac
-		a[l.a][l.a] -= ga
-		if l.toBoundary {
-			continue
-		}
-		gb := g / n.nodes[l.b].capac
-		a[l.a][l.b] += ga
-		a[l.b][l.b] -= gb
-		a[l.b][l.a] += gb
-	}
-	ad, phi, err := mathx.ExpmIntegral(a, e.H)
-	if err != nil {
-		p.failed = true
-	} else {
-		p.ad = make([]float64, m*m)
-		p.phi = make([]float64, m*m)
-		for i := 0; i < m; i++ {
-			copy(p.ad[i*m:(i+1)*m], ad[i])
-			copy(p.phi[i*m:(i+1)*m], phi[i])
-		}
-	}
-	current := true
+	gen := n.condGen
 	for j := range n.links {
 		if n.links[j].g != e.Gs[j] {
-			current = false
+			gen = n.condGen - 1 // never equal to the live generation
 			break
 		}
 	}
-	if current {
-		p.gen = n.condGen
-	} else {
-		p.gen = n.condGen - 1 // never equal to the live generation
-	}
-	if len(n.props) == propCacheSize {
-		n.props = n.props[:propCacheSize-1]
-	}
-	n.props = append(n.props, nil)
-	copy(n.props[1:], n.props[:len(n.props)-1])
-	n.props[0] = p
+	n.cachePropagator(e.H, e.Gs, gen)
 	return nil
 }

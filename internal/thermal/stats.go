@@ -6,7 +6,7 @@ package thermal
 // network, so reading them is only safe after the stepping fan-out's
 // barrier.
 type PropagatorStats struct {
-	// Hits counts lookupPropagator successes — fast generation-stamp
+	// Hits counts propagator lookup successes — fast generation-stamp
 	// matches plus slow float-walk re-stamps.
 	Hits int
 	// Misses counts lookup failures; every miss triggers a build.
