@@ -10,9 +10,10 @@ import (
 
 // compareKernels runs RackPolicyComparison on both kernels and checks the
 // per-row equivalence contract: identical scheduling outcomes, energies
-// within the macro-stepping tolerance, identical fan-change counts. It
-// returns the per-policy speedup factors keyed by policy name plus the
-// aggregate fixed/event step totals.
+// within the macro-stepping tolerance, identical fan-change counts, and
+// the hottest die within the bound below. It returns the per-policy
+// speedup factors keyed by policy name plus the aggregate fixed/event step
+// totals.
 func compareKernels(t *testing.T, ev RackEval) (rows []RackPolicyResult, speedups map[string]float64, fixedSteps, eventSteps int) {
 	t.Helper()
 	base := server.T3Config()
@@ -28,6 +29,17 @@ func compareKernels(t *testing.T, ev RackEval) (rows []RackPolicyResult, speedup
 	speedups, fixedSteps, eventSteps = compareRows(t, fixedRows, eventRows)
 	return fixedRows, speedups, fixedSteps, eventSteps
 }
+
+// Bounds on the event kernel's MaxCPUTempC against fixed-dt's. A macro
+// window folds the hottest die into the maxima only at its sub-window
+// boundaries, so a peak inside a collapsed sub-window is missed and the
+// event kernel reads low, never high beyond rounding. Measured over the
+// default, saturated and capped comparisons below: at most 0.0317 °C low
+// (least-utilized, saturated), never high.
+const (
+	maxPeakMissC = 0.05 // fixed − event
+	maxPeakOverC = 1e-3 // event − fixed
+)
 
 // compareRows checks compareKernels' per-row contract on two kernels'
 // rows of one comparison.
@@ -45,9 +57,10 @@ func compareRows(t *testing.T, fixedRows, eventRows []RackPolicyResult) (speedup
 		fixedSteps += f.Sched.RackSteps
 		eventSteps += e.Sched.RackSteps
 		speedups[f.Policy] = float64(f.Sched.RackSteps) / float64(e.Sched.RackSteps)
-		t.Logf("%-14s rack steps %d → %d (%.1f×), Wh %.3f → %.3f",
+		miss := f.Rack.MaxCPUTempC - e.Rack.MaxCPUTempC
+		t.Logf("%-14s rack steps %d → %d (%.1f×), Wh %.3f → %.3f, MaxCPU %.4g °C low",
 			f.Policy, f.Sched.RackSteps, e.Sched.RackSteps,
-			speedups[f.Policy], f.TotalWh(), e.TotalWh())
+			speedups[f.Policy], f.TotalWh(), e.TotalWh(), miss)
 
 		// Identical scheduling outcomes.
 		fs, es := f.Sched, e.Sched
@@ -76,8 +89,9 @@ func compareRows(t *testing.T, fixedRows, eventRows []RackPolicyResult) (speedup
 		if f.Rack.FanChanges != e.Rack.FanChanges {
 			t.Errorf("%s: fan changes differ: %d vs %d", f.Policy, f.Rack.FanChanges, e.Rack.FanChanges)
 		}
-		if d := math.Abs(f.Rack.MaxCPUTempC - e.Rack.MaxCPUTempC); d > 0.3 {
-			t.Errorf("%s: MaxCPUTempC off by %g °C", f.Policy, d)
+		if miss > maxPeakMissC || -miss > maxPeakOverC {
+			t.Errorf("%s: MaxCPUTempC %.6f °C on the event kernel, %.6f °C on fixed-dt (bounds: %g °C low, %g °C high)",
+				f.Policy, e.Rack.MaxCPUTempC, f.Rack.MaxCPUTempC, maxPeakMissC, maxPeakOverC)
 		}
 	}
 	return speedups, fixedSteps, eventSteps
@@ -91,9 +105,11 @@ func compareRows(t *testing.T, fixedRows, eventRows []RackPolicyResult) (speedup
 // cannot collapse the default trace at least 5× in aggregate — or, since
 // PR 8's load-only refusal un-pin, the saturated trace at least 5× on the
 // load-only policies — or if any headline metric drifts past the
-// macro-stepping tolerance. The capped half of RackACComparison gates the
-// policies that decide on loads alone: they cross cap-deferred heads as
-// far as the wall-floor proof reaches.
+// macro-stepping tolerance. The capped half of RackACComparison gates
+// crossing cap-deferred heads as far as the wall-floor proof reaches: the
+// policies that decide on loads alone, and those that rank slots by
+// temperature or draw, whose crossed retries see the views the walk
+// predicts.
 func TestEventSteppingSmoke(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		_, _, fixedSteps, eventSteps := compareKernels(t, DefaultRackEval())
@@ -162,13 +178,18 @@ func TestEventSteppingSmoke(t *testing.T) {
 					r.Policy, r.Sched.Deferrals, r.Sched.RackSteps)
 			}
 		}
-		for _, policy := range []string{"round-robin", "least-utilized", "leakage-aware"} {
+		// Coolest-first and cap-aware still pin behind refused heads, so
+		// their gate is lower.
+		for policy, want := range map[string]float64{
+			"round-robin": 3, "least-utilized": 3, "leakage-aware": 3,
+			"coolest-first": 1.5, "cap-aware": 1.5,
+		} {
 			s, ok := speedups[policy]
 			if !ok {
 				t.Fatalf("policy %q missing from comparison rows", policy)
 			}
-			if s < 3 {
-				t.Errorf("%s: capped trace collapsed only %.1f×, want ≥3× from crossing proven deferrals", policy, s)
+			if s < want {
+				t.Errorf("%s: capped trace collapsed only %.1f×, want ≥%g× from crossing proven deferrals", policy, s, want)
 			}
 		}
 	})

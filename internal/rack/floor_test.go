@@ -79,11 +79,14 @@ func floorRack(t *testing.T, rng *rand.Rand, n int) *Rack {
 // cap on the plain fixed-dt trajectory, for every slot's increment — the
 // admission WallPowerWithAll computes for a single pending placement.
 // Caps straddle the trajectory's cheapest admission, so the query has to
-// both prove and refuse. The query must leave the rack untouched.
+// both prove and refuse. At every proven step, FloorWalkView must predict
+// each powered slot's hottest die, DC and wall draw within the walk's
+// linearization error. The query must leave the rack untouched.
 func TestWallFloorStepsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1307))
 	const maxSteps = 16
 	proven, refused := 0, 0
+	var maxDie, maxDraw float64
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(5)
 		seed := rng.Int63()
@@ -134,12 +137,19 @@ func TestWallFloorStepsSound(t *testing.T) {
 		extra[rng.Intn(n)] = 20
 		pred.TickControllers(pred.Now())
 
-		// The cheapest admission at each step of the fixed-dt trajectory.
+		// The cheapest admission at each step of the fixed-dt trajectory,
+		// and the telemetry each slot reads there.
 		admit := make([]float64, maxSteps)
 		lowest := math.Inf(1)
 		one := make([]units.Watts, n)
+		die, dc, wall := make([][]float64, maxSteps), make([][]float64, maxSteps), make([][]float64, maxSteps)
 		for j := range admit {
 			ref.Step(1)
+			for i := 0; i < n; i++ {
+				die[j] = append(die[j], float64(ref.Server(i).MaxCPUTemp()))
+				dc[j] = append(dc[j], float64(ref.ServerDCPower(i)))
+				wall[j] = append(wall[j], float64(ref.ServerWallPower(i)))
+			}
 			admit[j] = math.Inf(1)
 			for s := range extra {
 				if math.IsInf(float64(extra[s]), 1) {
@@ -161,6 +171,14 @@ func TestWallFloorStepsSound(t *testing.T) {
 				t.Fatalf("trial %d: step %d proven deferred, yet the cheapest admission draws %.6f W against the %.6f W cap",
 					trial, j+1, admit[j], capW)
 			}
+			for i := 0; i < n; i++ {
+				if !pred.Server(i).Powered() {
+					continue
+				}
+				d, p, w := pred.FloorWalkView(i, j)
+				maxDie = math.Max(maxDie, math.Abs(float64(d)-die[j][i]))
+				maxDraw = math.Max(maxDraw, math.Max(math.Abs(float64(p)-dc[j][i]), math.Abs(float64(w)-wall[j][i])))
+			}
 		}
 		if got > 0 {
 			proven++
@@ -179,7 +197,10 @@ func TestWallFloorStepsSound(t *testing.T) {
 			t.Fatalf("trial %d: WallFloorSteps perturbed the telemetry:\n%+v\n%+v", trial, a, b)
 		}
 	}
-	t.Logf("%d trials proved some steps, %d refused some", proven, refused)
+	t.Logf("%d trials proved some steps, %d refused some; walked views off by at most %.3g °C, %.3g W", proven, refused, maxDie, maxDraw)
+	if maxDie > 1e-3 || maxDraw > 1e-3 {
+		t.Errorf("FloorWalkView off the fixed-dt trajectory by %.3g °C, %.3g W", maxDie, maxDraw)
+	}
 	if proven < 10 || refused < 10 {
 		t.Errorf("the caps did not straddle the trajectories: %d trials proved steps, %d refused some", proven, refused)
 	}

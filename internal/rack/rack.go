@@ -205,10 +205,14 @@ type Rack struct {
 	faultsApplied int
 	faultsCleared int
 
-	// WallFloorSteps scratch: per-slot die-temperature floors, one row of
-	// walked steps per slot, folded in place into running minima. Grown to
-	// the longest walk once, then reused.
-	floorC []float64
+	// WallFloorSteps scratch, one row of walked steps per slot, grown to
+	// the longest walk once, then reused: floorC holds the die-temperature
+	// floors, folded in place into running minima; walkC the walked
+	// hottest die itself, which FloorWalkView serves. walkStride is the
+	// row length of the last walk.
+	floorC     []float64
+	walkC      []float64
+	walkStride int
 
 	// Reliability sampling (Config.ReliabilitySampleEvery): per-server
 	// hottest-die traces appended serially at observation instants.
@@ -727,7 +731,7 @@ func (r *Rack) WallPowerWithAll(extraDC []units.Watts) units.Watts {
 // delivery chain and the fault state, which only change at scheduling
 // events. Each powered slot walks a floor on its hottest die
 // (server.DieFloor); the floor's running minimum over a prefix of the
-// steps gives a DC floor (server.DCFloor) valid at every step of that
+// steps gives a DC floor (server.DCAtDie) valid at every step of that
 // prefix, and a dark slot draws nothing. The delivery chain is
 // nondecreasing (power.PSUModel and PDUModel validate that), so the
 // slots' PSU floors summed, plus the cheapest increment, lifted through
@@ -735,6 +739,8 @@ func (r *Rack) WallPowerWithAll(extraDC []units.Watts) units.Watts {
 // first; when it fails, the longest proven prefix is found by bisection —
 // the floor only falls as the prefix grows.
 //
+// The walk each powered slot took is kept until the next call:
+// FloorWalkView serves the telemetry it predicts at every proven step.
 // It changes no simulation state and returns 0 whenever some slot cannot
 // walk (see server.DieFloor).
 func (r *Rack) WallFloorSteps(dt float64, maxSteps int, extraDC []units.Watts, capW float64) int {
@@ -743,14 +749,17 @@ func (r *Rack) WallFloorSteps(dt float64, maxSteps int, extraDC []units.Watts, c
 	}
 	if need := len(r.servers) * maxSteps; len(r.floorC) < need {
 		r.floorC = make([]float64, need)
+		r.walkC = make([]float64, need)
 	}
+	r.walkStride = maxSteps
 	steps := maxSteps
 	for i, st := range r.servers {
 		if !st.srv.Powered() {
 			continue
 		}
-		row := r.floorC[i*maxSteps : (i+1)*maxSteps]
-		if steps = st.srv.DieFloor(dt, steps, row); steps == 0 {
+		lo, hi := i*maxSteps, (i+1)*maxSteps
+		row := r.floorC[lo:hi]
+		if steps = st.srv.DieFloor(dt, steps, row, r.walkC[lo:hi]); steps == 0 {
 			return 0
 		}
 		for j := 1; j < steps; j++ {
@@ -779,10 +788,7 @@ func (r *Rack) wallFloor(j, stride int, extraDC []units.Watts) float64 {
 	var acInW float64
 	minInc := math.Inf(1)
 	for i, st := range r.servers {
-		var dc float64
-		if st.srv.Powered() {
-			dc = st.srv.DCFloor(r.floorC[i*stride+j])
-		}
+		dc := st.srv.DCAtDie(r.floorC[i*stride+j])
 		w := st.psuCurve(dc)
 		acInW += w
 		if i < len(extraDC) {
@@ -792,6 +798,20 @@ func (r *Rack) wallFloor(j, stride int, extraDC []units.Watts) float64 {
 		}
 	}
 	return r.pduIn(acInW + minInc)
+}
+
+// FloorWalkView returns what powered slot i's telemetry reads after j+1
+// grid steps of the walk the last WallFloorSteps call took: the walked
+// hottest die, the DC draw at it (server.DCAtDie) and that draw through
+// the slot's PSU, as ServerWallPower would lift it. These are the policy
+// view's MaxCPUTemp, DCPower and WallPower at that step of the fixed-dt
+// trajectory, up to the walk's linearization error. j must lie below the
+// steps that call returned; a dark slot was not walked.
+func (r *Rack) FloorWalkView(i, j int) (maxCPU units.Celsius, dc, wall units.Watts) {
+	st := r.servers[i]
+	die := r.walkC[i*r.walkStride+j]
+	d := st.srv.DCAtDie(die)
+	return units.Celsius(die), units.Watts(d), units.Watts(st.psuCurve(d))
 }
 
 // WallEnergyJoules returns the integrated wall-side (AC) energy meter in

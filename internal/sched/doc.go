@@ -79,25 +79,40 @@
 // windows — while any fan controller cannot promise a quiet horizon
 // (control.HorizonPromiser), while fans are slewing, or near the
 // thermal-trip threshold. A blocked FIFO head pins the kernel too, unless
-// the policy decides on loads and health alone (LoadOnlyRefuser:
-// round-robin, least-utilized and leakage-aware opt in). Those change
-// only at scheduling events, so the kernel crosses the blocked head:
+// the kernel can cross it:
 //
-//   - a refused head is refused again at every step to the next event;
-//     the window runs there without a Place call per step;
-//   - a cap-deferred head is deferred again as long as a lower bound on
-//     the rack's wall draw, plus the head's cheapest increment, stays
-//     above the cap (rack.WallFloorSteps over server.DieFloor: convex
-//     leakage and a nonnegative propagator make the walked linearized
-//     trajectory a floor on every die); the window runs as far as the
-//     bound holds, at most 16 steps, and each crossed step replays the
-//     Place call, its validation and the deferral count.
+//   - a refused head is refused again at every step to the next event
+//     when the policy decides on loads and health alone
+//     (LoadOnlyRefuser: round-robin, least-utilized and leakage-aware opt
+//     in), since those change only at scheduling events; the window runs
+//     there without a Place call per step;
+//   - a cap-deferred head is deferred again, whatever the policy picks,
+//     as long as a lower bound on the rack's wall draw, plus the head's
+//     cheapest increment over every slot it fits, stays above the cap
+//     (rack.WallFloorSteps over server.DieFloor: convex leakage and a
+//     nonnegative propagator make the walked linearized trajectory a
+//     floor on every die); the window runs as far as the bound holds, at
+//     most 16 steps, and each crossed step replays the Place call, its
+//     validation and the deferral count.
+//
+// Place decides from its arguments and the policy's own state, so a
+// crossed retry needs the views the skipped step would show. A
+// LoadOnlyRefuser reads only loads and health, so the decision step's
+// views serve it. Every other policy is offered the walk's own prediction
+// for that step (rack.FloorWalkView): the walked hottest die, the DC draw
+// at it (server.DCAtDie) and that draw through the slot's PSU, with the
+// inlet temperature, which holds across the window. They carry the walk's
+// linearization error, as every decision after a macro window carries
+// the macro drift. A refusal at a crossed step is what the fixed-dt loop
+// would see too; it counts nothing.
 //
 // Behind a blocked head an arrival only joins the tail, so it ends no
 // window unless backfill would try it; the crossed steps admit it at its
 // step and update the queue statistics. Coolest-first, cap-aware and
-// pue-aware keep the pin, as does backfill under a cap (its candidates
-// face the same evolving admission). Reactive temperature-thresholding
+// pue-aware keep the pin behind a refused head, and behind a deferred one
+// while a slot is dark (the walk skips dark slots); every policy keeps it
+// under backfill with a cap (its candidates face the same evolving
+// admission). Reactive temperature-thresholding
 // controllers are no longer an automatic pin either: BangBang promises
 // its own decision cadence (ticks strictly before the next due instant
 // are non-mutating no-ops), and its control.BandPromiser band lets the

@@ -181,6 +181,41 @@ func syntheticTables(n int) []*lut.Table {
 	return out
 }
 
+// t3Chain returns n T3 power models and n default PSUs, the supply
+// eventRack's chain attaches.
+func t3Chain(n int) ([]power.ServerModel, []*power.PSUModel) {
+	models, psus := make([]power.ServerModel, n), make([]*power.PSUModel, n)
+	psu := power.DefaultPSU()
+	for i := range models {
+		models[i], psus[i] = server.T3Config().Power, &psu
+	}
+	return models, psus
+}
+
+// capAwarePolicy returns a cap-aware policy over n synthetic tables behind
+// eventRack's chain.
+func capAwarePolicy(t testing.TB, n int) Policy {
+	t.Helper()
+	models, psus := t3Chain(n)
+	p, err := NewCapAwareFromTables(syntheticTables(n), models, psus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// pueAwarePolicy is capAwarePolicy's facility refinement, under the
+// facility eventRack attaches.
+func pueAwarePolicy(t testing.TB, n int) Policy {
+	t.Helper()
+	models, psus := t3Chain(n)
+	p, err := NewPUEAwareFromTables(syntheticTables(n), models, psus, cooling.DefaultFacility(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestEventTraceMatchesFixed is the randomized equivalence property test:
 // random traces × policies × delivery chains × caps, event vs fixed.
 func TestEventTraceMatchesFixed(t *testing.T) {
@@ -225,6 +260,13 @@ func TestEventTraceMatchesFixed(t *testing.T) {
 		// the backlog un-pin macro-steps completion-to-completion even
 		// with jobs queued.
 		{"saturated", 2, 1.5, false, false, 0, false, nil, true, func() Policy { return NewLeastUtilized() }},
+		// The policies that rank slots by temperature or draw cross the
+		// same proven deferrals, each crossed retry offered the views the
+		// wall-floor walk predicts.
+		{"capped/coolest", 3, 0.5, true, false, 1600, false, nil, true, func() Policy { return NewCoolestFirst() }},
+		{"capped/capaware", 3, 0.5, true, false, 1600, false, nil, true, func() Policy { return capAwarePolicy(t, 3) }},
+		{"capped/capaware/marginal", 3, 0.5, true, false, 1700, true, nil, true, func() Policy { return capAwarePolicy(t, 3) }},
+		{"capped/pueaware/facility", 3, 0.5, true, true, 1700, false, nil, true, func() Policy { return pueAwarePolicy(t, 3) }},
 	}
 	// Traces are drawn in table order up front, so every case keeps its
 	// trace however the cases are grouped into subtests below.
@@ -267,11 +309,13 @@ func TestEventTraceMatchesFixed(t *testing.T) {
 	})
 }
 
-// TestEventCappedThermalPoliciesStayPinned: coolest-first ranks slots by
-// die temperature and cap-aware by DC draw, so behind a cap-deferred head
-// their picks can move with the physics; the kernel keeps retrying them
-// every step, and the backlog pin dominates the advances.
-func TestEventCappedThermalPoliciesStayPinned(t *testing.T) {
+// TestEventCappedThermalPoliciesCross: coolest-first ranks slots by die
+// temperature and cap-aware by DC draw, so behind a cap-deferred head
+// their picks can move with the physics. The kernel crosses the retries
+// the wall-floor proof covers and offers each the views the walk
+// predicts: both policies match the fixed-dt reference, and the backlog
+// pins fall below one per three deferrals.
+func TestEventCappedThermalPoliciesCross(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
 	jobs := randomTrace(t, rng, 1200, 3, 0.5)
 	for _, pc := range []struct {
@@ -299,8 +343,158 @@ func TestEventCappedThermalPoliciesStayPinned(t *testing.T) {
 				t.Fatalf("only %d deferrals in %d steps; the cap does not bind", fixed.Deferrals, fixed.RackSteps)
 			}
 			// The registry saw both runs; the fixed run charges no backlog pins.
-			if pins := reg.Counter("kernel.pin.backlog").Value(); pins < int64(fixed.Deferrals) {
-				t.Errorf("%d backlog pins for %d deferrals: a temperature-ranked policy crossed a deferred head", pins, fixed.Deferrals)
+			pins := reg.Counter("kernel.pin.backlog").Value()
+			if pins*3 >= int64(fixed.Deferrals) {
+				t.Errorf("%d backlog pins for %d deferrals: the kernel retried provably deferred heads step by step", pins, fixed.Deferrals)
+			}
+			t.Logf("%d backlog pins for %d deferrals, %d→%d rack steps", pins, fixed.Deferrals, fixed.RackSteps, event.RackSteps)
+		})
+	}
+}
+
+// placeCall is one Place call as recordingPolicy saw it: the job, the
+// pick, the rack clock, and per view the hottest die, DC draw, wall draw
+// and inlet temperature it offered.
+type placeCall struct {
+	job, pick             int
+	now                   float64
+	temp, dc, wall, inlet []float64
+}
+
+// recordingPolicy wraps a policy and records every Place call. It forwards
+// no optional interface, so the kernel treats it as a policy that reads
+// telemetry.
+type recordingPolicy struct {
+	Policy
+	r     *rack.Rack
+	calls []placeCall
+}
+
+func (p *recordingPolicy) Place(j Job, views []ServerView) int {
+	pick := p.Policy.Place(j, views)
+	c := placeCall{job: j.ID, pick: pick, now: p.r.Now()}
+	for _, v := range views {
+		c.temp = append(c.temp, float64(v.MaxCPUTemp))
+		c.dc = append(c.dc, float64(v.DCPower))
+		c.wall = append(c.wall, float64(v.WallPower))
+		c.inlet = append(c.inlet, float64(v.InletTemp))
+	}
+	p.calls = append(p.calls, c)
+	return pick
+}
+
+// Bounds on how far the telemetry offered at a crossed step may sit from
+// what the fixed-dt loop offers there: the drift the macro windows before
+// the decision step carry, plus the walk's linearization error. The
+// largest deviations over the traces below are 5.9e-4 °C, 1.6e-4 W DC and
+// 1.7e-4 W at the wall. Offering the decision step's views instead moves
+// them to 2.2 °C and 56 W, and reading the walk one step behind to
+// 0.23 °C and 0.03 W.
+const (
+	crossedTempTolC  = 1e-3
+	crossedPowerTolW = 5e-4
+)
+
+// TestEventCrossedRetriesSeePredictedViews records every Place call of
+// the policies that rank slots by temperature or draw, on both kernels,
+// over random capped traces — one with a PSU-droop window, one with a dark
+// slot, whose cap binds while the slot is dark (the walk skips it, so the
+// kernel must pin). The call sequences (job and pick) must be identical,
+// and at every retry the event kernel crossed, the offered hottest die, DC
+// and wall draw must sit within the walk's linearization error of
+// fixed-dt's, and the inlet temperature must equal it.
+func TestEventCrossedRetriesSeePredictedViews(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	droop := &fault.Schedule{Events: []fault.Event{{Kind: fault.PSUDroop, Server: 1, At: 300, Clear: 800, Severity: 0.15}}}
+	const darkFrom, darkTo = 300, 900
+	dark := &fault.Schedule{Events: []fault.Event{{Kind: fault.PSUFail, Server: 2, At: darkFrom, Clear: darkTo}}}
+	const traces = 20
+	for _, pc := range []struct {
+		name string
+		mk   func(n int) Policy
+		fac  bool
+	}{
+		{"coolest", func(int) Policy { return NewCoolestFirst() }, false},
+		{"capaware", func(n int) Policy { return capAwarePolicy(t, n) }, false},
+		{"pueaware", func(n int) Policy { return pueAwarePolicy(t, n) }, true},
+	} {
+		t.Run(pc.name, func(t *testing.T) {
+			var calls, crossed, deferrals int
+			var maxTemp, maxDC, maxWall float64
+			for i := 0; i < traces; i++ {
+				n := 3 + i%2
+				jobs := randomTrace(t, rng, 1200, n, 0.5)
+				var faults *fault.Schedule
+				switch i {
+				case 0:
+					faults = droop
+				case 1:
+					faults = dark
+				}
+				idleRack := eventRack(t, eventRackCfg{servers: n, workers: 1, chain: true, fac: pc.fac})
+				headroom := float64(n) * (80 + 80*rng.Float64())
+				if faults == dark {
+					// Budget the rack as if slot 2 were dark all along.
+					headroom = 50 - float64(idleRack.ServerWallPower(2))
+				}
+				capW := float64(idleRack.WallPower()) + headroom
+				run := func(event bool) (*recordingPolicy, Result) {
+					r := eventRack(t, eventRackCfg{servers: n, workers: 1, chain: true, fac: pc.fac})
+					rec := &recordingPolicy{Policy: pc.mk(n), r: r}
+					res, err := RunTraceCfg(r, jobs, rec, TraceConfig{Dt: 1, Horizon: 1200, WallCapW: capW, Faults: faults, EventStepping: event})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rec, res
+				}
+				fixed, fres := run(false)
+				event, eres := run(true)
+				if len(fixed.calls) != len(event.calls) {
+					t.Fatalf("trace %d: %d Place calls on fixed-dt, %d on the event kernel", i, len(fixed.calls), len(event.calls))
+				}
+				for c, f := range fixed.calls {
+					e := event.calls[c]
+					if e.job != f.job || e.pick != f.pick {
+						t.Fatalf("trace %d call %d: job %d → %d on fixed-dt, job %d → %d on the event kernel", i, c, f.job, f.pick, e.job, e.pick)
+					}
+					if e.now == f.now {
+						continue // a decision step: its views carry the macro windows' drift
+					}
+					crossed++
+					for v := range f.temp {
+						maxTemp = math.Max(maxTemp, math.Abs(e.temp[v]-f.temp[v]))
+						maxDC = math.Max(maxDC, math.Abs(e.dc[v]-f.dc[v]))
+						maxWall = math.Max(maxWall, math.Abs(e.wall[v]-f.wall[v]))
+						if e.inlet[v] != f.inlet[v] {
+							t.Fatalf("trace %d call %d slot %d: inlet %v °C offered, fixed-dt offers %v", i, c, v, e.inlet[v], f.inlet[v])
+						}
+					}
+				}
+				if fres.Deferrals != eres.Deferrals {
+					t.Fatalf("trace %d: %d deferrals on fixed-dt, %d on the event kernel", i, fres.Deferrals, eres.Deferrals)
+				}
+				if faults == dark {
+					retries := 0
+					for _, f := range fixed.calls {
+						if f.now >= darkFrom && f.now < darkTo {
+							retries++
+						}
+					}
+					if retries < 100 {
+						t.Fatalf("trace %d: only %d Place calls while slot 2 is dark; the dark case is vacuous", i, retries)
+					}
+				}
+				calls += len(fixed.calls)
+				deferrals += fres.Deferrals
+			}
+			t.Logf("%d Place calls, %d deferrals, %d crossed retries; largest deviation %.3g °C, %.3g W DC, %.3g W wall",
+				calls, deferrals, crossed, maxTemp, maxDC, maxWall)
+			if crossed*2 < deferrals {
+				t.Errorf("only %d of %d deferred retries crossed: the property is nearly vacuous", crossed, deferrals)
+			}
+			if maxTemp > crossedTempTolC || maxDC > crossedPowerTolW || maxWall > crossedPowerTolW {
+				t.Errorf("crossed retries offered telemetry %.3g °C, %.3g W DC, %.3g W wall off fixed-dt's (bounds %g °C, %g W)",
+					maxTemp, maxDC, maxWall, crossedTempTolC, crossedPowerTolW)
 			}
 		})
 	}

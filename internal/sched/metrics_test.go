@@ -28,7 +28,8 @@ func pinSum(reg *obs.Registry) (pins, steps, macro, grid int64) {
 // per-reason counts sum to (total rack advances − macro windows), and the
 // grid steps crossed add back up to the fixed-dt step count — in both
 // stepping modes, with and without faults, and under a wall cap whose
-// deferrals the event kernel crosses.
+// deferrals the event kernel crosses, for policies that decide on loads
+// alone and for those that rank slots by temperature or draw.
 func TestPinReasonIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	jobs := randomTrace(t, rng, 1800, 4, 0.4)
@@ -68,6 +69,8 @@ func TestPinReasonIdentity(t *testing.T) {
 		{name: "event-capped", event: true, capW: 2200, policy: leakageAware},
 		{name: "event-capped-faults", event: true, faults: cascade, capW: 2200, policy: leakageAware},
 		{name: "event-capped-roundrobin", event: true, sample: 30, capW: 2150, policy: func() Policy { return NewRoundRobin() }},
+		{name: "event-capped-coolest", event: true, capW: 2200},
+		{name: "event-capped-capaware", event: true, faults: cascade, capW: 2200, policy: func() Policy { return capAwarePolicy(t, 4) }},
 		{name: "fixed-capped", event: false, capW: 2200, policy: leakageAware},
 	}
 	for _, tc := range cases {

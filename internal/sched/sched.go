@@ -55,7 +55,11 @@ type ServerView struct {
 // Policy decides where a job runs. Place returns the chosen rack slot, or
 // -1 to leave the job queued (e.g. no server has the capacity). Views are
 // presented in rack order; implementations must be deterministic, breaking
-// ties by the lowest index.
+// ties by the lowest index. Place must decide from its arguments and the
+// policy's own state only: for a retry it crosses in a macro window, the
+// event kernel calls Place with the views it predicts for that step,
+// without stepping the rack there (see TraceConfig.EventStepping), and
+// relies on this for every policy.
 type Policy interface {
 	Name() string
 	// Reset clears internal state so a policy can be reused across runs.
@@ -71,7 +75,7 @@ type Policy interface {
 func fits(v ServerView, j Job) bool { return v.Health == rack.Healthy && v.Free >= j.Demand }
 
 // LoadOnlyRefuser is the opt-in Policy attribute behind the event kernel's
-// blocked-head un-pin. A policy returning true promises that the return
+// refused-head un-pin. A policy returning true promises that the return
 // value of Place, and any state Place changes, depend only on the views'
 // Index, Name, Load, Free and Health fields — never on temperatures,
 // powers or anything else that evolves between scheduling events — and
@@ -80,16 +84,18 @@ func fits(v ServerView, j Job) bool { return v.Health == rack.Healthy && v.Free 
 // which bound every macro window, so a decision observed at one decision
 // step repeats at every step until the next event. The kernel therefore
 // crosses a refused head in one window, with no Place call for the skipped
-// retries, and a cap-deferred head as far as it can prove the wall cap
-// still defers it (rack.WallFloorSteps), replaying the skipped Place calls
-// with the decision step's views. Refusal is monotone in load for every
-// shipped policy (refusal == no view passes fits), so placements can only
-// make a refused head more refused, never less.
+// retries. Behind a cap-deferred head, which the kernel crosses for every
+// policy as far as it can prove the wall cap still defers it
+// (rack.WallFloorSteps), the attribute only says that the decision step's
+// views suffice: the skipped Place calls are replayed with them instead of
+// the views the proof's walk predicts. Refusal is monotone in load for
+// every shipped policy (refusal == no view passes fits), so placements can
+// only make a refused head more refused, never less.
 //
 // Round-robin, least-utilized and leakage-aware opt in: leakage-aware's
 // cost tables are indexed by load, so its ranking reads no telemetry.
 // Coolest-first ranks by die temperature and cap-aware and pue-aware by
-// DC and wall draw, so they stay pinned behind a blocked head.
+// DC and wall draw, so they stay pinned behind a refused head.
 type LoadOnlyRefuser interface {
 	RefusalIsLoadOnly() bool
 }
@@ -569,9 +575,10 @@ type TraceConfig struct {
 	// (MarginalDCPower) of this job plus every placement already admitted
 	// in the same step, whose power the physics has not drawn yet; a
 	// placement landing exactly on the cap is admitted. Zero disables
-	// capping. Under EventStepping a retry the kernel can prove defers
-	// again (rack.WallFloorSteps) is crossed in a macro window and counted
-	// without re-running the admission; see LoadOnlyRefuser.
+	// capping. Under EventStepping, with Backfill off, a retry the kernel
+	// can prove defers again (rack.WallFloorSteps) is crossed in a macro
+	// window: Place is still called and its pick validated, and the
+	// deferral is counted without re-running the admission.
 	WallCapW float64
 
 	// CapMarginal, when non-nil, holds one steady-state cost table per
@@ -601,12 +608,15 @@ type TraceConfig struct {
 	// a tie: coolest-first picks another server on about one in a hundred
 	// benchmark traces. Policies that decide on loads and health alone
 	// (LoadOnlyRefuser) match whenever the cap admissions do. A blocked
-	// queue head pins the kernel to fixed-dt stepping unless such a
-	// policy lets the kernel cross it — a refused head to the next event,
-	// a cap-deferred one as far as the wall-floor proof reaches — and so
-	// does any fan controller that cannot promise a quiet horizon
-	// (control.HorizonPromiser). false — the default — is the fixed-dt
-	// reference path, bit-identical to prior behaviour.
+	// queue head pins the kernel to fixed-dt stepping unless the kernel
+	// can cross it: a refused head to the next event when the policy is a
+	// LoadOnlyRefuser, a cap-deferred one for every policy, with Backfill
+	// off, as far as the wall-floor proof reaches. Each crossed retry of a
+	// policy that reads telemetry is offered the views the proof's walk
+	// predicts for that step, within the walk's linearization error of the
+	// reference's. Any fan controller that cannot promise a quiet horizon
+	// (control.HorizonPromiser) pins the kernel too. false — the default —
+	// is the fixed-dt reference path, bit-identical to prior behaviour.
 	EventStepping bool
 
 	// Backfill enables a FIFO backfill pass whenever the queue head blocks
@@ -759,6 +769,7 @@ func newTraceRun(r *rack.Rack, jobs []Job, p Policy, tc TraceConfig) (*traceRun,
 		return nil, fmt.Errorf("sched: jobs must be sorted by arrival time")
 	}
 
+	loadOnly := RefusalIsLoadOnly(p)
 	e := &traceRun{
 		r:         r,
 		jobs:      jobs,
@@ -774,11 +785,12 @@ func newTraceRun(r *rack.Rack, jobs []Job, p Policy, tc TraceConfig) (*traceRun,
 		nextCkpt:  tc.CheckpointEvery,
 		hooks:     tc.Ctx != nil || tc.CheckpointSink != nil,
 		m:         newRunMetrics(tc.Metrics),
-		// A blocked head can be crossed only when the policy's decision
+		loadOnly:  loadOnly,
+		// A refused head can be crossed only when the policy's decision
 		// reads loads and health alone. Backfill under a cap would retry
 		// every queued job against the evolving wall draw each step, which
 		// the wall-floor proof does not cover.
-		crossBlocked: RefusalIsLoadOnly(p) && !(tc.WallCapW > 0 && tc.Backfill),
+		crossBlocked: loadOnly && !(tc.WallCapW > 0 && tc.Backfill),
 	}
 	if tc.WallCapW > 0 {
 		e.capExtra = make([]units.Watts, r.NumServers())
@@ -846,10 +858,13 @@ type traceRun struct {
 	nextCkpt float64
 	hooks    bool
 
+	// loadOnly records that the policy opted into LoadOnlyRefuser.
 	// crossBlocked, fixed at run start, allows the event kernel to grant
-	// macro windows over a blocked FIFO head (see LoadOnlyRefuser and
-	// foldBlocked). capExtra is the wall-floor query's scratch: the head's
-	// DC increment per slot, +Inf where it cannot go.
+	// macro windows over a refused FIFO head; a cap-deferred head is
+	// crossed whenever backfill is off (see runEvents and foldBlocked).
+	// capExtra is the wall-floor query's scratch: the head's DC increment
+	// per slot, +Inf where it cannot go.
+	loadOnly     bool
 	crossBlocked bool
 	capExtra     []units.Watts
 
@@ -1174,11 +1189,13 @@ func (e *traceRun) runEvents() error {
 		window, reason := 1, pinBacklog
 		// A blocked head pins the kernel to fixed-dt — the head is retried,
 		// against freshly evolved telemetry views, every step, exactly like
-		// the reference path — unless the policy decides on loads and
-		// health alone (LoadOnlyRefuser). Those change only at wake events,
-		// so a refusal holds at every skipped step, and window() bounds a
-		// deferral by the steps whose cap admission it can prove fails.
-		if blk == headClear || e.crossBlocked {
+		// the reference path — unless the kernel can cross it. A refused
+		// head is crossed when the policy decides on loads and health alone
+		// (LoadOnlyRefuser): those change only at wake events, so the
+		// refusal holds at every skipped step. A cap-deferred head is
+		// crossed, with backfill off, for as many steps as window() can
+		// prove the cap admission fails, whatever the policy picks.
+		if blk == headClear || blk == headRefused && e.crossBlocked || blk == headDeferred && !e.tc.Backfill {
 			window, reason = e.window(k, now, sampleSteps, blk)
 		}
 		if blk != headClear && window > 1 {
@@ -1216,10 +1233,10 @@ func (e *traceRun) window(k int, now float64, sampleSteps int, blk headBlock) (i
 		// the trip-guard band: a natural trip latching mid-window would
 		// defer its job kills to the window's end, diverging from the
 		// fixed-dt reference that observes the trip on its exact step. A
-		// backlog-crossing window (LoadOnlyRefuser) takes the same pin even
-		// on fault-free runs — a natural trip un-healths a slot, which is
-		// exactly the state a load-only refusal is conditioned on — while
-		// the empty-backlog path keeps PR 5's fault-runs-only condition
+		// backlog-crossing window takes the same pin even on fault-free
+		// runs — a natural trip un-healths a slot, which is exactly the
+		// state a refusal or a pick is conditioned on — while the
+		// empty-backlog path keeps PR 5's fault-runs-only condition
 		// bit-identically.
 		return 1, pinTripGuard
 	}
@@ -1279,12 +1296,18 @@ func (e *traceRun) window(k int, now float64, sampleSteps int, blk headBlock) (i
 
 // deferSteps returns how many of the next maxSkip grid steps provably
 // defer the head again (rack.WallFloorSteps). The head's slot may move
-// between retries — round-robin rotates on every pick — so the proof
-// takes the cheapest increment over every slot a placement could pass
-// checkPlacement on.
+// between retries — round-robin rotates on every pick, and a pick ranked
+// by temperature or draw follows the physics — so the proof takes the
+// cheapest increment over every slot a placement could pass
+// checkPlacement on. The walk skips dark slots, so it has no views to
+// offer for them: a policy that is not a LoadOnlyRefuser keeps the pin
+// while any slot is dark.
 func (e *traceRun) deferSteps(maxSkip int) int {
 	j := e.pending[0]
 	for s := range e.capExtra {
+		if !e.loadOnly && !e.r.Server(s).Powered() {
+			return 0
+		}
 		if e.r.Health(s) != rack.Healthy || e.loads[s]+j.Demand > 100 {
 			e.capExtra[s] = units.Watts(math.Inf(1))
 			continue
@@ -1303,11 +1326,18 @@ func (e *traceRun) deferSteps(maxSkip int) int {
 //   - a refused head is refused again — the policy decides on loads and
 //     health, which have not changed — so no Place call is made, exactly
 //     as a LoadOnlyRefuser's refusal changes no state;
-//   - a deferred head is offered to the policy again with step k's views,
-//     which equal the skipped step's in every field the policy reads; the
-//     pick is validated and, as window() proved, deferred. Place is
-//     called on every step because the pick may change state (round-robin
-//     advances its cursor on every pick).
+//   - a deferred head is offered to the policy again at every skipped
+//     step, because the pick may change state (round-robin advances its
+//     cursor on every pick) and may follow the physics. A
+//     LoadOnlyRefuser reads only loads and health, so step k's views
+//     serve it unchanged. Any other policy is offered each step's views:
+//     the hottest die, DC and wall draw the wall-floor walk predicts
+//     there (rack.FloorWalkView: crossed step k+i reads the walk after i
+//     steps), and the inlet temperature, which holds across the window.
+//     The pick is validated and, as window() proved, deferred. A refusal
+//     there is what the fixed-dt loop would see too when the policy reads
+//     telemetry, so it counts nothing; from a LoadOnlyRefuser it breaks
+//     the contract.
 func (e *traceRun) foldBlocked(k, window int, blk headBlock) error {
 	last := k + window - 1
 	for e.nextJob < len(e.jobs) && e.jobs[e.nextJob].Arrival < float64(last)*e.dt+e.dt {
@@ -1322,9 +1352,23 @@ func (e *traceRun) foldBlocked(k, window int, blk headBlock) error {
 		return nil
 	}
 	j := e.pending[0]
+	if !e.loadOnly {
+		for i := range e.views {
+			e.views[i].InletTemp = e.r.Server(i).InletTemp()
+		}
+	}
 	for s := k + 1; s <= last; s++ {
+		if !e.loadOnly {
+			for i := range e.views {
+				v := &e.views[i]
+				v.MaxCPUTemp, v.DCPower, v.WallPower = e.r.FloorWalkView(i, s-k-1)
+			}
+		}
 		slot := e.p.Place(j, e.views)
 		if slot < 0 {
+			if !e.loadOnly {
+				continue
+			}
 			return fmt.Errorf("sched: policy %s refused job %d at step %d, deferred at step %d with the same loads: it breaks the LoadOnlyRefuser contract", e.p.Name(), j.ID, s, k)
 		}
 		if err := e.checkPlacement(j, slot); err != nil {

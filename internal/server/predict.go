@@ -138,8 +138,10 @@ func (s *Server) predictWalk(dt float64, n int, tol float64, anchors *int, hotte
 // DieFloor walks a lower bound on the server's hottest-die temperature
 // along the fixed-dt trajectory from the live state, with every input held
 // at its current value — the regime between scheduling events. floor[j]
-// receives the bound after j+1 grid steps; the return value is how many
-// steps were walked (at most steps and len(floor)).
+// receives the bound after j+1 grid steps; walk, when non-nil, receives
+// the walked hottest die itself, the prediction the floor sits
+// bandLinMarginC below. The return value is how many steps were walked (at
+// most steps, len(floor) and, when given, len(walk)).
 //
 // The walk is the linearized propagator map BandDecisionHorizon predicts
 // with, and in exact arithmetic it is a floor, not an estimate. The
@@ -153,7 +155,9 @@ func (s *Server) predictWalk(dt float64, n int, tol float64, anchors *int, hotte
 // Dynamical Systems, AMS 1995) — each walked die temperature bounds the
 // plain Step trajectory's from below. The first walked step is the plain
 // step itself, up to rounding, so each reported floor sits bandLinMarginC
-// below the walk to keep the bound in floating point.
+// below the walk to keep the bound in floating point. As a prediction the
+// walk carries the linearization error of the drift-capped anchors, the
+// same error every macro window's endpoint carries.
 //
 // It walks nothing (returns 0) when that argument or the live state does
 // not support it: a non-exact integrator, a dark machine, slewing fans
@@ -162,9 +166,10 @@ func (s *Server) predictWalk(dt float64, n int, tol float64, anchors *int, hotte
 // Active fault windows (PinFixedDt) do not stop it: they pin the server
 // to the plain steps the floor bounds. Like BandDecisionHorizon it never
 // touches the live thermal state.
-func (s *Server) DieFloor(dt float64, steps int, floor []float64) int {
+func (s *Server) DieFloor(dt float64, steps int, floor, walk []float64) int {
 	lm := s.cfg.Power.Leakage
-	if dt <= 0 || steps < 1 || len(floor) < steps || lm.K2 < 0 || lm.K3 < 0 ||
+	if dt <= 0 || steps < 1 || len(floor) < steps || (walk != nil && len(walk) < steps) ||
+		lm.K2 < 0 || lm.K3 < 0 ||
 		s.cfg.ThermalIntegrator != thermal.IntegratorExact || !s.powered || !s.fans.Settled() ||
 		float64(s.MaxCPUTemp()) >= float64(s.cfg.CriticalTemp)-tripGuardC {
 		return 0
@@ -172,17 +177,22 @@ func (s *Server) DieFloor(dt float64, steps int, floor []float64) int {
 	tol := s.predictAnchor()
 	anchors := 0
 	n := s.predictWalk(dt, steps, tol, &anchors, floor)
+	if walk != nil {
+		copy(walk, floor[:n])
+	}
 	for j := range floor[:n] {
 		floor[j] -= bandLinMarginC
 	}
 	return n
 }
 
-// DCFloor returns a lower bound on the server's DC draw at any instant
-// before its next input change whose hottest die is at or above dieC — a
-// DieFloor value: every term but leakage is window-constant, and leakage
-// rises with the die temperature. A dark machine draws nothing.
-func (s *Server) DCFloor(dieC float64) float64 {
+// DCAtDie returns the server's DC draw at an instant before its next input
+// change at which its hottest die sits at dieC: every term but leakage is
+// window-constant (utilization, DVFS state, settled fans), and leakage is
+// read at the hottest die, as Step's breakdown reads it. Leakage rises
+// with the die temperature, so a DieFloor bound gives a DC floor, and a
+// walked die the predicted draw. A dark machine draws nothing.
+func (s *Server) DCAtDie(dieC float64) float64 {
 	if !s.powered {
 		return 0
 	}

@@ -151,12 +151,13 @@ func TestBandDecisionHorizonNoise(t *testing.T) {
 // machines, loads (uneven across sockets, so the hottest die moves), fan
 // speeds, drift tolerances and step sizes, the walked floor never exceeds
 // the hottest die a plain-Step twin reaches at the same step, and
-// DCFloor of it never exceeds the twin's DC draw. The walk must also leave
-// the live state untouched.
+// DCAtDie of it never exceeds the twin's DC draw. The walked die it
+// reports alongside sits exactly the margin above the floor. The walk must
+// also leave the live state untouched.
 func TestDieFloorSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4607))
 	const maxWalk = 48
-	floor := make([]float64, maxWalk)
+	floor, walk := make([]float64, maxWalk), make([]float64, maxWalk)
 	walked, tight := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		mutate := func(c *Config) {
@@ -202,7 +203,7 @@ func TestDieFloorSound(t *testing.T) {
 		steps := 1 + rng.Intn(maxWalk)
 		// A transient faster than the drift tolerance may stop the walk
 		// early, even at its first step; that claims nothing.
-		n := pred.DieFloor(dt, steps, floor)
+		n := pred.DieFloor(dt, steps, floor, walk)
 		if n < 0 || n > steps {
 			t.Fatalf("trial %d: walked %d of %d steps", trial, n, steps)
 		}
@@ -216,7 +217,10 @@ func TestDieFloorSound(t *testing.T) {
 			if die-floor[j] < bandLinMarginC+0.01 {
 				tight++
 			}
-			if f, dc := pred.DCFloor(floor[j]), float64(ref.Breakdown().Total()); f > dc {
+			if d := walk[j] - floor[j]; math.Abs(d-bandLinMarginC) > 1e-9 {
+				t.Fatalf("trial %d step %d: walked die %.9f °C sits %.3g °C above its floor, want %g", trial, j+1, walk[j], d, bandLinMarginC)
+			}
+			if f, dc := pred.DCAtDie(floor[j]), float64(ref.Breakdown().Total()); f > dc {
 				t.Fatalf("trial %d step %d: DC floor %.9f W above the fixed-dt draw %.9f W", trial, j+1, f, dc)
 			}
 		}
@@ -249,7 +253,7 @@ func TestDieFloorRefusals(t *testing.T) {
 		}
 		return s
 	}
-	if n := warm(nil).DieFloor(1, 8, floor); n != 8 {
+	if n := warm(nil).DieFloor(1, 8, floor, nil); n != 8 {
 		t.Fatalf("baseline walked %d of 8 steps", n)
 	}
 	slew := warm(nil)
@@ -269,14 +273,17 @@ func TestDieFloorRefusals(t *testing.T) {
 		{"negative K3", warm(func(c *Config) { c.Power.Leakage.K3 = -c.Power.Leakage.K3 })},
 		{"trip band", hot},
 	} {
-		if n := c.s.DieFloor(1, 8, floor); n != 0 {
+		if n := c.s.DieFloor(1, 8, floor, nil); n != 0 {
 			t.Errorf("%s: walked %d steps, want 0", c.name, n)
 		}
 	}
-	if f := dark.DCFloor(50); f != 0 {
+	if f := dark.DCAtDie(50); f != 0 {
 		t.Errorf("dark machine DC floor %g, want 0", f)
 	}
-	if n := warm(nil).DieFloor(1, 8, floor[:4]); n != 0 {
+	if n := warm(nil).DieFloor(1, 8, floor[:4], nil); n != 0 {
 		t.Errorf("a floor buffer shorter than the walk must refuse, got %d", n)
+	}
+	if n := warm(nil).DieFloor(1, 8, floor, make([]float64, 4)); n != 0 {
+		t.Errorf("a walk buffer shorter than the walk must refuse, got %d", n)
 	}
 }
