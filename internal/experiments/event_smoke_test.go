@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/server"
 )
@@ -109,7 +110,8 @@ func compareRows(t *testing.T, fixedRows, eventRows []RackPolicyResult) (speedup
 // crossing cap-deferred heads as far as the wall-floor proof reaches: the
 // policies that decide on loads alone, and those that rank slots by
 // temperature or draw, whose crossed retries see the views the walk
-// predicts.
+// predicts. The faults subtest gates the fault catalogue: fault windows
+// and dark slots macro-step like any quiet interval.
 func TestEventSteppingSmoke(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		_, _, fixedSteps, eventSteps := compareKernels(t, DefaultRackEval())
@@ -191,6 +193,47 @@ func TestEventSteppingSmoke(t *testing.T) {
 			if s < want {
 				t.Errorf("%s: capped trace collapsed only %.1f×, want ≥%g× from crossing proven deferrals", policy, s, want)
 			}
+		}
+	})
+	t.Run("faults", func(t *testing.T) {
+		base := server.T3Config()
+		fe := DefaultFaultEval()
+		fixed, err := RackFaultComparison(base, fe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		fe.Rack.EventStepping, fe.Rack.Metrics = true, reg
+		event, err := RackFaultComparison(base, fe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fixed) != len(event) {
+			t.Fatalf("row count mismatch: %d vs %d", len(fixed), len(event))
+		}
+		fixedRows, eventRows := make([]RackPolicyResult, len(fixed)), make([]RackPolicyResult, len(event))
+		for i, f := range fixed {
+			e := event[i]
+			if f.Scenario != e.Scenario || f.HealthyAtEnd != e.HealthyAtEnd {
+				t.Errorf("row %d: scenario %s, %d healthy at the end on fixed-dt; %s, %d on the event kernel",
+					i, f.Scenario, f.HealthyAtEnd, e.Scenario, e.HealthyAtEnd)
+			}
+			fixedRows[i], eventRows[i] = f.RackPolicyResult, e.RackPolicyResult
+			eventRows[i].Sched.Metrics = nil // the registry, shared by every cell
+		}
+		compareRows(t, fixedRows, eventRows)
+		// The server-steps the event kernel collapsed, over all it took.
+		// Measured: 0.968; with fault windows and dark slots held to plain
+		// steps, 0.860.
+		collapsed := reg.Counter("rack.macro.collapsed_steps").Value()
+		plain := int64(0)
+		for _, veto := range []string{"integrator", "slew", "trip_band", "drift", "tail"} {
+			plain += reg.Counter("rack.macro.plain." + veto).Value()
+		}
+		ratio := float64(collapsed) / float64(collapsed+plain)
+		t.Logf("fault catalogue: %d collapsed and %d plain server-steps, collapse ratio %.3f", collapsed, plain, ratio)
+		if ratio < 0.95 {
+			t.Errorf("collapse ratio %.3f, want ≥ 0.95", ratio)
 		}
 	})
 }

@@ -13,18 +13,21 @@
 // non-integer dt — and calls rack.ApplyFault / rack.ClearFault at those
 // steps, serially, before any placement decision of the step.
 //
-// # Interaction with the event kernel (PR 5 contract)
+// # Interaction with the event kernel
 //
 // Fault inject and clear instants join the event taxonomy: the
 // event-stepping kernel wakes at every fault step, so degraded runs take
 // scheduling decisions at exactly the instants the fixed-dt reference
-// does. A *windowed* event — one with a Clear time — additionally pins its
-// affected servers to plain fixed-dt sub-steps for the whole [At, Clear)
-// window (server.PinFixedDt), so the physics inside a bounded fault window
-// is bit-exact, not merely within the macro-stepping drift tolerance.
-// Permanent faults (no Clear) leave the server macro-steppable once its
-// transient settles: a quiet degraded interval still collapses into
-// closed-form windows.
+// does. Between two edges a fault is one more constant input — a stuck or
+// failed fan, a drooping supply, a shifted ambient, a dark slot — so the
+// physics there is the same fixed affine step map as in any quiet
+// interval, and the kernel collapses it into closed-form macro windows,
+// windowed or permanent alike. The physics inside a fault window is then
+// held to the macro-stepping budget (energies within 1e-6 of fixed-dt),
+// not bit-exact; a dark slot's relaxation has no temperature feedback, so
+// its collapse is exact up to rounding. Slewing fans — a powered-on slot
+// spinning back up, an unstuck fan — and the trip-guard band still take
+// plain steps.
 //
 // # Determinism
 //

@@ -98,8 +98,8 @@ type Event struct {
 	Severity float64
 }
 
-// Windowed reports whether the event carries a clear time — the bounded
-// fault windows that pin their affected servers to fixed-dt stepping.
+// Windowed reports whether the event carries a clear time: a bounded
+// fault window that repairs itself.
 func (e Event) Windowed() bool { return e.Clear > e.At }
 
 // Validate reports structural errors against a rack of nServers servers

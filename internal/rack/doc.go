@@ -80,10 +80,10 @@
 // power). Overlapping derates add up; ApplyFault refuses an edge that
 // would take one slot's PSU derates, or the chiller derates, to 1 or more,
 // and fault.Schedule.Validate rejects such a schedule up front. Both calls
-// are serial rack mutations, never concurrent with
-// Step/Advance; windowed events additionally pin their affected servers to
-// plain fixed-dt stepping (server.PinFixedDt) for the window, preserving
-// the macro-window contract. Health(i) folds the fault state into the
+// are serial rack mutations, never concurrent with Step/Advance. Between
+// two edges a fault is one more constant input, so Advance macro-steps
+// through fault windows and dark slots like any quiet interval (see
+// server.MacroStep). Health(i) folds the fault state into the
 // scheduler-facing Healthy/Tripped/Failed view, and TripRisk reports when
 // any live server sits inside the trip-guard band so the event kernel can
 // shorten its windows to observe an imminent latch on the step it happens.
@@ -94,7 +94,10 @@
 // telemetry's roll-up: worst Arrhenius acceleration, worst time above the
 // paper's 75 °C cap, summed thermal-cycling damage. Sampling off (the
 // default) leaves every metric bit-identical to a rack without the
-// feature.
+// feature. The sample traces are append-only: Snapshot hands a checkpoint
+// capacity-capped views of them instead of copies, so a checkpoint costs
+// O(slots), not O(samples), and ResetAccounting and Restore replace a
+// trace rather than overwrite an array a checkpoint may share.
 //
 // The rack is the substrate for internal/sched: a dispatcher places jobs
 // onto servers, the rack advances the physics, and the telemetry says

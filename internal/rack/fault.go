@@ -62,11 +62,12 @@ func (r *Rack) targets(ev fault.Event, visit func(st *serverState)) {
 // ApplyFault injects one fault event into the rack, immediately. The trace
 // runner calls it serially at the event's pinned grid step, before any
 // placement decision of that step; tests and custom drivers may call it
-// directly between steps (never concurrently with Step/Advance). A
-// windowed event additionally pins its affected servers to plain fixed-dt
-// stepping until ClearFault (the PR 5 event-kernel contract).
-// A PSUDroop or ChillerDegraded edge that would take the slot's (or the
-// rack's) summed derate to 1 or more errors and changes nothing.
+// directly between steps (never concurrently with Step/Advance). The
+// event's effect is one more constant input until its next edge, so the
+// affected servers keep macro-stepping through a windowed fault (see
+// server.MacroStep). A PSUDroop or ChillerDegraded edge that would take
+// the slot's (or the rack's) summed derate to 1 or more errors and
+// changes nothing.
 func (r *Rack) ApplyFault(ev fault.Event) error {
 	if err := ev.Validate(len(r.servers), r.fanCountFor(ev)); err != nil {
 		return err
@@ -111,9 +112,6 @@ func (r *Rack) ApplyFault(ev fault.Event) error {
 	default:
 		return fmt.Errorf("rack: unknown fault kind %v", ev.Kind)
 	}
-	if ev.Windowed() {
-		r.targets(ev, func(st *serverState) { st.srv.PinFixedDt(+1) })
-	}
 	r.faultsApplied++
 	return nil
 }
@@ -151,9 +149,6 @@ func (r *Rack) ClearFault(ev fault.Event) error {
 		r.chillerDerate -= droopSeverity(ev)
 	default:
 		return fmt.Errorf("rack: unknown fault kind %v", ev.Kind)
-	}
-	if ev.Windowed() {
-		r.targets(ev, func(st *serverState) { st.srv.PinFixedDt(-1) })
 	}
 	r.faultsCleared++
 	return nil

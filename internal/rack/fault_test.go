@@ -1,11 +1,14 @@
 package rack
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/cooling"
 	"repro/internal/fault"
+	"repro/internal/power"
+	"repro/internal/server"
 	"repro/internal/units"
 )
 
@@ -338,5 +341,82 @@ func TestApplyFaultRejectsStackedDerates(t *testing.T) {
 	}
 	if applied := r.faultsApplied; applied != 4 {
 		t.Fatalf("faultsApplied = %d, want 4: refused edges must not count", applied)
+	}
+}
+
+// TestFaultWindowsCollapse: between its edges a fault is one more constant
+// input, so slots inside windowed faults — a stuck fan, a drooping supply,
+// a CRAC heat soak on every inlet — and a dark slot collapse a quiet
+// window into closed-form sub-windows. The window must match the same
+// steps taken one at a time: energies within the macro-stepping budget,
+// and the dark slot, whose zero-slope map is exact, within rounding and
+// drawing nothing.
+func TestFaultWindowsCollapse(t *testing.T) {
+	const window, dark = 256, 2
+	psu := power.DefaultPSU()
+	build := func() *Rack {
+		r, err := New(Config{Servers: testSpecs(t, 4), Workers: 1, PSU: &psu})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < r.NumServers(); i++ {
+			r.SetLoad(i, 60)
+		}
+		for s := 0; s < 1200; s++ {
+			r.Step(1)
+		}
+		for _, ev := range []fault.Event{
+			{Kind: fault.FanStick, Server: 0, Fan: 0, At: 1200, Clear: 1800},
+			{Kind: fault.PSUDroop, Server: 1, At: 1200, Clear: 1800, Severity: 0.1},
+			{Kind: fault.PSUFail, Server: dark, At: 1200, Clear: 1800},
+			{Kind: fault.CRACOutage, At: 1200, Clear: 1800, Severity: 4},
+		} {
+			if err := r.ApplyFault(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	macro, plain := build(), build()
+	before := make([]server.MacroStats, macro.NumServers())
+	for i := range before {
+		before[i] = macro.Server(i).MacroStats()
+	}
+	darkE0 := macro.Server(dark).Energy()
+	macro.Advance(1, window)
+	for s := 0; s < window; s++ {
+		plain.Advance(1, 1) // one plain server.Step per slot
+	}
+	for i := range before {
+		ms := macro.Server(i).MacroStats()
+		if n := ms.CollapsedSteps - before[i].CollapsedSteps; n < window/2 {
+			t.Errorf("slot %d collapsed %d of %d steps inside its fault windows", i, n, window)
+		}
+		if d := math.Abs(float64(macro.Server(i).MaxCPUTemp() - plain.Server(i).MaxCPUTemp())); d > 0.05 {
+			t.Errorf("slot %d: endpoint die off by %g °C", i, d)
+		}
+	}
+	mt, pt := macro.Telemetry(), plain.Telemetry()
+	for _, m := range []struct {
+		name string
+		a, b float64
+	}{{"TotalEnergyKWh", mt.TotalEnergyKWh, pt.TotalEnergyKWh}, {"WallEnergyKWh", mt.WallEnergyKWh, pt.WallEnergyKWh}} {
+		if d := math.Abs(m.a-m.b) / m.b; d > 1e-6 {
+			t.Errorf("%s off by %g relative: %v vs %v", m.name, d, m.a, m.b)
+		}
+	}
+	ds, ps := macro.Server(dark), plain.Server(dark)
+	if ds.Energy() != darkE0 || ds.Breakdown().Total() != 0 {
+		t.Errorf("dark slot charged energy %v → %v and draws %v", darkE0, ds.Energy(), ds.Breakdown().Total())
+	}
+	for sock := 0; sock < ds.Config().CPU.Sockets; sock++ {
+		a, _ := ds.DieTemp(sock)
+		b, _ := ps.DieTemp(sock)
+		if d := math.Abs(float64(a - b)); d > 1e-9 {
+			t.Errorf("dark die %d off by %g °C: its zero-slope map is exact", sock, d)
+		}
+	}
+	if d := math.Abs(float64(ds.Memory().MaxTemp() - ps.Memory().MaxTemp())); d > 1e-9 {
+		t.Errorf("dark DIMMs off by %g °C", d)
 	}
 }

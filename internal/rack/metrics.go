@@ -25,7 +25,6 @@ func (r *Rack) MetricsInto(reg *obs.Registry) {
 	reg.Counter("rack.macro.anchors").Add(int64(ms.Anchors))
 	reg.Counter("rack.macro.collapsed_steps").Add(int64(ms.CollapsedSteps))
 	reg.Counter("rack.macro.plain.integrator").Add(int64(ms.PlainIntegrator))
-	reg.Counter("rack.macro.plain.pinned").Add(int64(ms.PlainPinned))
 	reg.Counter("rack.macro.plain.slew").Add(int64(ms.PlainSlew))
 	reg.Counter("rack.macro.plain.trip_band").Add(int64(ms.PlainTripBand))
 	reg.Counter("rack.macro.plain.drift").Add(int64(ms.PlainDrift))
@@ -40,7 +39,7 @@ func (r *Rack) MetricsInto(reg *obs.Registry) {
 type MetricsRollup struct {
 	PropHits, PropMisses, PropBuilds, DriftStops int
 	Anchors, CollapsedSteps                      int
-	PlainIntegrator, PlainPinned, PlainSlew      int
+	PlainIntegrator, PlainSlew                   int
 	PlainTripBand, PlainDrift, PlainTail         int
 }
 
@@ -58,7 +57,6 @@ func (r *Rack) MetricsRollup() MetricsRollup {
 		ms.Anchors += mst.Anchors
 		ms.CollapsedSteps += mst.CollapsedSteps
 		ms.PlainIntegrator += mst.PlainIntegrator
-		ms.PlainPinned += mst.PlainPinned
 		ms.PlainSlew += mst.PlainSlew
 		ms.PlainTripBand += mst.PlainTripBand
 		ms.PlainDrift += mst.PlainDrift

@@ -868,8 +868,9 @@ func (r *Rack) ResetAccounting() {
 	r.coolEnergyJ = 0
 	r.facEnergyJ = 0
 	if r.relEvery > 0 {
+		// Fresh traces: a checkpoint may share the old arrays (Snapshot).
 		for i := range r.relSamples {
-			r.relSamples[i] = r.relSamples[i][:0]
+			r.relSamples[i] = nil
 		}
 		r.relNext = r.clock + r.relEvery
 	}

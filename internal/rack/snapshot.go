@@ -23,6 +23,10 @@ type SlotState struct {
 // State is the serializable mutable state of a Rack built from the same
 // Config: every slot plus the rack-level meters, peaks, facility-scope
 // fault state, fault-edge counters and the reliability sampling cursor.
+//
+// RelSamples holds one hottest-die trace per slot when the rack samples
+// reliability, and is empty when it does not. Snapshot shares the traces
+// with the rack (see Snapshot), so a State must be treated as read-only.
 type State struct {
 	Slots []SlotState
 	Clock float64
@@ -58,6 +62,13 @@ type State struct {
 // read. A slot carrying a controller that does not implement
 // control.Snapshotter cannot be carried across a checkpoint and errors here
 // rather than resuming with stale policy state.
+//
+// The reliability traces are not copied. The rack only ever appends to
+// them, so the State gets capacity-capped views: the samples a view covers
+// are never written again, and an append past the end of a view cannot
+// reach it. ResetAccounting and Restore start fresh traces instead of
+// overwriting shared ones, so a State stays valid however the rack runs
+// on.
 func (r *Rack) Snapshot() (State, error) {
 	st := State{
 		Slots:         make([]SlotState, len(r.servers)),
@@ -100,7 +111,7 @@ func (r *Rack) Snapshot() (State, error) {
 	if r.relEvery > 0 {
 		st.RelSamples = make([][]float64, len(r.relSamples))
 		for i, xs := range r.relSamples {
-			st.RelSamples[i] = append([]float64(nil), xs...)
+			st.RelSamples[i] = xs[:len(xs):len(xs)]
 		}
 	}
 	return st, nil
@@ -109,12 +120,18 @@ func (r *Rack) Snapshot() (State, error) {
 // Restore loads a captured State into a rack built from the same Config.
 // Slot count, controller presence and reliability sampling must match the
 // snapshot; mismatches error without partially mutating the rack's shape.
+// The rack adopts the State's reliability traces as capacity-capped views,
+// so its next sample moves each trace to an array of its own, and neither
+// st nor any other State sharing its traces is ever written.
 func (r *Rack) Restore(st State) error {
 	if len(st.Slots) != len(r.servers) {
 		return fmt.Errorf("rack: state has %d slots, rack has %d", len(st.Slots), len(r.servers))
 	}
 	if r.relEvery > 0 && len(st.RelSamples) != len(r.servers) {
 		return fmt.Errorf("rack: state has %d reliability traces, rack samples %d slots", len(st.RelSamples), len(r.servers))
+	}
+	if r.relEvery <= 0 && len(st.RelSamples) > 0 {
+		return fmt.Errorf("rack: state has %d reliability traces, rack does not sample reliability", len(st.RelSamples))
 	}
 	for i, sl := range r.servers {
 		ss := st.Slots[i]
@@ -156,10 +173,9 @@ func (r *Rack) Restore(st State) error {
 	r.faultsApplied = st.FaultsApplied
 	r.faultsCleared = st.FaultsCleared
 	r.relNext = st.RelNext
-	if r.relEvery > 0 {
-		for i := range r.relSamples {
-			r.relSamples[i] = append(r.relSamples[i][:0], st.RelSamples[i]...)
-		}
+	for i := range r.relSamples {
+		xs := st.RelSamples[i]
+		r.relSamples[i] = xs[:len(xs):len(xs)]
 	}
 	return nil
 }

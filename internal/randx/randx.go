@@ -55,17 +55,21 @@ func New(seed int64) *Source {
 // State captures the Source for a checkpoint.
 func (s *Source) State() State { return State{Seed: s.seed, Draws: s.src.draws} }
 
-// Restore rewinds the Source to a captured State by re-seeding and
-// fast-forwarding the recorded number of draws, after which the draw
-// sequence continues bit-identically to the snapshotted generator.
+// Restore moves the Source to a captured State, after which the draw
+// sequence continues bit-identically to the snapshotted generator. When
+// the Source already runs the State's seed and has taken no more draws
+// than it records — a fresh New(st.Seed) being the common case — it
+// fast-forwards from where it is. Otherwise it re-seeds, the costly part
+// of math/rand's generator, and discards the recorded number of draws.
 func (s *Source) Restore(st State) {
-	raw := rand.NewSource(st.Seed).(rand.Source64)
-	for i := uint64(0); i < st.Draws; i++ {
-		raw.Uint64()
+	if st.Seed != s.seed || st.Draws < s.src.draws {
+		s.src = &countingSrc{src: rand.NewSource(st.Seed).(rand.Source64)}
+		s.rng = rand.New(s.src)
+		s.seed = st.Seed
 	}
-	s.src = &countingSrc{src: raw, draws: st.Draws}
-	s.rng = rand.New(s.src)
-	s.seed = st.Seed
+	for s.src.draws < st.Draws {
+		s.src.Uint64()
+	}
 }
 
 // Exponential draws from an exponential distribution with the given mean.

@@ -181,3 +181,63 @@ func TestCountingSourceTransparent(t *testing.T) {
 		}
 	}
 }
+
+// TestRestorePaths checks both ways Restore reaches a State against a
+// fresh New of the State's seed that skips the recorded draws: the
+// fast-forward from a Source already on that seed and not past the draw
+// count, and the re-seed for a different seed or a Source that has drawn
+// past it. Each must then replay the reference sequence bit for bit.
+func TestRestorePaths(t *testing.T) {
+	src := New(2024)
+	for i := 0; i < 50; i++ {
+		src.Normal(0, 1)
+		src.Poisson(4)
+	}
+	st := src.State()
+	ref := New(st.Seed)
+	for ref.src.draws < st.Draws {
+		ref.src.Uint64()
+	}
+	var want []float64
+	for i := 0; i < 64; i++ {
+		want = append(want, ref.Normal(0, 1), ref.Exponential(3), float64(ref.Poisson(2.5)), ref.Float64())
+	}
+
+	for _, c := range []struct {
+		name    string
+		prepare func() *Source
+		reseed  bool
+	}{
+		{"fresh", func() *Source { return New(st.Seed) }, false},
+		{"behind", func() *Source { s := New(st.Seed); s.Float64(); s.Normal(0, 1); return s }, false},
+		{"at", func() *Source { s := New(st.Seed); s.Restore(st); return s }, false},
+		{"other seed", func() *Source { s := New(st.Seed + 1); s.Float64(); return s }, true},
+		{"ahead", func() *Source {
+			s := New(st.Seed)
+			for s.src.draws <= st.Draws {
+				s.Float64()
+			}
+			return s
+		}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.prepare()
+			rng := s.rng
+			s.Restore(st)
+			if got := s.State(); got != st {
+				t.Fatalf("State after Restore = %+v, want %+v", got, st)
+			}
+			if reseeded := s.rng != rng; reseeded != c.reseed {
+				t.Fatalf("re-seeded = %v, want %v", reseeded, c.reseed)
+			}
+			for i := 0; i < 64; i++ {
+				got := []float64{s.Normal(0, 1), s.Exponential(3), float64(s.Poisson(2.5)), s.Float64()}
+				for j, w := range want[i*4 : i*4+4] {
+					if got[j] != w {
+						t.Fatalf("draw %d/%d: got %v, want %v", i, j, got[j], w)
+					}
+				}
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/control"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/rack"
 	"repro/internal/server"
@@ -57,6 +58,50 @@ func TestBangBangEventMatchesFixed(t *testing.T) {
 	}
 	if event.RackSteps*3 > fixed.RackSteps {
 		t.Errorf("bang-bang rack should collapse ≥3×, got %d→%d rack steps", fixed.RackSteps, event.RackSteps)
+	}
+}
+
+// TestBangBangEventMatchesFixedThroughFaultWindows: the bang-bang quiet
+// band now extends inside fault windows, where the predicted trajectory
+// holds every faulted input constant until its next edge, while a dark
+// slot still promises only its decision cadence. Through overlapping
+// windows the event kernel must match fixed-dt exactly, fan changes
+// included. Without a dark slot the band carries the kernel across the
+// windows: measured 1200 → 63 rack steps, against 1200 → 95 with the
+// faulted servers held to plain steps (and their bands refused) through
+// their windows.
+func TestBangBangEventMatchesFixedThroughFaultWindows(t *testing.T) {
+	soak := &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.FanStick, Server: 0, Fan: 0, At: 120, Clear: 360},
+		{Kind: fault.PSUDroop, Server: 1, At: 200, Clear: 400, Severity: 0.1},
+		{Kind: fault.CRACOutage, At: 250, Clear: 450, Severity: 4},
+		{Kind: fault.AmbientExcursion, Server: 2, At: 300, Clear: 480, Severity: 3},
+	}}
+	soak.Sort()
+	for _, c := range []struct {
+		name     string
+		faults   *fault.Schedule
+		horizon  float64
+		collapse int // minimum fixed ÷ event rack steps
+	}{
+		{"windows", soak, 1200, 15},
+		{"dark", faultWindows(), 600, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(810))
+			jobs := randomTrace(t, rng, c.horizon, 3, 0.4)
+			build := func() *rack.Rack { return bangRack(t, 3, 1) }
+			cfg := TraceConfig{Dt: 1, Horizon: c.horizon, Faults: c.faults}
+			fixed, event, ftel, etel := runBoth(t, build, jobs, func() Policy { return NewRoundRobin() }, cfg)
+			assertEquivalent(t, c.name, fixed, event, ftel, etel)
+			if ftel.FanChanges == 0 {
+				t.Fatal("trace never moved the fans; the fan-change equivalence is vacuous")
+			}
+			t.Logf("%d→%d rack steps, %d fan changes, %d requeued", fixed.RackSteps, event.RackSteps, ftel.FanChanges, fixed.Requeued)
+			if event.RackSteps*c.collapse > fixed.RackSteps {
+				t.Errorf("collapsed only %d→%d rack steps, want ≥%d×", fixed.RackSteps, event.RackSteps, c.collapse)
+			}
+		})
 	}
 }
 

@@ -143,9 +143,9 @@
 // TraceConfig.Faults attaches a deterministic internal/fault schedule.
 // Every event edge (inject, and the clear of a windowed event) is pinned
 // up front to the first grid step at or after its time — the same
-// grid-arithmetic rule in both stepping modes, so fault runs stay
-// byte-identical between fixed-dt and the event kernel and across worker
-// counts. Within a step the order is fixed: completions, then fault edges
+// grid-arithmetic rule in both stepping modes, so both kernels act at the
+// same instants, and each stays byte-identical across worker counts.
+// Within a step the order is fixed: completions, then fault edges
 // (clears before applies when they share a step), then the kill scan, then
 // arrivals and placement — a job ending exactly at a fault instant
 // completes, and an apply+clear pair collapsing onto one step is dropped
@@ -163,9 +163,11 @@
 // and the run always terminates at its horizon.
 //
 // Under event stepping, fault edges are wake events bounding every quiet
-// window, windowed faults pin their targets to fixed-dt for the window's
-// duration, and the kernel degrades to single-step windows while any live
-// server sits inside the trip-guard band (rack.TripRisk), so a natural
+// window. Between two edges a fault is one more constant input, so the
+// servers it touches — dark slots included — macro-step through it like
+// any quiet interval, within the kernel's usual energy budget. The kernel
+// degrades to single-step windows while any live server sits inside the
+// trip-guard band (rack.TripRisk), so a natural
 // trip — and the kills it implies — is observed on the step it latches.
 // One caveat mirrors the controller PollPeriod contract: a natural trip
 // latching strictly inside a granted macro window (possible only when no

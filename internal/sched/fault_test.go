@@ -277,33 +277,56 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// TestEventVsFixedWithFaultWindow: a windowed, non-tripping fault pins its
-// servers to fixed-dt, so the event-stepped run must reproduce the
-// fixed-dt scheduler result exactly through the fault window.
-func TestEventVsFixedWithFaultWindow(t *testing.T) {
-	jobs := faultTraceJobs(t, 400)
+// faultWindows is a schedule of bounded faults that overlap across the
+// middle of a 600 s trace on a three-server rack: a stuck fan, a drooping
+// supply, a CRAC outage heat-soaking every inlet, and a slot going dark.
+func faultWindows() *fault.Schedule {
 	sch := &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.FanStick, Server: 0, Fan: 0, At: 120, Clear: 360},
 		{Kind: fault.PSUDroop, Server: 1, At: 200, Clear: 400, Severity: 0.1},
+		{Kind: fault.CRACOutage, At: 250, Clear: 450, Severity: 4},
+		{Kind: fault.PSUFail, Server: 2, At: 300, Clear: 480},
 	}}
-	run := func(event bool) Result {
-		r := faultTraceRack(t, 3, 1)
+	sch.Sort()
+	return sch
+}
+
+// TestEventVsFixedWithFaultWindow: between its edges a fault is one more
+// constant input, so the event kernel macro-steps through fault windows
+// and dark slots like any quiet interval. Through overlapping windows it
+// must still match fixed-dt — identical scheduling, energies within 1e-6,
+// identical fan changes — while most of its server-steps collapse: the
+// faulted servers no longer take a plain step for every step of a window.
+func TestEventVsFixedWithFaultWindow(t *testing.T) {
+	jobs := faultTraceJobs(t, 400)
+	const servers, horizon = 3, 600
+	run := func(event bool) (Result, *rack.Rack) {
+		r := faultTraceRack(t, servers, 1)
 		res, err := RunTraceCfg(r, jobs, NewLeastUtilized(), TraceConfig{
-			Dt: 1, Horizon: 600, EventStepping: event, SampleEvery: 15, Faults: sch,
+			Dt: 1, Horizon: horizon, EventStepping: event, SampleEvery: 15, Faults: faultWindows(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, r
 	}
-	fixed := run(false)
-	evented := run(true)
-	if fixed.Completed != evented.Completed || fixed.Placed != evented.Placed ||
-		fixed.Requeued != evented.Requeued || fixed.Lost != evented.Lost ||
-		fixed.MeanWaitSec != evented.MeanWaitSec {
-		t.Fatalf("stepping modes disagree through a fault window:\nfixed: %+v\nevent: %+v", fixed, evented)
+	fixed, rf := run(false)
+	evented, re := run(true)
+	if fixed.Requeued == 0 {
+		t.Fatal("the dark slot killed no job; the fault windows are vacuous")
 	}
-	if evented.RackSteps >= fixed.RackSteps {
-		t.Fatalf("event stepping did not collapse steps: %d >= %d", evented.RackSteps, fixed.RackSteps)
+	assertEquivalent(t, "fault windows", fixed, evented, rf.Telemetry(), re.Telemetry())
+	ms := re.MetricsRollup()
+	plain := ms.PlainIntegrator + ms.PlainSlew + ms.PlainTripBand + ms.PlainDrift + ms.PlainTail
+	ratio := float64(ms.CollapsedSteps) / float64(ms.CollapsedSteps+plain)
+	t.Logf("%d→%d rack steps; %d collapsed and %d plain server-steps (collapse ratio %.3f)",
+		fixed.RackSteps, evented.RackSteps, ms.CollapsedSteps, plain, ratio)
+	// Measured: 1168 collapsed, 632 plain (0.649), nearly all of the plain
+	// ones single-step windows at samples and edges. With the faulted
+	// servers held to plain steps through their windows the same run
+	// takes 848 collapsed and 952 plain (0.471).
+	if ratio < 0.6 {
+		t.Errorf("collapse ratio %.3f: %d plain server-steps against %d collapsed, want ≥ 0.6",
+			ratio, plain, ms.CollapsedSteps)
 	}
 }

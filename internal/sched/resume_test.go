@@ -187,6 +187,57 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestResumeInsideFaultWindow: the faulted servers macro-step through
+// fault windows and a dark slot's relaxation collapses, so a checkpoint
+// taken inside the CRAC outage — with a slot dark and a droop active —
+// must resume byte-identical to the uninterrupted run on both kernels:
+// Result, rack telemetry and the metrics dump, with the reference serial
+// and the interrupted and resumed runs fanned out (run under -race).
+func TestResumeInsideFaultWindow(t *testing.T) {
+	table := resumeRackTable(t)
+	const n, horizon, truncAt = 3, 600.0, 330.0
+	jobs := faultTraceJobs(t, 400)
+	for _, event := range []bool{false, true} {
+		label := fmt.Sprintf("event=%v", event)
+		tc := TraceConfig{Dt: 1, Horizon: horizon, EventStepping: event, SampleEvery: 15, Faults: faultWindows()}
+
+		rA := resumeRack(t, table, n, 1, true)
+		regA := obs.NewRegistry()
+		tcA := tc
+		tcA.Metrics = regA
+		resA, err := RunTraceCfg(rA, jobs, NewLeastUtilized(), tcA)
+		if err != nil {
+			t.Fatalf("%s: reference run: %v", label, err)
+		}
+
+		rB := resumeRack(t, table, n, 2, true)
+		tcB := tc
+		tcB.Metrics = obs.NewRegistry()
+		ck := interruptAt(t, rB, jobs, NewLeastUtilized(), tcB, truncAt)
+		if ck.Rack.CracOut != 1 || ck.Rack.Slots[2].Server.Powered || ck.Rack.Slots[1].PSUDerate == 0 {
+			t.Fatalf("%s: checkpoint at step %d is not inside the CRAC window with slot 2 dark and slot 1 drooping", label, ck.K)
+		}
+
+		rC := resumeRack(t, table, n, 2, true)
+		regC := obs.NewRegistry()
+		tcC := tc
+		tcC.Metrics = regC
+		resC, err := ResumeTraceCfg(rC, jobs, NewLeastUtilized(), tcC, ck)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", label, err)
+		}
+		if !reflect.DeepEqual(stripMetrics(resA), stripMetrics(resC)) {
+			t.Fatalf("%s: resumed Result differs\nfull:    %+v\nresumed: %+v", label, stripMetrics(resA), stripMetrics(resC))
+		}
+		if telA, telC := rA.Telemetry(), rC.Telemetry(); !reflect.DeepEqual(telA, telC) {
+			t.Fatalf("%s: resumed telemetry differs\nfull:    %+v\nresumed: %+v", label, telA, telC)
+		}
+		if dumpA, dumpC := dumpRegistry(t, regA), dumpRegistry(t, regC); dumpA != dumpC {
+			t.Fatalf("%s: metrics dumps differ\n--- full ---\n%s\n--- resumed ---\n%s", label, dumpA, dumpC)
+		}
+	}
+}
+
 // TestResumeInsideDeferralStreak: a capped run on the event kernel
 // crosses cap-deferred heads in macro windows, replaying the skipped
 // retries — with the decision step's views for leakage-aware, with the

@@ -30,9 +30,13 @@
 //   - ForceTrip / ResetTrip latch and clear the thermal trip explicitly.
 //   - SetAmbientOffset shifts the inlet ambient from its construction-time
 //     base (CRAC outages, aisle excursions).
-//   - PinFixedDt counts active bounded fault windows; while positive,
-//     macro-stepping is ineligible and the server integrates with plain
-//     fixed-dt steps (the PR 5 event-kernel contract).
 //
 // Fan-level faults (stick, fail) live on the fans.Bank reached via Fans().
+//
+// None of these surfaces changes how the server steps between them. A
+// fault is one more input held constant until its next edge, so MacroStep
+// and MacroWindow collapse the steps inside a fault window as they do any
+// others, and a dark machine's relaxation collapses exactly (see
+// MacroStep). The only fallbacks to plain steps are the RK4 integrator,
+// slewing fans and the trip-guard band.
 package server

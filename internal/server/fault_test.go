@@ -169,34 +169,3 @@ func TestSetAmbientOffset(t *testing.T) {
 		t.Fatalf("hotter aisle raised dies only %.1f -> %.1f", ref, got)
 	}
 }
-
-func TestPinFixedDtBlocksMacroEligibility(t *testing.T) {
-	s := newServer(t)
-	s.SetLoad(30)
-	for i := 0; i < 1200 && !s.macroEligible(); i++ {
-		s.Step(1)
-	}
-	if !s.macroEligible() {
-		t.Fatal("server never became macro-eligible")
-	}
-	s.PinFixedDt(1)
-	if s.macroEligible() {
-		t.Fatal("pinned server still macro-eligible")
-	}
-	s.PinFixedDt(1)
-	s.PinFixedDt(-1)
-	if s.macroEligible() {
-		t.Fatal("nested pin released too early")
-	}
-	s.PinFixedDt(-1)
-	if !s.macroEligible() {
-		t.Fatal("unpinned server not macro-eligible again")
-	}
-	// The counter must not go negative (a stray extra release is clamped).
-	s.PinFixedDt(-1)
-	s.PinFixedDt(1)
-	if s.macroEligible() {
-		t.Fatal("clamped counter lost a pin")
-	}
-	s.PinFixedDt(-1)
-}

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"math"
+
 	"repro/internal/thermal"
 	"repro/internal/units"
 )
@@ -44,6 +46,13 @@ const tripGuardC = 5
 // window cannot be collapsed: RK4 integration, slewing fans (the airflow
 // conductances move every step), proximity to the thermal-trip threshold,
 // or a transient faster than the drift tolerance.
+//
+// Fault state needs no fallback of its own: a stuck or failed fan, a
+// drooping supply or a shifted ambient is one more constant input between
+// the edges that change it. A dark machine (SetPowered(false)) collapses
+// too. Nothing feeds back on its temperatures, so its linearization has
+// zero slopes and is exact, it draws no energy, and its DIMMs relax at
+// zero load, as Step's dark branch does.
 func (s *Server) MacroStep(dt float64, maxSteps int) int {
 	if maxSteps > 1 && dt > 0 && s.macroEligible() {
 		if n := s.stepMacroCore(dt, maxSteps); n > 0 {
@@ -149,7 +158,6 @@ type MacroStats struct {
 	// Plain-step fallbacks inside macro windows, split by the veto that
 	// forced them (checked in macroEligible's order).
 	PlainIntegrator int // RK4 configured: closed form needs the exact map
-	PlainPinned     int // dark machine or active fault window (PinFixedDt)
 	PlainSlew       int // fans slewing: conductances move every step
 	PlainTripBand   int // within tripGuardC of CriticalTemp
 	PlainDrift      int // drift cap rejected the first doubling
@@ -171,8 +179,6 @@ func (s *Server) countVetoPlain() {
 	switch {
 	case s.cfg.ThermalIntegrator != thermal.IntegratorExact:
 		s.macroStats.PlainIntegrator++
-	case !s.powered || s.fixedPin > 0:
-		s.macroStats.PlainPinned++
 	case !s.fans.Settled():
 		s.macroStats.PlainSlew++
 	default:
@@ -182,16 +188,14 @@ func (s *Server) countVetoPlain() {
 
 // macroEligible reports whether the server's state permits collapsing
 // steps at all (cheap checks; the drift cap inside stepMacroCore does the
-// quantitative one).
+// quantitative one). A dark machine is always eligible on the exact
+// integrator: Step neither slews its fans nor checks it for a trip.
 func (s *Server) macroEligible() bool {
 	if s.cfg.ThermalIntegrator != thermal.IntegratorExact {
 		return false
 	}
-	if !s.powered || s.fixedPin > 0 {
-		// A dark machine's relaxation and any active bounded fault window
-		// (PinFixedDt) integrate with plain fixed-dt steps — the PR 5
-		// contract for fault windows.
-		return false
+	if !s.powered {
+		return true
 	}
 	if !s.fans.Settled() {
 		return false
@@ -214,6 +218,18 @@ func (s *Server) stepMacroCore(dt float64, maxSteps int) int {
 	}
 	for i := range s.macroSlopes {
 		s.macroSlopes[i] = 0
+	}
+	if !s.powered {
+		// Dark: no source depends on temperature, so the zero-slope map is
+		// the plain step's map itself and needs no drift cap. The machine
+		// draws nothing.
+		n := s.net.StepLinearizedN(dt, maxSteps, s.macroSlopes, math.Inf(1), s.macroSums)
+		if n > 0 {
+			s.clock += float64(n) * dt
+			s.macroStats.Anchors++
+			s.macroStats.CollapsedSteps += n
+		}
+		return n
 	}
 	nSockets := float64(len(s.dieNodes))
 	lm := s.cfg.Power.Leakage
@@ -270,8 +286,14 @@ func (s *Server) stepMacroCore(dt float64, maxSteps int) int {
 
 // flushMacro applies the bookkeeping deferred across n collapsed steps:
 // the DIMM first-order lag (exact closed form — conditions were constant
-// while the steps were pending) and the separately metered fan energy.
+// while the steps were pending) and the separately metered fan energy. A
+// dark machine's DIMMs relax at zero load and airflow, and its fans draw
+// nothing, as in Step.
 func (s *Server) flushMacro(dt float64, n int) {
+	if !s.powered {
+		s.mem.StepN(dt, n, s.cfg.Ambient, 0, 0)
+		return
+	}
 	s.mem.StepN(dt, n, s.cfg.Ambient, s.cpu.Utilization(), s.fans.MeanRPM())
 	s.fanEnergy += units.Energy(s.fans.Power(), float64(n)*dt)
 }

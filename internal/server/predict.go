@@ -33,12 +33,14 @@ const bandMaxAnchors = 64
 // conservative: the band shrinks by the worst sensor offset, a 6σ sensor
 // noise allowance, and the linearization margin, and its upper edge is
 // clamped below the thermal-trip guard band so a promised window can never
-// span a natural trip. Returns 0 — no promise beyond the next instant —
-// whenever the server is not macro-eligible (RK4, dark, fault-pinned,
-// slewing fans, trip risk), the band is empty after shrinking, or the
-// trajectory drifts too fast to predict.
+// span a natural trip. Active fault windows do not stop it: their inputs
+// are constant between edges like any other. Returns 0 — no promise
+// beyond the next instant — for a dark machine (the walk injects a powered
+// machine's heat, see fillPredictInputs), whenever the server is not
+// macro-eligible (RK4, slewing fans, trip risk), when the band is empty
+// after shrinking, or when the trajectory drifts too fast to predict.
 func (s *Server) BandDecisionHorizon(dt float64, first, stride, maxChecks int, lo, hi units.Celsius) int {
-	if dt <= 0 || first < 1 || stride < 1 || maxChecks < 1 || !s.macroEligible() {
+	if dt <= 0 || first < 1 || stride < 1 || maxChecks < 1 || !s.powered || !s.macroEligible() {
 		return 0
 	}
 	dieLo := math.Inf(-1)
@@ -163,9 +165,9 @@ func (s *Server) predictWalk(dt float64, n int, tol float64, anchors *int, hotte
 // not support it: a non-exact integrator, a dark machine, slewing fans
 // (conductances move every step), a negative leakage K2 or K3, or a die
 // inside the trip-guard band (a trip would change the fan command).
-// Active fault windows (PinFixedDt) do not stop it: they pin the server
-// to the plain steps the floor bounds. Like BandDecisionHorizon it never
-// touches the live thermal state.
+// Active fault windows do not stop it: their inputs are constant between
+// edges like any other. Like BandDecisionHorizon it never touches the live
+// thermal state.
 func (s *Server) DieFloor(dt float64, steps int, floor, walk []float64) int {
 	lm := s.cfg.Power.Leakage
 	if dt <= 0 || steps < 1 || len(floor) < steps || (walk != nil && len(walk) < steps) ||

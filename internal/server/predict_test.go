@@ -113,6 +113,13 @@ func TestBandDecisionHorizonRefusals(t *testing.T) {
 	if m := srv.BandDecisionHorizon(1, 1, 1, 10, 0, wide); m != 0 {
 		t.Errorf("slewing fans must refuse, got %d", m)
 	}
+	// A dark machine macro-steps, but the walk would heat it as a powered
+	// one.
+	dark, _ := macroPair(t, func(c *Config) { c.TempNoise = 0 })
+	dark.SetPowered(false)
+	if m := dark.BandDecisionHorizon(1, 1, 1, 10, 0, wide); m != 0 {
+		t.Errorf("a dark machine must refuse, got %d", m)
+	}
 }
 
 // TestBandDecisionHorizonNoise: with sensor noise configured the die band

@@ -39,11 +39,9 @@ type Server struct {
 
 	// Fault-injection state (see internal/fault and doc.go). powered=false
 	// is a dark machine: zero draw, zero injected heat, fans spun down.
-	// baseAmbient anchors SetAmbientOffset; fixedPin counts active fault
-	// windows that pin macro-stepping to plain fixed-dt steps.
+	// baseAmbient anchors SetAmbientOffset.
 	powered     bool
 	baseAmbient units.Celsius
-	fixedPin    int
 
 	// DVFS state (extension): scaling factors relative to the top P-state.
 	// Dynamic CPU power scales as freqScale·voltScale², leakage as
@@ -493,18 +491,6 @@ func (s *Server) Powered() bool { return s.powered }
 // FansSettled reports whether the fan bank has reached its commanded
 // speeds (fans.Bank.Settled) — false while a slew is in flight.
 func (s *Server) FansSettled() bool { return s.fans.Settled() }
-
-// PinFixedDt adjusts the count of active fault windows pinning this server
-// to plain fixed-dt stepping (delta +1 on inject, -1 on clear). While the
-// count is positive, macro-stepping is ineligible and MacroWindow falls
-// back to exact per-step integration — the PR 5 contract for bounded fault
-// windows.
-func (s *Server) PinFixedDt(delta int) {
-	s.fixedPin += delta
-	if s.fixedPin < 0 {
-		s.fixedPin = 0
-	}
-}
 
 // SetAmbientOffset shifts the inlet ambient to the construction-time base
 // plus delta °C (fault injection: ambient excursions and CRAC-outage heat

@@ -33,7 +33,6 @@ type State struct {
 	Powered    bool
 
 	AmbientOffsetC float64
-	FixedPin       int
 
 	FreqScale float64
 	VoltScale float64
@@ -57,7 +56,6 @@ func (s *Server) State() State {
 		Tripped:        s.tripped,
 		Powered:        s.powered,
 		AmbientOffsetC: float64(s.AmbientOffset()),
-		FixedPin:       s.fixedPin,
 		FreqScale:      s.freqScale,
 		VoltScale:      s.voltScale,
 		Throttled:      s.throttled,
@@ -89,7 +87,6 @@ func (s *Server) SetState(st State) error {
 	s.tripped = st.Tripped
 	s.powered = st.Powered
 	s.cfg.Ambient = s.baseAmbient + units.Celsius(st.AmbientOffsetC)
-	s.fixedPin = st.FixedPin
 	s.freqScale = st.FreqScale
 	s.voltScale = st.VoltScale
 	s.throttled = st.Throttled

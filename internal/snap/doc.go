@@ -71,6 +71,14 @@
 // restart), not archival data, and refusing to guess beats resuming from
 // misread state.
 //
+// Version history:
+//
+//   - 1: encoding/gob payload (no golden file; the fuzz corpus keeps one).
+//   - 2: this binary codec (testdata/checkpoint-v2.snap).
+//   - 3: server.State loses FixedPin and server.MacroStats loses
+//     PlainPinned, since fault windows and dark slots macro-step like any
+//     other interval (testdata/checkpoint-v3.snap).
+//
 // # Checkpoint instants
 //
 // A checkpoint is only captured at a decision-step boundary — the top of

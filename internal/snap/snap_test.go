@@ -188,8 +188,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"empty":          {nil, &payload{}, "read header"},
 		"short header":   {g[:5], &payload{}, "read header"},
 		"bad magic":      {append([]byte("NOTASNAP"), g[8:]...), &payload{}, "bad magic"},
-		"future version": {append(append([]byte{}, g[:8]...), 0, 0, 0, 99), &payload{}, "snapshot version 99, this build reads 2"},
-		"v1 gob header":  {[]byte("REPROSNP\x00\x00\x00\x01\x1f\xff\x81\x03\x01\x01\x07payload"), &payload{}, "snapshot version 1, this build reads 2"},
+		"future version": {append(append([]byte{}, g[:8]...), 0, 0, 0, 99), &payload{}, fmt.Sprintf("snapshot version 99, this build reads %d", Version)},
+		"v1 gob header":  {[]byte("REPROSNP\x00\x00\x00\x01\x1f\xff\x81\x03\x01\x01\x07payload"), &payload{}, fmt.Sprintf("snapshot version 1, this build reads %d", Version)},
 		"no fingerprint": {g[:verEnd+3], &payload{}, "read header"},
 		"header only":    {g[:headerLen], &payload{}, "truncated"},
 		"truncated":      {g[:len(g)-1], &payload{}, "exceeds"},
