@@ -1,8 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper, plus
-// ablations of the design choices called out in DESIGN.md. Each benchmark
-// reports the headline quantities of its experiment as custom metrics, so
-// `go test -bench=. -benchmem` doubles as the experiment record consumed by
-// EXPERIMENTS.md.
+// ablations of the controllers' design choices. Each benchmark reports the
+// headline quantities of its experiment as custom metrics, so
+// `go test -bench=. -benchmem` doubles as the experiment record.
 package leakctl
 
 import (
@@ -12,8 +11,8 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/cooling"
-	"repro/internal/dvfs"
 	"repro/internal/experiments"
+	"repro/internal/fitting"
 	"repro/internal/loadgen"
 	"repro/internal/lut"
 	"repro/internal/obs"
@@ -37,7 +36,7 @@ func BenchmarkFig1aTransients(b *testing.B) {
 	var results []TransientResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = Fig1a(cfg, nil)
+		results, err = experiments.Fig1a(cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,7 +54,7 @@ func BenchmarkFig1bUtilizationSweep(b *testing.B) {
 	var results []TransientResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = Fig1b(cfg, nil)
+		results, err = experiments.Fig1b(cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,11 +70,11 @@ func BenchmarkFig1bUtilizationSweep(b *testing.B) {
 // collection campaign (8 utilization levels × 5 fan speeds).
 func BenchmarkCharacterizationSweep(b *testing.B) {
 	cfg := T3Config()
-	sweep := DefaultSweep()
+	sweep := fitting.DefaultSweep()
 	var ds *Dataset
 	for i := 0; i < b.N; i++ {
 		var err error
-		ds, err = Characterize(cfg, sweep)
+		ds, err = fitting.Collect(func() (*Server, error) { return NewServer(cfg) }, sweep)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,15 +87,15 @@ func BenchmarkCharacterizationSweep(b *testing.B) {
 // RMSE=2.243 W, accuracy 98%).
 func BenchmarkLeakageFit(b *testing.B) {
 	cfg := T3Config()
-	sweep := DefaultSweep()
-	ds, err := Characterize(cfg, sweep)
+	sweep := fitting.DefaultSweep()
+	ds, err := fitting.Collect(func() (*Server, error) { return NewServer(cfg) }, sweep)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	var fit FitResult
 	for i := 0; i < b.N; i++ {
-		fit, err = FitLeakage(ds)
+		fit, err = fitting.FitLeakage(ds)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +138,7 @@ func BenchmarkFig2bAllDutycycles(b *testing.B) {
 	var curves []TradeoffCurve
 	for i := 0; i < b.N; i++ {
 		var err error
-		curves, err = Fig2b(cfg)
+		curves, err = experiments.Fig2b(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,7 +169,7 @@ func benchTableITest(b *testing.B, id int) {
 func benchTableITestCfg(b *testing.B, id int, cfg ServerConfig) {
 	ec := DefaultEval()
 	ec.SampleEvery = 0 // no traces in the benchmark
-	var row TableIRow
+	var res []RunResult
 	for i := 0; i < b.N; i++ {
 		w, err := workload.ByID(id, 42)
 		if err != nil {
@@ -180,11 +179,19 @@ func benchTableITestCfg(b *testing.B, id int, cfg ServerConfig) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		row, err = experiments.TableIRowFor(cfg, table, w, ec, 0)
+		spec := func(ctrl func() (control.Controller, error)) experiments.RunSpec {
+			return experiments.RunSpec{Label: w.Name, Cfg: cfg, Prof: w.Profile, Controller: ctrl, EC: ec}
+		}
+		res, err = experiments.RunMany([]experiments.RunSpec{
+			spec(func() (control.Controller, error) { return control.NewDefault(), nil }),
+			spec(func() (control.Controller, error) { return control.NewBangBang(control.DefaultBangBang()) }),
+			spec(func() (control.Controller, error) { return control.NewLUT(table, control.DefaultLUT()) }),
+		}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
+	row := TableIRow{Default: res[0], BangBang: res[1], LUT: res[2]}
 	idle := experiments.IdleEnergyKWh(cfg, workload.TestDuration)
 	denom := row.Default.EnergyKWh - idle
 	b.ReportMetric(row.Default.EnergyKWh*1000, "defaultWh")
@@ -245,7 +252,7 @@ func BenchmarkFig3Traces(b *testing.B) {
 	var series []Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		series, err = Fig3(cfg, 42, DefaultEval())
+		series, err = experiments.Fig3(cfg, 42, DefaultEval())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,7 +262,7 @@ func BenchmarkFig3Traces(b *testing.B) {
 }
 
 // --------------------------------------------------------------------------
-// Ablations (design choices from DESIGN.md §5)
+// Ablations of the controllers' design choices
 
 // BenchmarkAblationHoldoff sweeps the LUT controller's minimum interval
 // between fan changes (paper: 60 s) on the stochastic Test-4 shell
@@ -420,7 +427,11 @@ func BenchmarkAblationTempCap(b *testing.B) {
 			}
 			b.ReportMetric(res.EnergyKWh*1000, "Wh")
 			b.ReportMetric(res.MaxTempC, "maxTempC")
-			b.ReportMetric(float64(table.MaxPredictedTemp()), "tableMaxTempC")
+			var tableMax units.Celsius
+			for _, e := range table.Entries {
+				tableMax = max(tableMax, e.PredictedTemp)
+			}
+			b.ReportMetric(float64(tableMax), "tableMaxTempC")
 		})
 	}
 }
@@ -460,56 +471,12 @@ func BenchmarkAblationAmbient(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionDVFS compares the paper's fan-only LUT against the
-// coordinated DVFS+fan extension (DESIGN.md §6) on the Test-4 shell
-// workload, reporting both energies and the coordinated policy's deepest
-// P-state.
-func BenchmarkExtensionDVFS(b *testing.B) {
-	cfg := T3Config()
-	fanTable, err := lut.Build(cfg, lut.DefaultBuild())
-	if err != nil {
-		b.Fatal(err)
-	}
-	coordTable, err := dvfs.Build(cfg, dvfs.DefaultBuild())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ec := DefaultEval()
-	ec.SampleEvery = 0
-	ec.PWM = false
-	var fanOnly RunResult
-	var coord dvfs.RunResult
-	for i := 0; i < b.N; i++ {
-		w, err := workload.ByID(4, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lc, err := control.NewLUT(fanTable, control.DefaultLUT())
-		if err != nil {
-			b.Fatal(err)
-		}
-		fanOnly, err = experiments.RunControlled(cfg, w.Profile, lc, ec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		coord, err = dvfs.Run(cfg, coordTable, w.Profile, dvfs.DefaultRun())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(fanOnly.EnergyKWh*1000, "fanOnlyWh")
-	b.ReportMetric(coord.EnergyKWh*1000, "coordWh")
-	b.ReportMetric(100*(fanOnly.EnergyKWh-coord.EnergyKWh)/fanOnly.EnergyKWh, "extraSavPct")
-	b.ReportMetric(coord.MinFreq, "minFreqScale")
-	b.ReportMetric(coord.MaxTempC, "coordMaxTempC")
-}
-
 // BenchmarkExtensionReliability analyzes the Fig. 3 temperature traces with
 // the Arrhenius + Coffin-Manson reliability models: the LUT's steadier
 // trace should accumulate less cycling damage than bang-bang's.
 func BenchmarkExtensionReliability(b *testing.B) {
 	cfg := T3Config()
-	series, err := Fig3(cfg, 42, DefaultEval())
+	series, err := experiments.Fig3(cfg, 42, DefaultEval())
 	if err != nil {
 		b.Fatal(err)
 	}

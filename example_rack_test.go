@@ -88,7 +88,7 @@ func ExamplePlacementPolicy() {
 		{ID: 0, Arrival: 0, Duration: 600, Demand: 30},
 		{ID: 1, Arrival: 10, Duration: 600, Demand: 30},
 	}
-	res, err := leakctl.RunJobTrace(r, jobs, hottestFirst{}, 1, 60)
+	res, err := leakctl.RunJobTraceCfg(r, jobs, hottestFirst{}, leakctl.TraceConfig{Dt: 1, Horizon: 60})
 	if err != nil {
 		panic(err)
 	}

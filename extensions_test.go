@@ -2,59 +2,10 @@ package leakctl
 
 import (
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/reliability"
 )
-
-func TestFacadeDVFSTable(t *testing.T) {
-	cfg := T3Config()
-	table, err := BuildDVFSTable(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Entries) == 0 {
-		t.Fatal("empty coordinated table")
-	}
-	// The coordinated table is at least as good as the fan-only table at
-	// every utilization: the (P0, fan) choice is always in its search
-	// space, so CPUFanPower ≤ fan-only leak+fan + active at P0.
-	fanTable, err := BuildLUT(cfg, DefaultLUTBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range table.Entries {
-		f := fanTable.Entries[i]
-		if e.Util != f.Util {
-			t.Fatalf("grid mismatch at %d", i)
-		}
-		fanOnlyTotal := float64(f.FanLeakPower) + float64(cfg.Power.Active.Power(f.Util))
-		if float64(e.CPUFanPower) > fanOnlyTotal+1e-9 {
-			t.Fatalf("U=%v: coordinated %.2f W worse than fan-only %.2f W",
-				e.Util, float64(e.CPUFanPower), fanOnlyTotal)
-		}
-	}
-}
-
-func TestFacadeRunCoordinated(t *testing.T) {
-	cfg := T3Config()
-	table, err := BuildDVFSTable(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests, err := TestWorkloads(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunCoordinated(cfg, table, tests[0].Profile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.EnergyKWh <= 0 || res.Throttled {
-		t.Fatalf("coordinated run: %+v", res)
-	}
-	// Test-1 ramps to 100%: the policy must return to P0 for the peak.
-	if res.MaxTempC > 76 {
-		t.Fatalf("coordinated max temp %g", res.MaxTempC)
-	}
-}
 
 func TestFacadeReliability(t *testing.T) {
 	// Oscillating trace accumulates more damage than a steady one.
@@ -68,11 +19,11 @@ func TestFacadeReliability(t *testing.T) {
 			osc[i] = 75
 		}
 	}
-	sRep, err := AnalyzeReliability(steady)
+	sRep, err := reliability.Analyze(steady)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oRep, err := AnalyzeReliability(osc)
+	oRep, err := reliability.Analyze(osc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +37,13 @@ func TestFig3ReliabilityOrdering(t *testing.T) {
 	// The quantified version of the paper's reliability argument: the
 	// bang-bang controller's thermal cycles cost more fatigue damage than
 	// the LUT's steady operation.
-	series, err := Fig3(T3Config(), 42, DefaultEval())
+	series, err := experiments.Fig3(T3Config(), 42, DefaultEval())
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports := map[string]ReliabilityReport{}
+	reports := map[string]reliability.Report{}
 	for _, s := range series {
-		rep, err := AnalyzeReliability(s.Y)
+		rep, err := reliability.Analyze(s.Y)
 		if err != nil {
 			t.Fatal(err)
 		}

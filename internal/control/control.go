@@ -443,6 +443,3 @@ func (l *LUT) QuietUntil(now float64) float64 {
 	}
 	return l.quietUntil
 }
-
-// Table exposes the controller's table (for reports).
-func (l *LUT) Table() *lut.Table { return l.table }

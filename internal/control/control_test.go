@@ -159,7 +159,7 @@ func TestLUTProactiveResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Name() != "LUT" || l.Table() != table {
+	if l.Name() != "LUT" || l.table != table {
 		t.Fatal("accessors")
 	}
 	// Idle: choose the 0% entry (1800).

@@ -44,18 +44,13 @@ type CRACModel struct {
 	// moved (dimensionless, e.g. 0.05 = 5%). The blower sits in the air
 	// stream, so its own power joins the heat the chiller must remove.
 	BlowerCoeff float64
-	// CapacityW is the rated heat-removal capacity, used to scale the
-	// return-air temperature rise.
-	CapacityW float64
-	// AirRiseC is the supply→return air temperature rise at rated capacity.
-	AirRiseC units.Celsius
 }
 
-// DefaultCRAC returns a room unit sized for a few racks: 18 °C supply (the
-// reference, so the default is the identity on server ambients), a 5%
-// air-transport cost, and a 12 °C design air-side rise at 40 kW.
+// DefaultCRAC returns the reference room unit: 18 °C supply (the
+// reference, so the default is the identity on server ambients) and a 5%
+// air-transport cost.
 func DefaultCRAC() CRACModel {
-	return CRACModel{SupplyC: 18, ReferenceC: 18, BlowerCoeff: 0.05, CapacityW: 40000, AirRiseC: 12}
+	return CRACModel{SupplyC: 18, ReferenceC: 18, BlowerCoeff: 0.05}
 }
 
 // Validate reports parameterization errors. Every field is additionally
@@ -67,16 +62,11 @@ func (c CRACModel) Validate() error {
 		field{"supply setpoint", float64(c.SupplyC)},
 		field{"reference supply", float64(c.ReferenceC)},
 		field{"blower coefficient", c.BlowerCoeff},
-		field{"capacity", c.CapacityW},
-		field{"air rise", float64(c.AirRiseC)},
 	); err != nil {
 		return err
 	}
 	if c.BlowerCoeff < 0 {
 		return fmt.Errorf("cooling: CRAC blower coefficient must be >= 0, got %g", c.BlowerCoeff)
-	}
-	if c.CapacityW <= 0 {
-		return fmt.Errorf("cooling: CRAC capacity must be positive, got %g", c.CapacityW)
 	}
 	return nil
 }
@@ -93,16 +83,6 @@ func (c CRACModel) BlowerPower(heatW float64) float64 {
 		return 0
 	}
 	return c.BlowerCoeff * heatW
-}
-
-// ReturnC is the return-air (hot aisle) temperature implied by the heat
-// load: the supply setpoint plus the design rise scaled by load over rated
-// capacity. Telemetry flavor; the energy accounting never depends on it.
-func (c CRACModel) ReturnC(heatW float64) units.Celsius {
-	if heatW <= 0 {
-		return c.SupplyC
-	}
-	return c.SupplyC + units.Celsius(float64(c.AirRiseC)*heatW/c.CapacityW)
 }
 
 // ChillerModel produces the chilled water the CRAC coil consumes. Its

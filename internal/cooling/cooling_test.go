@@ -91,21 +91,6 @@ func TestAmbientDelta(t *testing.T) {
 	}
 }
 
-// TestReturnAir checks the supply/return loop telemetry: return air sits
-// above supply in proportion to load, and equals supply when idle.
-func TestReturnAir(t *testing.T) {
-	c := DefaultCRAC()
-	if r := c.ReturnC(0); r != c.SupplyC {
-		t.Fatalf("idle return air %v, want supply %v", r, c.SupplyC)
-	}
-	if r := c.ReturnC(c.CapacityW); r != c.SupplyC+c.AirRiseC {
-		t.Fatalf("rated-load return air %v, want %v", r, c.SupplyC+c.AirRiseC)
-	}
-	if c.ReturnC(2000) <= c.SupplyC || c.ReturnC(4000) <= c.ReturnC(2000) {
-		t.Fatal("return air must rise with load")
-	}
-}
-
 // TestValidation covers the error paths.
 func TestValidation(t *testing.T) {
 	f := DefaultFacility(18)
@@ -116,11 +101,6 @@ func TestValidation(t *testing.T) {
 	bad.CRAC.BlowerCoeff = -1
 	if bad.Validate() == nil {
 		t.Fatal("negative blower coefficient must be rejected")
-	}
-	bad = f
-	bad.CRAC.CapacityW = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero CRAC capacity must be rejected")
 	}
 	bad = f
 	bad.Chiller.COP0 = 0
@@ -149,8 +129,6 @@ func TestValidationRejectsNonFinite(t *testing.T) {
 			func(c *CRACModel) { c.SupplyC = units.Celsius(v) },
 			func(c *CRACModel) { c.ReferenceC = units.Celsius(v) },
 			func(c *CRACModel) { c.BlowerCoeff = v },
-			func(c *CRACModel) { c.CapacityW = v },
-			func(c *CRACModel) { c.AirRiseC = units.Celsius(v) },
 		}
 		for i, mut := range crac {
 			c := DefaultCRAC()

@@ -22,9 +22,6 @@ func T3Topology() Topology {
 	return Topology{Sockets: 2, CoresPerSocket: 16, ThreadsPerCore: 8}
 }
 
-// Threads returns the total hardware thread count.
-func (t Topology) Threads() int { return t.Sockets * t.CoresPerSocket * t.ThreadsPerCore }
-
 // Cores returns the total core count.
 func (t Topology) Cores() int { return t.Sockets * t.CoresPerSocket }
 
@@ -106,14 +103,6 @@ func (c *Complex) Utilization() units.Percent {
 		s += u
 	}
 	return units.Percent(s / float64(len(c.util)))
-}
-
-// CoreUtilization returns one core's utilization.
-func (c *Complex) CoreUtilization(core int) (units.Percent, error) {
-	if core < 0 || core >= len(c.util) {
-		return 0, fmt.Errorf("cpu: core %d out of range [0,%d)", core, len(c.util))
-	}
-	return units.Percent(c.util[core]), nil
 }
 
 // SocketUtilization returns the average utilization of one socket.

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -190,3 +191,14 @@ func TestSensorPowerSumMatchesVILoop(t *testing.T) {
 		}
 	}
 }
+
+// CoreUtilization returns one core's utilization.
+func (c *Complex) CoreUtilization(core int) (units.Percent, error) {
+	if core < 0 || core >= len(c.util) {
+		return 0, fmt.Errorf("cpu: core %d out of range [0,%d)", core, len(c.util))
+	}
+	return units.Percent(c.util[core]), nil
+}
+
+// Threads returns the total hardware thread count.
+func (t Topology) Threads() int { return t.Sockets * t.CoresPerSocket * t.ThreadsPerCore }

@@ -303,17 +303,6 @@ func assembleRow(w workload.Named, results []RunResult, idleKWh float64) TableIR
 	return row
 }
 
-// TableIRowFor evaluates the three controllers on a single workload against
-// a prebuilt table — the unit the benchmarks and ablations time — fanning
-// the three runs out over the worker pool.
-func TableIRowFor(cfg server.Config, table *lut.Table, w workload.Named, ec EvalConfig, workers int) (TableIRow, error) {
-	results, err := RunMany(controllerSpecs(cfg, table, w, ec), workers)
-	if err != nil {
-		return TableIRow{}, err
-	}
-	return assembleRow(w, results, IdleEnergyKWh(cfg, workload.TestDuration)), nil
-}
-
 // FormatTableI renders rows in the paper's Table I layout.
 func FormatTableI(w io.Writer, rows []TableIRow) error {
 	headers := []string{"Test", "Control", "Energy(kWh)", "NetSav(%)", "Peak(W)", "MaxT(°C)", "#fan", "AvgRPM"}

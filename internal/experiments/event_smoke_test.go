@@ -87,6 +87,23 @@ func compareRows(t *testing.T, fixedRows, eventRows []RackPolicyResult) (speedup
 					f.Policy, m.name, d, m.e, m.f)
 			}
 		}
+		// Every row runs LUT control, under which the event kernel's
+		// energies sit at or below fixed-dt's (see sched's
+		// assertEquivalent): the sign of the error is pinned too.
+		if fs == es {
+			for _, m := range []struct {
+				name string
+				f, e float64
+			}{
+				{"TotalEnergyKWh", f.Rack.TotalEnergyKWh, e.Rack.TotalEnergyKWh},
+				{"WallEnergyKWh", f.Rack.WallEnergyKWh, e.Rack.WallEnergyKWh},
+				{"FacilityEnergyKWh", f.Rack.FacilityEnergyKWh, e.Rack.FacilityEnergyKWh},
+			} {
+				if m.e > m.f*(1+1e-12) {
+					t.Errorf("%s: %s on the event kernel %.17g above fixed-dt %.17g", f.Policy, m.name, m.e, m.f)
+				}
+			}
+		}
 		if f.Rack.FanChanges != e.Rack.FanChanges {
 			t.Errorf("%s: fan changes differ: %d vs %d", f.Policy, f.Rack.FanChanges, e.Rack.FanChanges)
 		}

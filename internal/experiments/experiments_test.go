@@ -340,3 +340,33 @@ func TestConvexishDetector(t *testing.T) {
 		t.Error("empty optimum should error")
 	}
 }
+
+// IsConvexish reports whether the sum decreases to a single minimum and
+// then increases along the temperature axis — the qualitative claim of
+// Fig. 2(a).
+func (c TradeoffCurve) IsConvexish() bool {
+	if len(c.Points) < 3 {
+		return false
+	}
+	sums := make([]float64, len(c.Points))
+	for i, p := range c.Points {
+		sums[i] = float64(p.Sum())
+	}
+	minIdx := 0
+	for i, s := range sums {
+		if s < sums[minIdx] {
+			minIdx = i
+		}
+	}
+	for i := 1; i <= minIdx; i++ {
+		if sums[i] > sums[i-1]+1e-9 {
+			return false
+		}
+	}
+	for i := minIdx + 1; i < len(sums); i++ {
+		if sums[i] < sums[i-1]-1e-9 {
+			return false
+		}
+	}
+	return true
+}

@@ -55,7 +55,7 @@ func TestTableILUTWinsEveryTest(t *testing.T) {
 	// every test, bang-bang in between. In our calibration the LUT/bang
 	// comparison is a statistical near-tie on some tests (the late-reaction
 	// leakage penalty almost exactly cancels the fan savings at the slow
-	// calibrated thermal constants — see EXPERIMENTS.md), so we require
+	// calibrated thermal constants), so we require
 	// LUT ≤ bang within a 1 Wh tolerance, and both strictly below default.
 	const tieTolKWh = 0.001
 	for _, r := range tableIRows(t) {

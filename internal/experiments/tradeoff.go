@@ -41,36 +41,6 @@ func (c TradeoffCurve) Optimum() (TradeoffPoint, error) {
 	return best, nil
 }
 
-// IsConvexish reports whether the sum decreases to a single minimum and
-// then increases along the temperature axis — the qualitative claim of
-// Fig. 2(a).
-func (c TradeoffCurve) IsConvexish() bool {
-	if len(c.Points) < 3 {
-		return false
-	}
-	sums := make([]float64, len(c.Points))
-	for i, p := range c.Points {
-		sums[i] = float64(p.Sum())
-	}
-	minIdx := 0
-	for i, s := range sums {
-		if s < sums[minIdx] {
-			minIdx = i
-		}
-	}
-	for i := 1; i <= minIdx; i++ {
-		if sums[i] > sums[i-1]+1e-9 {
-			return false
-		}
-	}
-	for i := minIdx + 1; i < len(sums); i++ {
-		if sums[i] < sums[i-1]-1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
 // Tradeoff computes the steady-state fan/leakage tradeoff curve at one
 // utilization across a set of fan speeds, using the analytic steady-state
 // solver. Unstable (runaway) points are skipped. The per-RPM solves fan out

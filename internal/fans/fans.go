@@ -3,11 +3,8 @@
 // power supply, exactly as in the paper's experimental setup (Section III).
 //
 // The physical fans cannot jump between speeds instantaneously; a slew-rate
-// limit models spin-up/spin-down. Each fan exposes a tachometer whose
-// reading carries a small deterministic ripple, standing in for the paper's
-// vibration-sensor speed verification. A fan can be forced into a "stuck"
-// fault state for failure-injection experiments (an extension beyond the
-// paper).
+// limit models spin-up/spin-down. A fan can be forced into a "stuck" fault
+// state for failure-injection experiments (an extension beyond the paper).
 package fans
 
 import (
@@ -20,7 +17,6 @@ import (
 
 // Fan models a single fan unit.
 type Fan struct {
-	name     string
 	actual   units.RPM // current physical speed
 	target   units.RPM
 	minRPM   units.RPM
@@ -28,7 +24,6 @@ type Fan struct {
 	slewRate float64 // RPM per second toward the target
 	law      power.FanLaw
 	stuck    bool
-	phase    float64 // tach ripple phase
 }
 
 // Config describes the fan population of a server.
@@ -39,7 +34,6 @@ type Config struct {
 	InitialRPM units.RPM // speed at power-on (paper protocol: 3600)
 	SlewRate   float64   // RPM/s a fan can change (default 600)
 	BankCoeff  float64   // cubic coefficient for the WHOLE bank, W/RPM³
-	TachRipple float64   // relative tach reading ripple amplitude (e.g. 0.005)
 }
 
 // DefaultConfig returns the paper's fan arrangement with the calibrated
@@ -52,7 +46,6 @@ func DefaultConfig() Config {
 		InitialRPM: 3600,
 		SlewRate:   600,
 		BankCoeff:  3.5e-10,
-		TachRipple: 0.005,
 	}
 }
 
@@ -95,14 +88,12 @@ func NewBank(cfg Config) (*Bank, error) {
 	}
 	for i := 0; i < n; i++ {
 		b.fans = append(b.fans, &Fan{
-			name:     fmt.Sprintf("FM%d-%c", i/2, 'A'+rune(i%2)),
 			actual:   init,
 			target:   init,
 			minRPM:   cfg.MinRPM,
 			maxRPM:   cfg.MaxRPM,
 			slewRate: cfg.SlewRate,
 			law:      b.perFan,
-			phase:    float64(i) * 1.7,
 		})
 	}
 	return b, nil
@@ -118,17 +109,6 @@ func (b *Bank) SetAll(r units.RPM) {
 	for i := range b.fans {
 		b.setFan(i, r)
 	}
-}
-
-// SetPair commands one pair (0-based) to a speed. Out-of-range pair indices
-// are reported as errors.
-func (b *Bank) SetPair(pair int, r units.RPM) error {
-	if pair < 0 || pair >= b.cfg.Pairs {
-		return fmt.Errorf("fans: pair %d out of range [0,%d)", pair, b.cfg.Pairs)
-	}
-	b.setFan(pair*2, r)
-	b.setFan(pair*2+1, r)
-	return nil
 }
 
 func (b *Bank) setFan(i int, r units.RPM) {
@@ -225,18 +205,6 @@ func (b *Bank) Target() units.RPM {
 	return 0
 }
 
-// Tach returns the tachometer reading of fan i at simulation time t seconds.
-// The reading carries a small sinusoidal ripple, standing in for vibration
-// sensing noise; use MeanRPM for the true value.
-func (b *Bank) Tach(i int, t float64) (units.RPM, error) {
-	if i < 0 || i >= len(b.fans) {
-		return 0, fmt.Errorf("fans: fan %d out of range", i)
-	}
-	f := b.fans[i]
-	ripple := 1 + b.cfg.TachRipple*math.Sin(0.9*t+f.phase)
-	return units.RPM(float64(f.actual) * ripple), nil
-}
-
 // StickFan freezes fan i at its current speed (fault injection). Commands to
 // a stuck fan are ignored until UnstickFan.
 func (b *Bank) StickFan(i int) error {
@@ -288,66 +256,3 @@ func (b *Bank) Spindown() {
 
 // Range returns the legal command range.
 func (b *Bank) Range() (lo, hi units.RPM) { return b.cfg.MinRPM, b.cfg.MaxRPM }
-
-// Levels returns the discrete speed settings the paper's controllers use:
-// MinRPM to MaxRPM in steps of `step` RPM.
-func (b *Bank) Levels(step units.RPM) []units.RPM {
-	if step <= 0 {
-		step = 600
-	}
-	var out []units.RPM
-	for r := b.cfg.MinRPM; r <= b.cfg.MaxRPM; r += step {
-		out = append(out, r)
-	}
-	return out
-}
-
-// Supply models one channel of the external lab power supply driving a fan
-// pair (the paper uses Agilent E3644A units over RS-232). The supply maps a
-// commanded current to a fan speed through a calibrated linear relation,
-// mirroring how the paper's DLC-PC "sets the fan speed ... by increasing or
-// decreasing the current of the power supplies".
-type Supply struct {
-	// RPMPerAmp and OffsetRPM define the current→speed calibration.
-	RPMPerAmp float64
-	OffsetRPM float64
-	MaxAmps   float64
-	amps      float64
-}
-
-// NewSupply returns a supply calibrated so that 0.5 A ≈ 1800 RPM and
-// 2.0 A ≈ 4200 RPM, a plausible span for the paper's fans.
-func NewSupply() *Supply {
-	return &Supply{RPMPerAmp: 1600, OffsetRPM: 1000, MaxAmps: 2.5}
-}
-
-// SetCurrent commands a supply current in Amps, clamped to [0, MaxAmps].
-func (s *Supply) SetCurrent(a float64) {
-	if a < 0 {
-		a = 0
-	}
-	if a > s.MaxAmps {
-		a = s.MaxAmps
-	}
-	s.amps = a
-}
-
-// Current returns the present current setting.
-func (s *Supply) Current() float64 { return s.amps }
-
-// RPM returns the fan speed this current produces.
-func (s *Supply) RPM() units.RPM {
-	return units.RPM(s.OffsetRPM + s.RPMPerAmp*s.amps)
-}
-
-// CurrentFor returns the current needed for a target speed.
-func (s *Supply) CurrentFor(r units.RPM) float64 {
-	a := (float64(r) - s.OffsetRPM) / s.RPMPerAmp
-	if a < 0 {
-		a = 0
-	}
-	if a > s.MaxAmps {
-		a = s.MaxAmps
-	}
-	return a
-}

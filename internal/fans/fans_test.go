@@ -3,8 +3,6 @@ package fans
 import (
 	"math"
 	"testing"
-
-	"repro/internal/units"
 )
 
 func newBank(t *testing.T) *Bank {
@@ -42,23 +40,6 @@ func TestBankShape(t *testing.T) {
 	lo, hi := b.Range()
 	if lo != 1800 || hi != 4200 {
 		t.Fatalf("range = [%v, %v]", lo, hi)
-	}
-}
-
-func TestLevels(t *testing.T) {
-	b := newBank(t)
-	levels := b.Levels(600)
-	want := []units.RPM{1800, 2400, 3000, 3600, 4200}
-	if len(levels) != len(want) {
-		t.Fatalf("levels = %v", levels)
-	}
-	for i := range want {
-		if levels[i] != want[i] {
-			t.Fatalf("levels = %v, want %v", levels, want)
-		}
-	}
-	if got := b.Levels(0); len(got) != 5 {
-		t.Fatalf("default step levels = %v", got)
 	}
 }
 
@@ -119,47 +100,6 @@ func TestPowerIsCubicInSpeed(t *testing.T) {
 	}
 }
 
-func TestSetPair(t *testing.T) {
-	b := newBank(t)
-	if err := b.SetPair(5, 2000); err == nil {
-		t.Error("out-of-range pair should error")
-	}
-	if err := b.SetPair(-1, 2000); err == nil {
-		t.Error("negative pair should error")
-	}
-	if err := b.SetPair(1, 2400); err != nil {
-		t.Fatal(err)
-	}
-	b.Step(60)
-	// Pair 1 at 2400, pairs 0 and 2 still at 3600.
-	want := (2*2400.0 + 4*3600.0) / 6
-	if got := float64(b.MeanRPM()); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("mean = %g, want %g", got, want)
-	}
-}
-
-func TestTachRipple(t *testing.T) {
-	b := newBank(t)
-	b.Step(60)
-	r0, err := b.Tach(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ripple is bounded by the configured amplitude.
-	if math.Abs(float64(r0)-3600)/3600 > 0.006 {
-		t.Fatalf("tach ripple too large: %v", r0)
-	}
-	if _, err := b.Tach(99, 0); err == nil {
-		t.Error("bad index should error")
-	}
-	// Readings vary over time (it is a ripple, not a constant offset).
-	r1, _ := b.Tach(0, 1)
-	r2, _ := b.Tach(0, 2)
-	if r0 == r1 && r1 == r2 {
-		t.Fatal("tach reading never changes")
-	}
-}
-
 func TestStuckFanIgnoresCommands(t *testing.T) {
 	b := newBank(t)
 	if err := b.StickFan(0); err != nil {
@@ -168,8 +108,7 @@ func TestStuckFanIgnoresCommands(t *testing.T) {
 	b.SetAll(1800)
 	b.Step(10)
 	// Fan 0 stuck at 3600; the other five at 1800.
-	r, _ := b.Tach(0, 0)
-	if math.Abs(float64(r)-3600) > 30 {
+	if r := b.fans[0].actual; r != 3600 {
 		t.Fatalf("stuck fan moved: %v", r)
 	}
 	want := (3600.0 + 5*1800.0) / 6
@@ -196,40 +135,6 @@ func TestStuckFanIgnoresCommands(t *testing.T) {
 	}
 }
 
-func TestSupplyCalibration(t *testing.T) {
-	s := NewSupply()
-	s.SetCurrent(0.5)
-	if got := float64(s.RPM()); math.Abs(got-1800) > 1 {
-		t.Fatalf("0.5A → %gRPM, want 1800", got)
-	}
-	s.SetCurrent(2.0)
-	if got := float64(s.RPM()); math.Abs(got-4200) > 1 {
-		t.Fatalf("2.0A → %gRPM, want 4200", got)
-	}
-	// Round trip.
-	for _, r := range []units.RPM{1800, 2400, 3000, 3600, 4200} {
-		s.SetCurrent(s.CurrentFor(r))
-		if got := s.RPM(); math.Abs(float64(got-r)) > 1 {
-			t.Fatalf("round trip %v → %v", r, got)
-		}
-	}
-	// Clamping.
-	s.SetCurrent(-3)
-	if s.Current() != 0 {
-		t.Fatal("negative current not clamped")
-	}
-	s.SetCurrent(99)
-	if s.Current() != s.MaxAmps {
-		t.Fatal("over-current not clamped")
-	}
-	if a := s.CurrentFor(100); a != 0 {
-		t.Fatalf("CurrentFor low speed = %g", a)
-	}
-	if a := s.CurrentFor(100000); a != s.MaxAmps {
-		t.Fatalf("CurrentFor huge speed = %g", a)
-	}
-}
-
 func TestFailedFanStopsAndDrawsNothing(t *testing.T) {
 	b := newBank(t)
 	b.SetAll(3000)
@@ -239,8 +144,7 @@ func TestFailedFanStopsAndDrawsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A failed fan moves no air and draws no power, immediately.
-	r, _ := b.Tach(0, 0)
-	if r != 0 {
+	if r := b.fans[0].actual; r != 0 {
 		t.Fatalf("failed fan still spinning at %v", r)
 	}
 	want := 5 * 3000.0 / 6
@@ -253,7 +157,7 @@ func TestFailedFanStopsAndDrawsNothing(t *testing.T) {
 	// Commands are ignored while failed.
 	b.SetAll(4200)
 	b.Step(10)
-	if r, _ := b.Tach(0, 0); r != 0 {
+	if r := b.fans[0].actual; r != 0 {
 		t.Fatalf("failed fan obeyed a command: %v", r)
 	}
 	// UnstickFan lets it slew back to its last pre-fault command (commands
@@ -262,7 +166,7 @@ func TestFailedFanStopsAndDrawsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Step(10)
-	if r, _ := b.Tach(0, 0); r != 3000 {
+	if r := b.fans[0].actual; r != 3000 {
 		t.Fatalf("recovered fan at %v, want pre-fault 3000", r)
 	}
 	if err := b.FailFan(6); err == nil {

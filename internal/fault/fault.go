@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Kind enumerates the fault taxonomy.
@@ -227,12 +226,6 @@ func (e Event) derate() float64 {
 		return DefaultPSUDroop
 	}
 	return e.Severity
-}
-
-// Sort orders the events by inject time (stable, so same-instant events
-// keep their declaration order — the order they are applied in).
-func (s *Schedule) Sort() {
-	sort.SliceStable(s.Events, func(a, b int) bool { return s.Events[a].At < s.Events[b].At })
 }
 
 // Empty reports whether the schedule carries no events; a nil schedule is

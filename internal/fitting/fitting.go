@@ -179,11 +179,6 @@ func (r FitResult) Predict(u units.Percent, t units.Celsius) units.Watts {
 	return units.Watts(r.K1*float64(u.Clamp()) + r.C + r.K2*math.Exp(r.K3*float64(t)))
 }
 
-func (r FitResult) String() string {
-	return fmt.Sprintf("k1=%.4f C=%.2f k2=%.4f k3=%.5f (rmse=%.3fW acc=%.1f%% n=%d)",
-		r.K1, r.C, r.K2, r.K3, r.RMSE, r.AccuracyPct, r.N)
-}
-
 // FitLeakage fits Pcpu = k1·U + C + k2·e^(k3·T) to the dataset by
 // Levenberg–Marquardt.
 func FitLeakage(ds *Dataset) (FitResult, error) {

@@ -83,9 +83,6 @@ func TestFitNoisyAccuracy(t *testing.T) {
 	if res.AccuracyPct < 90 {
 		t.Errorf("accuracy = %g%%, paper reports ~98%%", res.AccuracyPct)
 	}
-	if res.String() == "" {
-		t.Error("empty String()")
-	}
 }
 
 func TestFitPredictConsistency(t *testing.T) {

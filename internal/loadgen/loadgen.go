@@ -78,28 +78,6 @@ func (g *Generator) Load(t float64) units.Percent {
 	return 0
 }
 
-// Target exposes the underlying profile target at time t.
-func (g *Generator) Target(t float64) units.Percent { return g.profile.Target(t) }
-
-// Duration returns the profile duration.
-func (g *Generator) Duration() float64 { return g.profile.Duration() }
-
-// AverageLoad integrates the generated load over [t0, t1] with the given
-// sampling step and returns the mean utilization — a check that PWM hits its
-// target.
-func (g *Generator) AverageLoad(t0, t1, dt float64) units.Percent {
-	if t1 <= t0 || dt <= 0 {
-		return 0
-	}
-	var sum float64
-	n := 0
-	for t := t0; t < t1; t += dt {
-		sum += float64(g.Load(t))
-		n++
-	}
-	return units.Percent(sum / float64(n))
-}
-
 // ---------------------------------------------------------------------------
 // Profiles
 

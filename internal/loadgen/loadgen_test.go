@@ -207,17 +207,6 @@ func TestTraceValidation(t *testing.T) {
 	}
 }
 
-func TestGeneratorPassThrough(t *testing.T) {
-	p := Square{High: 80, Low: 20, HalfPeriod: 10, Dur: 100}
-	g, _ := New(p)
-	if g.Target(5) != 80 || g.Target(15) != 20 {
-		t.Fatal("Target pass-through wrong")
-	}
-	if g.Duration() != 100 {
-		t.Fatal("Duration pass-through wrong")
-	}
-}
-
 // TestPoissonTrace covers the rack job-trace generator: determinism,
 // arrival ordering, horizon bounds and validation.
 func TestPoissonTrace(t *testing.T) {
@@ -272,4 +261,20 @@ func TestPoissonTrace(t *testing.T) {
 			t.Fatalf("config %+v must be rejected", bad)
 		}
 	}
+}
+
+// AverageLoad integrates the generated load over [t0, t1] with the given
+// sampling step and returns the mean utilization — a check that PWM hits its
+// target.
+func (g *Generator) AverageLoad(t0, t1, dt float64) units.Percent {
+	if t1 <= t0 || dt <= 0 {
+		return 0
+	}
+	var sum float64
+	n := 0
+	for t := t0; t < t1; t += dt {
+		sum += float64(g.Load(t))
+		n++
+	}
+	return units.Percent(sum / float64(n))
 }

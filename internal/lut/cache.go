@@ -93,9 +93,28 @@ func (c DiskCache) write(path string, t *Table) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// BuildPerConfig is lut.BuildPerConfig behind the disk cache: identical
-// steady-state physics share one in-process build, and each distinct
-// build consults the cache directory first.
+// BuildPerConfig builds one table per server configuration — the rack
+// case: slot i's table serves both its fan controller and the
+// leakage-aware placement policy. Configurations whose steady-state
+// physics are identical share a single build (the sensor NoiseSeed is
+// ignored: noise cannot affect equilibria), and each distinct build
+// consults the cache directory first.
 func (c DiskCache) BuildPerConfig(cfgs []server.Config, b BuildConfig) ([]*Table, error) {
-	return buildPerConfig(cfgs, b, c.Build)
+	tables := make([]*Table, len(cfgs))
+	cache := map[server.Config]*Table{}
+	for i, cfg := range cfgs {
+		key := cfg
+		key.NoiseSeed = 0
+		t, ok := cache[key]
+		if !ok {
+			var err error
+			t, err = c.Build(cfg, b)
+			if err != nil {
+				return nil, fmt.Errorf("lut: build for config %d: %w", i, err)
+			}
+			cache[key] = t
+		}
+		tables[i] = t
+	}
+	return tables, nil
 }

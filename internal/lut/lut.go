@@ -109,37 +109,6 @@ func Build(cfg server.Config, b BuildConfig) (*Table, error) {
 	return &Table{Entries: entries}, nil
 }
 
-// BuildPerConfig builds one table per server configuration — the rack
-// case: slot i's table serves both its fan controller and the
-// leakage-aware placement policy. Configurations whose steady-state
-// physics are identical share a single build; the sensor NoiseSeed is
-// ignored in the comparison because noise cannot affect equilibria.
-func BuildPerConfig(cfgs []server.Config, b BuildConfig) ([]*Table, error) {
-	return buildPerConfig(cfgs, b, Build)
-}
-
-// buildPerConfig is the shared per-slot dedup layer over a build function
-// (plain Build, or DiskCache.Build for the cross-process cache).
-func buildPerConfig(cfgs []server.Config, b BuildConfig, build func(server.Config, BuildConfig) (*Table, error)) ([]*Table, error) {
-	tables := make([]*Table, len(cfgs))
-	cache := map[server.Config]*Table{}
-	for i, cfg := range cfgs {
-		key := cfg
-		key.NoiseSeed = 0
-		t, ok := cache[key]
-		if !ok {
-			var err error
-			t, err = build(cfg, b)
-			if err != nil {
-				return nil, fmt.Errorf("lut: build for config %d: %w", i, err)
-			}
-			cache[key] = t
-		}
-		tables[i] = t
-	}
-	return tables, nil
-}
-
 // Lookup returns the fan speed for utilization u. The paper's controller
 // addresses the LUT by utilization level; we round *up* to the next grid
 // entry so a between-levels load gets at least the cooling of the level
@@ -169,17 +138,6 @@ func (t *Table) EntryFor(u units.Percent) (Entry, error) {
 		}
 	}
 	return t.Entries[len(t.Entries)-1], nil
-}
-
-// MaxPredictedTemp returns the hottest steady temperature any entry accepts.
-func (t *Table) MaxPredictedTemp() units.Celsius {
-	m := units.Celsius(0)
-	for _, e := range t.Entries {
-		if e.PredictedTemp > m {
-			m = e.PredictedTemp
-		}
-	}
-	return m
 }
 
 // WriteJSON serializes the table.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/server"
+	"repro/internal/units"
 )
 
 func buildDefault(t *testing.T) *Table {
@@ -211,4 +212,15 @@ func TestFittedModelProducesSameTable(t *testing.T) {
 				truth.Entries[i].Util, approx.Entries[i].RPM, truth.Entries[i].RPM)
 		}
 	}
+}
+
+// MaxPredictedTemp returns the hottest steady temperature any entry accepts.
+func (t *Table) MaxPredictedTemp() units.Celsius {
+	m := units.Celsius(0)
+	for _, e := range t.Entries {
+		if e.PredictedTemp > m {
+			m = e.PredictedTemp
+		}
+	}
+	return m
 }

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// ExpmWorkspace is the reusable scratch of Expm and ExpmIntegral. Its
+// ExpmWorkspace is the reusable scratch of ExpmIntegral. Its
 // buffers are sized on first use and kept while the order stays the same,
 // so repeated exponentials of one size allocate nothing. The zero value is
 // ready to use; a workspace must not be shared between goroutines.
@@ -31,35 +31,6 @@ func (w *ExpmWorkspace) size(n int) (a, num, den, pow, tmp [][]float64) {
 	}
 	r := w.rows
 	return r[:n], r[n : 2*n], r[2*n : 3*n], r[3*n : 4*n], r[4*n:]
-}
-
-// Expm writes the matrix exponential exp(A) of the n×n row-major matrix a
-// into dst (also n×n row-major), using scaling-and-squaring with a [6/6]
-// Padé approximant (Moler & Van Loan, method 3). a is not modified.
-//
-// The intended use is the exact discrete propagator of a linear ODE
-// dT/dt = A·T + u: exp(A·h) advances the homogeneous part by h exactly, for
-// any h, which is what lets the thermal network replace many RK4 substeps
-// with one cached matvec.
-func (w *ExpmWorkspace) Expm(dst, a []float64, n int) error {
-	if n == 0 {
-		return nil
-	}
-	if len(a) != n*n || len(dst) != n*n {
-		return fmt.Errorf("mathx: expm of order %d needs %d entries, got %d in and %d out", n, n*n, len(a), len(dst))
-	}
-	in, num, den, pow, tmp := w.size(n)
-	for i, row := range in {
-		copy(row, a[i*n:(i+1)*n])
-	}
-	e, err := expm(in, num, den, pow, tmp)
-	if err != nil {
-		return err
-	}
-	for i, row := range e {
-		copy(dst[i*n:(i+1)*n], row)
-	}
-	return nil
 }
 
 // ExpmIntegral writes the exact discretization pair of the linear system

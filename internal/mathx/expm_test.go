@@ -1,10 +1,40 @@
 package mathx
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// Expm writes the matrix exponential exp(A) of the n×n row-major matrix a
+// into dst (also n×n row-major), using scaling-and-squaring with a [6/6]
+// Padé approximant (Moler & Van Loan, method 3). a is not modified.
+//
+// The intended use is the exact discrete propagator of a linear ODE
+// dT/dt = A·T + u: exp(A·h) advances the homogeneous part by h exactly, for
+// any h, which is what lets the thermal network replace many RK4 substeps
+// with one cached matvec.
+func (w *ExpmWorkspace) Expm(dst, a []float64, n int) error {
+	if n == 0 {
+		return nil
+	}
+	if len(a) != n*n || len(dst) != n*n {
+		return fmt.Errorf("mathx: expm of order %d needs %d entries, got %d in and %d out", n, n*n, len(a), len(dst))
+	}
+	in, num, den, pow, tmp := w.size(n)
+	for i, row := range in {
+		copy(row, a[i*n:(i+1)*n])
+	}
+	e, err := expm(in, num, den, pow, tmp)
+	if err != nil {
+		return err
+	}
+	for i, row := range e {
+		copy(dst[i*n:(i+1)*n], row)
+	}
+	return nil
+}
 
 // expmRows runs ExpmWorkspace.Expm on a matrix given as rows, the shape
 // the cases below are written in, through a fresh workspace.

@@ -1,6 +1,6 @@
 // Package mathx provides the numerical routines the reproduction needs:
-// dense linear solves, Levenberg–Marquardt nonlinear least squares, 1-D
-// interpolation, scalar root finding and explicit ODE stepping.
+// dense linear solves, Levenberg–Marquardt nonlinear least squares, the
+// matrix exponential, fixed-point iteration and RK4 ODE stepping.
 //
 // Everything is small, dense and allocation-light; the problem sizes in this
 // project are a handful of parameters and a few thousand samples.
@@ -9,7 +9,6 @@ package mathx
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrSingular is returned when a linear system has no unique solution.
@@ -45,6 +44,3 @@ func Dot(a, b []float64) float64 {
 	}
 	return s
 }
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }

@@ -112,12 +112,6 @@ func TestDotNorm(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Error("Dot wrong")
 	}
-	if Norm2([]float64{3, 4}) != 5 {
-		t.Error("Norm2 wrong")
-	}
-	if Norm2(nil) != 0 {
-		t.Error("Norm2(nil) should be 0")
-	}
 }
 
 func TestDotSymmetry(t *testing.T) {

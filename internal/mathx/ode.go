@@ -33,20 +33,6 @@ func RK4Step(f Derivative, t float64, y []float64, dt float64, scratch [][]float
 	}
 }
 
-// EulerStep advances y by one forward-Euler step of size dt, in place.
-// scratch must have at least 1 slice of len(y); pass nil to allocate.
-func EulerStep(f Derivative, t float64, y []float64, dt float64, scratch [][]float64) {
-	n := len(y)
-	if scratch == nil || len(scratch) < 1 {
-		scratch = [][]float64{make([]float64, n)}
-	}
-	d := scratch[0]
-	f(t, y, d)
-	for i := 0; i < n; i++ {
-		y[i] += dt * d[i]
-	}
-}
-
 // NewScratch allocates reusable scratch buffers for the steppers.
 func NewScratch(n int) [][]float64 {
 	s := make([][]float64, 5)
@@ -54,17 +40,4 @@ func NewScratch(n int) [][]float64 {
 		s[i] = make([]float64, n)
 	}
 	return s
-}
-
-// TrapezoidIntegrate integrates sampled values y over uniformly spaced
-// samples dt apart using the trapezoid rule.
-func TrapezoidIntegrate(y []float64, dt float64) float64 {
-	if len(y) < 2 {
-		return 0
-	}
-	s := 0.5 * (y[0] + y[len(y)-1])
-	for i := 1; i < len(y)-1; i++ {
-		s += y[i]
-	}
-	return s * dt
 }

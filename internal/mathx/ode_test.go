@@ -25,25 +25,13 @@ func TestRK4ExponentialDecay(t *testing.T) {
 	}
 }
 
-func TestEulerExponentialDecay(t *testing.T) {
-	y := []float64{1}
-	dt := 0.001
-	for i := 0; i < 1000; i++ {
-		EulerStep(decay, float64(i)*dt, y, dt, nil)
-	}
-	want := math.Exp(-1)
-	if math.Abs(y[0]-want) > 1e-3 {
-		t.Fatalf("Euler decay = %g, want %g", y[0], want)
-	}
-}
-
 func TestRK4MoreAccurateThanEuler(t *testing.T) {
 	dt := 0.1
 	yr := []float64{1}
 	ye := []float64{1}
 	for i := 0; i < 10; i++ {
 		RK4Step(decay, float64(i)*dt, yr, dt, nil)
-		EulerStep(decay, float64(i)*dt, ye, dt, nil)
+		ye[0] -= dt * ye[0] // forward Euler on dy/dt = -y
 	}
 	want := math.Exp(-1)
 	if math.Abs(yr[0]-want) >= math.Abs(ye[0]-want) {
@@ -65,30 +53,5 @@ func TestRK4CoupledSystem(t *testing.T) {
 	}
 	if math.Abs(y[0]-1) > 1e-3 || math.Abs(y[1]) > 1e-2 {
 		t.Fatalf("oscillator after one period = %v", y)
-	}
-}
-
-func TestTrapezoidIntegrate(t *testing.T) {
-	// ∫0..1 x dx = 0.5 with 11 samples.
-	ys := make([]float64, 11)
-	for i := range ys {
-		ys[i] = float64(i) / 10
-	}
-	got := TrapezoidIntegrate(ys, 0.1)
-	if math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("trapezoid = %g", got)
-	}
-	if TrapezoidIntegrate([]float64{3}, 1) != 0 {
-		t.Fatal("single sample integrates to 0")
-	}
-	if TrapezoidIntegrate(nil, 1) != 0 {
-		t.Fatal("nil integrates to 0")
-	}
-}
-
-func TestTrapezoidConstant(t *testing.T) {
-	ys := []float64{5, 5, 5, 5, 5}
-	if got := TrapezoidIntegrate(ys, 2); got != 40 {
-		t.Fatalf("constant integral = %g, want 40", got)
 	}
 }

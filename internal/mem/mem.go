@@ -156,9 +156,6 @@ func NewBank(cfg Config, ambient units.Celsius) (*Bank, error) {
 // Power returns the whole-bank memory power at utilization u.
 func (b *Bank) Power(u units.Percent) units.Watts { return b.cfg.Power(u) }
 
-// Airflow returns the air mass flow at the given fan speed.
-func (b *Bank) Airflow(r units.RPM) units.GramsPerSecond { return b.cfg.Airflow(r) }
-
 // InletPreheat returns the temperature rise of the CPU inlet air caused by
 // the DIMM bank heat at utilization u and fan speed r.
 func (b *Bank) InletPreheat(u units.Percent, r units.RPM) units.Celsius {
@@ -267,15 +264,6 @@ func (b *Bank) Temp(i int) (units.Celsius, error) {
 		return 0, fmt.Errorf("mem: DIMM %d out of range [0,%d)", i, len(b.temps))
 	}
 	return units.Celsius(b.temps[i]), nil
-}
-
-// Temps returns a copy of all DIMM temperatures.
-func (b *Bank) Temps() []units.Celsius {
-	out := make([]units.Celsius, len(b.temps))
-	for i, v := range b.temps {
-		out[i] = units.Celsius(v)
-	}
-	return out
 }
 
 // MaxTemp returns the hottest DIMM. NaN temperatures are skipped.

@@ -232,3 +232,12 @@ func TestRollupsMatchScan(t *testing.T) {
 		}
 	}
 }
+
+// Temps returns a copy of all DIMM temperatures.
+func (b *Bank) Temps() []units.Celsius {
+	out := make([]units.Celsius, len(b.temps))
+	for i, v := range b.temps {
+		out[i] = units.Celsius(v)
+	}
+	return out
+}

@@ -12,8 +12,10 @@
 //   - serial-section updates: increments issued outside par.ForEach
 //     fan-outs (the scheduler loop, fault application, post-barrier
 //     reductions) carry no ordering hazard at all;
-//   - per-slot shards: inside a fan-out, job i writes only Sharded lane i;
-//     lanes are reduced in index order after the barrier (ReduceInto);
+//   - per-slot counters: inside a fan-out, job i writes only plain
+//     counters owned by slot i (thermal.Network, server.MacroStats), which
+//     are folded into the registry serially, in index order, after the run
+//     (rack.MetricsInto);
 //   - commutative updates: when several runs of an experiment share one
 //     registry across the worker pool, they may only use operations whose
 //     result is order-independent — integer Counter.Add, Gauge.SetMax,
@@ -26,10 +28,10 @@
 //
 // # Cost contract
 //
-// Every hot-path method (Add, Inc, Set, SetMax, Observe, Sharded.Add) is
+// Every hot-path method (Add, Inc, Set, SetMax, Observe) is
 // allocation-free and nil-receiver-safe: with no registry attached the
 // instrumented code paths pay one nil check and allocate nothing, which is
-// what keeps the zero-allocation pins on server.Step, server.MacroStep and
-// rack.Step intact. Registration (Registry.Counter et al.) allocates and
+// what keeps the zero-allocation pins on server.Step, server.MacroWindow
+// and rack.Step intact. Registration (Registry.Counter et al.) allocates and
 // takes a lock; fetch metric handles once per run, not per step.
 package obs

@@ -182,15 +182,6 @@ func (b Breakdown) Total() units.Watts {
 	return b.Idle + b.Active + b.Leakage + b.Memory + b.Fan
 }
 
-// AboveIdle is the controllable part the paper's net-savings metric uses:
-// everything except the constant idle floor.
-func (b Breakdown) AboveIdle() units.Watts { return b.Total() - b.Idle }
-
-func (b Breakdown) String() string {
-	return fmt.Sprintf("total=%.1fW (idle=%.1f active=%.1f leak=%.1f mem=%.1f fan=%.1f)",
-		float64(b.Total()), float64(b.Idle), float64(b.Active), float64(b.Leakage), float64(b.Memory), float64(b.Fan))
-}
-
 // ServerModel bundles all component models into the server's power budget.
 type ServerModel struct {
 	IdleFloor units.Watts // constant non-CPU baseline
@@ -198,17 +189,6 @@ type ServerModel struct {
 	Leakage   LeakageModel
 	Fans      FanLaw
 	Memory    MemoryModel
-}
-
-// At evaluates the budget at utilization u, CPU temperature t and fan speed r.
-func (s ServerModel) At(u units.Percent, t units.Celsius, r units.RPM) Breakdown {
-	return Breakdown{
-		Idle:    s.IdleFloor,
-		Active:  s.Active.Power(u),
-		Leakage: s.Leakage.Power(t),
-		Memory:  s.Memory.Power(u),
-		Fan:     s.Fans.Power(r),
-	}
 }
 
 // CPUHeat returns the power dissipated inside the CPU package (active +

@@ -23,9 +23,9 @@
 // DC draws are lifted through their PSU efficiency curves, summed, and
 // passed through the PDU to the instantaneous wall draw at the utility
 // feed. Telemetry tracks wall energy, conversion-loss energy and the peak
-// wall draw next to the DC-side metrics; WallPowerWith answers the
-// what-if query ("what would the wall draw if slot i carried extra DC
-// load?") behind power-capped placement, and WallFloorSteps bounds it
+// wall draw next to the DC-side metrics; WallPowerWithAll answers the
+// what-if query ("what would the wall draw if these slots carried extra
+// DC load?") behind power-capped placement, and WallFloorSteps bounds it
 // from below over the next grid steps, which lets the event kernel cross
 // deferrals it can prove; FloorWalkView serves the telemetry the same
 // walk predicts at each of those steps. New rejects a PSU or PDU curve
@@ -53,12 +53,13 @@
 //
 // The event-driven kernel (internal/sched) splits Step's two halves:
 // TickControllers applies loads and runs every fan controller for one
-// decision instant, QuietHorizon asks how long every controller promises
-// to stay quiet (control.HorizonPromiser; a non-promising controller pins
-// the horizon to one step), and Advance crosses the granted window in
-// per-server closed-form macro-steps (server.MacroWindow) under the same
-// determinism contract — the fan-out writes slot-i state only, and every
-// roll-up runs serially in index order afterwards. Energies are
+// decision instant, QuietHorizonCause asks how long every powered slot's
+// controller promises to stay quiet (control.HorizonPromiser; a
+// non-promising controller pins the horizon to one step), and Advance
+// crosses the granted window in per-server closed-form macro-steps
+// (server.MacroWindow) under the same determinism contract — the fan-out
+// writes slot-i state only, and every roll-up runs serially in index
+// order afterwards. Energies are
 // integrated from each server's closed-form window energy, with the
 // window's mean DC draw lifted through the PSU/PDU/CRAC chain once
 // instead of per step; temperature maxima fold in every sub-step boundary
@@ -83,7 +84,7 @@
 // are serial rack mutations, never concurrent with Step/Advance. Between
 // two edges a fault is one more constant input, so Advance macro-steps
 // through fault windows and dark slots like any quiet interval (see
-// server.MacroStep). Health(i) folds the fault state into the
+// server.MacroWindow). Health(i) folds the fault state into the
 // scheduler-facing Healthy/Tripped/Failed view, and TripRisk reports when
 // any live server sits inside the trip-guard band so the event kernel can
 // shorten its windows to observe an imminent latch on the step it happens.

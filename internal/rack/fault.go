@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/reliability"
 	"repro/internal/units"
 )
 
@@ -65,7 +64,7 @@ func (r *Rack) targets(ev fault.Event, visit func(st *serverState)) {
 // directly between steps (never concurrently with Step/Advance). The
 // event's effect is one more constant input until its next edge, so the
 // affected servers keep macro-stepping through a windowed fault (see
-// server.MacroStep). A PSUDroop or ChillerDegraded edge that would take
+// server.MacroWindow). A PSUDroop or ChillerDegraded edge that would take
 // the slot's (or the rack's) summed derate to 1 or more errors and
 // changes nothing.
 func (r *Rack) ApplyFault(ev fault.Event) error {
@@ -169,23 +168,4 @@ func outageSeverity(ev fault.Event) float64 {
 		return fault.DefaultCRACOutageC
 	}
 	return ev.Severity
-}
-
-// ReliabilityReports analyzes every server's sampled hottest-die trace
-// (Config.ReliabilitySampleEvery) into reliability reports, in slot order.
-// It errors when sampling is disabled or no sample instant has been
-// crossed yet.
-func (r *Rack) ReliabilityReports() ([]reliability.Report, error) {
-	if r.relEvery <= 0 {
-		return nil, fmt.Errorf("rack: reliability sampling disabled (Config.ReliabilitySampleEvery)")
-	}
-	reports := make([]reliability.Report, len(r.servers))
-	for i := range r.servers {
-		rep, err := reliability.Analyze(r.relSamples[i])
-		if err != nil {
-			return nil, fmt.Errorf("rack: server %d: %w", i, err)
-		}
-		reports[i] = rep
-	}
-	return reports, nil
 }

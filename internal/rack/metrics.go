@@ -64,8 +64,3 @@ func (r *Rack) MetricsRollup() MetricsRollup {
 	}
 	return ms
 }
-
-// FaultEdges returns the lifetime (applied, cleared) fault-event counts.
-func (r *Rack) FaultEdges() (applied, cleared int) {
-	return r.faultsApplied, r.faultsCleared
-}

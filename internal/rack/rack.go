@@ -396,10 +396,6 @@ func (r *Rack) SetLoad(i int, u units.Percent) { r.servers[i].load = u.Clamp() }
 // Load returns the demand currently applied to server i.
 func (r *Rack) Load(i int) units.Percent { return r.servers[i].load }
 
-// FanChanges returns how many fan-speed changes server i's controller has
-// commanded since construction or the last ResetAccounting.
-func (r *Rack) FanChanges(i int) int { return r.servers[i].fanChanges }
-
 // Now returns seconds since rack power-on.
 func (r *Rack) Now() float64 { return r.clock }
 
@@ -467,23 +463,11 @@ func (r *Rack) Step(dt float64) {
 // TickControllers applies the dispatcher loads and runs every slot's fan
 // controller for the decision instant `now`, exactly as the first half of
 // Step does, without advancing any physics. The event-stepping kernel
-// calls it at every wake step, then asks QuietHorizon how far the
+// calls it at every wake step, then asks QuietHorizonCause how far the
 // controllers allow the next Advance to reach.
 func (r *Rack) TickControllers(now float64) {
 	r.argNow = now
 	par.ForEach(len(r.servers), r.workers, r.tickFn)
-}
-
-// QuietHorizon returns the earliest simulation time at which some slot's
-// fan controller could next need a Tick, queried immediately after
-// TickControllers(now). Controllers implementing control.HorizonPromiser
-// are taken at their word; a slot with any other controller cannot promise
-// anything beyond the current step, so the horizon collapses to now+dt —
-// pinning the kernel to fixed-dt ticking, the reference semantics.
-// +Inf means every controller is quiet until an input changes.
-func (r *Rack) QuietHorizon(now, dt float64) float64 {
-	h, _ := r.QuietHorizonCause(now, dt)
-	return h
 }
 
 // QuietCause labels what bounded a QuietHorizonCause answer, for the event
@@ -501,9 +485,17 @@ const (
 	QuietNoPromiser
 )
 
-// QuietHorizonCause is QuietHorizon plus the cause of the bound. The scan
-// is serial in slot index order, so the attributed cause — like the
-// horizon itself — is identical for every worker count.
+// QuietHorizonCause returns the earliest simulation time at which some
+// slot's fan controller could next need a Tick, queried immediately after
+// TickControllers(now), and what bounded it. Controllers implementing
+// control.HorizonPromiser are taken at their word; a slot with any other
+// controller cannot promise anything beyond the current step, so the
+// horizon collapses to now+dt — pinning the kernel to fixed-dt ticking,
+// the reference semantics. +Inf means every controller is quiet until an
+// input changes. A dark slot is skipped, as tick skips it: its controller
+// does not run until power returns, and that fault edge is a decision step
+// of its own. The scan is serial in slot index order, so the attributed
+// cause — like the horizon itself — is identical for every worker count.
 //
 // A slot whose controller additionally implements control.BandPromiser —
 // the reactive bang-bang policy — can push its promise past its own next
@@ -515,7 +507,7 @@ func (r *Rack) QuietHorizonCause(now, dt float64) (float64, QuietCause) {
 	h := math.Inf(1)
 	cause := QuietUnbounded
 	for _, st := range r.servers {
-		if st.ctrl == nil {
+		if st.ctrl == nil || !st.srv.Powered() {
 			continue
 		}
 		hp, ok := st.ctrl.(control.HorizonPromiser)
@@ -654,10 +646,6 @@ func (r *Rack) WallPower() units.Watts { return units.Watts(r.lastWallW) }
 // the rack's wall heat — exactly zero with no facility attached.
 func (r *Rack) CoolingPower() units.Watts { return units.Watts(r.lastCoolW) }
 
-// FacilityPower returns the instantaneous total facility draw: the rack's
-// wall power plus the cooling power removing it as heat.
-func (r *Rack) FacilityPower() units.Watts { return units.Watts(r.lastWallW + r.lastCoolW) }
-
 // PUE returns the instantaneous power usage effectiveness — facility power
 // over IT (wall) power. A rack drawing nothing, or one with no facility
 // attached, reports exactly 1.
@@ -667,10 +655,6 @@ func (r *Rack) PUE() float64 {
 	}
 	return (r.lastWallW + r.lastCoolW) / r.lastWallW
 }
-
-// Facility returns the attached cooling loop, or nil when none is
-// configured (the identity: cooling power exactly zero).
-func (r *Rack) Facility() *cooling.Facility { return r.fac }
 
 // ServerDCPower returns server i's instantaneous DC draw.
 func (r *Rack) ServerDCPower(i int) units.Watts {
@@ -686,26 +670,12 @@ func (r *Rack) ServerWallPower(i int) units.Watts {
 	return units.Watts(st.psuIn(float64(st.srv.Breakdown().Total())))
 }
 
-// WallPowerWith predicts the rack's wall draw if server i's DC load were
-// higher by extraDC Watts, all other slots unchanged — the what-if query
-// behind power-capped placement. It does not mutate any state.
-func (r *Rack) WallPowerWith(i int, extraDC units.Watts) units.Watts {
-	var acInW float64
-	for j, st := range r.servers {
-		dc := float64(st.srv.Breakdown().Total())
-		if j == i && extraDC != 0 {
-			acInW += st.psuCurve(dc + float64(extraDC))
-		} else {
-			acInW += st.psuIn(dc)
-		}
-	}
-	return units.Watts(r.pduIn(acInW))
-}
-
-// WallPowerWithAll is WallPowerWith for a per-slot vector of DC
-// increments (nil or short entries mean zero): the capped trace runner
-// uses it to account for placements admitted earlier in the same step,
-// whose power the physics has not drawn yet. It does not mutate state.
+// WallPowerWithAll predicts the rack's wall draw if each server's DC load
+// were higher by its entry of extraDC Watts (nil or short entries mean
+// zero), all else unchanged — the what-if query behind power-capped
+// placement. The capped trace runner passes the placements admitted
+// earlier in the same step, whose power the physics has not drawn yet. It
+// does not mutate state.
 func (r *Rack) WallPowerWithAll(extraDC []units.Watts) units.Watts {
 	var acInW float64
 	for j, st := range r.servers {
@@ -821,11 +791,6 @@ func (r *Rack) FloorWalkView(i, j int) (maxCPU units.Celsius, dc, wall units.Wat
 // (meter delta over span), which is what the shared CRAC bank's energy
 // accounting integrates.
 func (r *Rack) WallEnergyJoules() float64 { return r.wallEnergyJ }
-
-// DCEnergyJoules returns the integrated DC energy meter in Joules since
-// construction or the last ResetAccounting (Σ server energy as charged by
-// the rack's own per-step/per-window integration).
-func (r *Rack) DCEnergyJoules() float64 { return r.dcEnergyJ }
 
 // StateSum folds the rack's continuous state into one plain sum: the
 // instantaneous power aggregates plus every server's StateSum. Any NaN or

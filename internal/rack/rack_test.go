@@ -145,3 +145,16 @@ func TestRackNamesAndLoads(t *testing.T) {
 		t.Fatalf("load clamp: %v", r.Load(1))
 	}
 }
+
+// FanChanges returns how many fan-speed changes server i's controller has
+// commanded since construction or the last ResetAccounting.
+func (r *Rack) FanChanges(i int) int { return r.servers[i].fanChanges }
+
+// FacilityPower returns the instantaneous total facility draw: the rack's
+// wall power plus the cooling power removing it as heat.
+func (r *Rack) FacilityPower() units.Watts { return units.Watts(r.lastWallW + r.lastCoolW) }
+
+// DCEnergyJoules returns the integrated DC energy meter in Joules since
+// construction or the last ResetAccounting (Σ server energy as charged by
+// the rack's own per-step/per-window integration).
+func (r *Rack) DCEnergyJoules() float64 { return r.dcEnergyJ }

@@ -96,8 +96,9 @@ func TestRackChainWallExceedsDC(t *testing.T) {
 	}
 }
 
-// TestRackWallPowerWith pins the what-if query: zero extra reproduces the
-// current draw bitwise, extra load raises it, and no state is mutated.
+// TestRackWallPowerWith pins the what-if query WallPowerWithAll: zero
+// extra reproduces the current draw bitwise, extra load raises it, and no
+// state is mutated.
 func TestRackWallPowerWith(t *testing.T) {
 	psu, pdu := power.DefaultPSU(), power.DefaultPDU()
 	r := chainRack(t, 3, 1, &psu, &pdu)
@@ -105,21 +106,21 @@ func TestRackWallPowerWith(t *testing.T) {
 		r.Step(1)
 	}
 	before := r.WallPower()
-	if got := r.WallPowerWith(1, 0); got != before {
-		t.Fatalf("WallPowerWith(+0) = %v, want %v", got, before)
+	if got := r.WallPowerWithAll([]units.Watts{0, 0}); got != before {
+		t.Fatalf("WallPowerWithAll(+0 on slot 1) = %v, want %v", got, before)
 	}
-	more := r.WallPowerWith(1, 50)
+	more := r.WallPowerWithAll([]units.Watts{0, 50})
 	if more <= before {
-		t.Fatalf("WallPowerWith(+50) = %v, want > %v", more, before)
+		t.Fatalf("WallPowerWithAll(+50 on slot 1) = %v, want > %v", more, before)
 	}
 	if r.WallPower() != before {
-		t.Fatal("WallPowerWith mutated the observed wall draw")
+		t.Fatal("WallPowerWithAll mutated the observed wall draw")
 	}
 	// The same extra on a different slot differs only through PSU state,
 	// and for identical supplies at different operating points the deltas
 	// still must both be positive.
-	if r.WallPowerWith(0, 50) <= before {
-		t.Fatal("WallPowerWith(+50) on slot 0 must raise the wall draw")
+	if r.WallPowerWithAll([]units.Watts{50}) <= before {
+		t.Fatal("WallPowerWithAll(+50 on slot 0) must raise the wall draw")
 	}
 }
 
@@ -204,8 +205,8 @@ func wallWithRef(r *Rack, extra []units.Watts) float64 {
 	return r.pduIn(ac)
 }
 
-// checkWallQueries compares ServerWallPower, WallPowerWith and
-// WallPowerWithAll against unmemoized evaluations at the same DC draws.
+// checkWallQueries compares ServerWallPower and WallPowerWithAll against
+// unmemoized evaluations at the same DC draws.
 func checkWallQueries(t *testing.T, when string, r *Rack) {
 	t.Helper()
 	n := r.NumServers()
@@ -216,8 +217,8 @@ func checkWallQueries(t *testing.T, when string, r *Rack) {
 		for _, x := range []units.Watts{50, 0} {
 			one := make([]units.Watts, n)
 			one[i] = x
-			if got, want := float64(r.WallPowerWith(i, x)), wallWithRef(r, one); got != want {
-				t.Fatalf("%s: WallPowerWith(%d, %v) = %v, unmemoized %v", when, i, x, got, want)
+			if got, want := float64(r.WallPowerWithAll(one)), wallWithRef(r, one); got != want {
+				t.Fatalf("%s: WallPowerWithAll(+%v on %d) = %v, unmemoized %v", when, x, i, got, want)
 			}
 		}
 	}

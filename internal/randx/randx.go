@@ -8,10 +8,7 @@
 // run-to-run, which the paper's deterministic load profiles also rely on.
 package randx
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // Source is a deterministic random source for workload synthesis.
 type Source struct {
@@ -81,37 +78,6 @@ func (s *Source) Exponential(mean float64) float64 {
 	return s.rng.ExpFloat64() * mean
 }
 
-// Poisson draws a Poisson-distributed count with the given rate λ using
-// Knuth's algorithm (adequate for the small λ used per polling interval).
-func (s *Source) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	// For large λ fall back to a normal approximation to avoid underflow.
-	if lambda > 500 {
-		n := int(s.rng.NormFloat64()*math.Sqrt(lambda) + lambda + 0.5)
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.rng.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
-// Uniform returns a float64 uniformly distributed in [lo, hi).
-func (s *Source) Uniform(lo, hi float64) float64 {
-	return lo + s.rng.Float64()*(hi-lo)
-}
-
 // IntN returns a uniform int in [0, n). n must be positive.
 func (s *Source) IntN(n int) int { return s.rng.Intn(n) }
 
@@ -124,6 +90,3 @@ func (s *Source) Choice(xs []float64) float64 { return xs[s.rng.Intn(len(xs))] }
 func (s *Source) Normal(mean, std float64) float64 {
 	return s.rng.NormFloat64()*std + mean
 }
-
-// Float64 returns a uniform float in [0, 1).
-func (s *Source) Float64() float64 { return s.rng.Float64() }

@@ -52,48 +52,6 @@ func TestExponentialNonPositiveMean(t *testing.T) {
 	}
 }
 
-func TestPoissonMeanAndVariance(t *testing.T) {
-	s := New(2)
-	const lambda = 3.5
-	const n = 100000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		k := float64(s.Poisson(lambda))
-		sum += k
-		sumSq += k * k
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean-lambda) > 0.05 {
-		t.Fatalf("poisson mean = %g", mean)
-	}
-	if math.Abs(variance-lambda) > 0.15 {
-		t.Fatalf("poisson variance = %g", variance)
-	}
-}
-
-func TestPoissonEdges(t *testing.T) {
-	s := New(3)
-	if s.Poisson(0) != 0 || s.Poisson(-2) != 0 {
-		t.Fatal("non-positive lambda should return 0")
-	}
-	// Large lambda path must return something near lambda.
-	big := float64(s.Poisson(10000))
-	if math.Abs(big-10000) > 500 {
-		t.Fatalf("large-lambda poisson = %g", big)
-	}
-}
-
-func TestUniformRange(t *testing.T) {
-	s := New(4)
-	for i := 0; i < 10000; i++ {
-		v := s.Uniform(10, 20)
-		if v < 10 || v >= 20 {
-			t.Fatalf("uniform out of range: %g", v)
-		}
-	}
-}
-
 func TestChoiceCoversAll(t *testing.T) {
 	s := New(5)
 	opts := []float64{1, 2, 3}
@@ -139,8 +97,7 @@ func TestStateRoundTrip(t *testing.T) {
 	s := New(12345)
 	for i := 0; i < 257; i++ {
 		s.Exponential(300)
-		s.Poisson(3.7)
-		s.Uniform(-2, 9)
+		s.Choice([]float64{1, 2, 3})
 		s.IntN(17)
 		s.Normal(1, 0.25)
 		s.Float64()
@@ -149,8 +106,8 @@ func TestStateRoundTrip(t *testing.T) {
 
 	var want []float64
 	for i := 0; i < 100; i++ {
-		want = append(want, s.Exponential(50), float64(s.Poisson(700)),
-			s.Normal(0, 1), s.Uniform(0, 1), float64(s.IntN(1000)))
+		want = append(want, s.Exponential(50), s.Choice([]float64{4, 5, 6, 7}),
+			s.Normal(0, 1), s.Float64(), float64(s.IntN(1000)))
 	}
 
 	r := New(0)
@@ -160,8 +117,8 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatalf("State after Restore = %+v, want %+v", got, st)
 	}
 	for i := 0; i < 100; i++ {
-		got := []float64{r.Exponential(50), float64(r.Poisson(700)),
-			r.Normal(0, 1), r.Uniform(0, 1), float64(r.IntN(1000))}
+		got := []float64{r.Exponential(50), r.Choice([]float64{4, 5, 6, 7}),
+			r.Normal(0, 1), r.Float64(), float64(r.IntN(1000))}
 		for j, w := range want[i*5 : i*5+5] {
 			if got[j] != w {
 				t.Fatalf("draw %d/%d: got %v, want %v", i, j, got[j], w)
@@ -191,7 +148,7 @@ func TestRestorePaths(t *testing.T) {
 	src := New(2024)
 	for i := 0; i < 50; i++ {
 		src.Normal(0, 1)
-		src.Poisson(4)
+		src.IntN(4)
 	}
 	st := src.State()
 	ref := New(st.Seed)
@@ -200,7 +157,7 @@ func TestRestorePaths(t *testing.T) {
 	}
 	var want []float64
 	for i := 0; i < 64; i++ {
-		want = append(want, ref.Normal(0, 1), ref.Exponential(3), float64(ref.Poisson(2.5)), ref.Float64())
+		want = append(want, ref.Normal(0, 1), ref.Exponential(3), float64(ref.IntN(25)), ref.Float64())
 	}
 
 	for _, c := range []struct {
@@ -231,7 +188,7 @@ func TestRestorePaths(t *testing.T) {
 				t.Fatalf("re-seeded = %v, want %v", reseeded, c.reseed)
 			}
 			for i := 0; i < 64; i++ {
-				got := []float64{s.Normal(0, 1), s.Exponential(3), float64(s.Poisson(2.5)), s.Float64()}
+				got := []float64{s.Normal(0, 1), s.Exponential(3), float64(s.IntN(25)), s.Float64()}
 				for j, w := range want[i*4 : i*4+4] {
 					if got[j] != w {
 						t.Fatalf("draw %d/%d: got %v, want %v", i, j, got[j], w)
@@ -241,3 +198,6 @@ func TestRestorePaths(t *testing.T) {
 		})
 	}
 }
+
+// Float64 returns a uniform float in [0, 1).
+func (s *Source) Float64() float64 { return s.rng.Float64() }

@@ -182,8 +182,3 @@ func Analyze(tempsC []float64) (Report, error) {
 	r.CyclingDamage = cm.Damage(tempsC)
 	return r, nil
 }
-
-func (r Report) String() string {
-	return fmt.Sprintf("mean=%.1f°C max=%.1f°C above75=%.1f%% accel=%.2fx cycles=%d damage=%.2f",
-		r.MeanTempC, r.MaxTempC, 100*r.TimeAbove75, r.Acceleration, r.ThermalCycles, r.CyclingDamage)
-}

@@ -61,16 +61,6 @@ var pinNames = [pinReasons]string{
 	pinHorizonEnd: "horizon-end",
 }
 
-// PinReasonNames returns the metric suffixes of the room pin-reason
-// taxonomy in attribution-priority order; "room.pin." + name is the
-// counter each appears under, and RackKernelStats.Pins is indexed the
-// same way.
-func PinReasonNames() []string {
-	out := make([]string, pinReasons)
-	copy(out, pinNames[:])
-	return out
-}
-
 // windowLenBounds are the room.window.len histogram buckets, shared with
 // the rack kernel's: powers of two up to 16384 steps.
 func windowLenBounds() []float64 { return obs.ExpBuckets(1, 2, 15) }

@@ -87,10 +87,6 @@ func NewPolicy(chooser RackChooser, slots []sched.Policy) (*Policy, error) {
 	return &Policy{Chooser: chooser, Slots: slots}, nil
 }
 
-// Name returns the chooser's name — the room-level half of the policy
-// pairing; experiments label runs chooser+slot.
-func (p *Policy) Name() string { return p.Chooser.Name() }
-
 // reset clears the chooser and every distinct slot policy for a fresh run.
 func (p *Policy) reset() {
 	p.Chooser.Reset()

@@ -179,9 +179,6 @@ func (rm *Room) NumRacks() int { return len(rm.racks) }
 // tests. Mutating a rack concurrently with Room.Step is a data race.
 func (rm *Room) Rack(i int) *rack.Rack { return rm.racks[i] }
 
-// RackName returns rack i's name.
-func (rm *Room) RackName(i int) string { return rm.names[i] }
-
 // Now returns seconds of room stepping since construction. Racks driven
 // directly (bypassing the room) do not advance this clock.
 func (rm *Room) Now() float64 { return rm.clock }
@@ -189,30 +186,6 @@ func (rm *Room) Now() float64 { return rm.clock }
 // RecircOffsetC returns the recirculation inlet offset currently applied
 // to rack i, in °C — zero in an uncoupled room.
 func (rm *Room) RecircOffsetC(i int) float64 { return rm.offsets[i] }
-
-// RecircRowSum returns Σ_j W[i][j] for rack i — how much of its exhaust
-// rise lands back on cold aisles. Zero without a matrix.
-func (rm *Room) RecircRowSum(i int) float64 { return rm.rowSums[i] }
-
-// Facility returns the shared cooling loop, or nil when none is
-// configured.
-func (rm *Room) Facility() *cooling.Facility { return rm.fac }
-
-// WallPower returns the room's instantaneous wall draw (Σ rack wall) at
-// the most recent observation.
-func (rm *Room) WallPower() units.Watts { return units.Watts(rm.lastWallW) }
-
-// CoolingPower returns the shared bank's instantaneous cooling power at
-// the most recent observation — exactly zero with no facility.
-func (rm *Room) CoolingPower() units.Watts { return units.Watts(rm.lastCoolW) }
-
-// PUE returns the instantaneous power usage effectiveness of the room.
-func (rm *Room) PUE() float64 {
-	if rm.lastWallW <= 0 || rm.lastCoolW == 0 {
-		return 1
-	}
-	return (rm.lastWallW + rm.lastCoolW) / rm.lastWallW
-}
 
 // TripRisk reports whether any rack has a live slot inside the trip-guard
 // band (see rack.TripRisk) — the room kernel's global single-step pin.

@@ -713,3 +713,28 @@ func TestRoomSettleAndReset(t *testing.T) {
 		}
 	}
 }
+
+// RackName returns rack i's name.
+func (rm *Room) RackName(i int) string { return rm.names[i] }
+
+// CoolingPower returns the shared bank's instantaneous cooling power at
+// the most recent observation — exactly zero with no facility.
+func (rm *Room) CoolingPower() units.Watts { return units.Watts(rm.lastCoolW) }
+
+// PUE returns the instantaneous power usage effectiveness of the room.
+func (rm *Room) PUE() float64 {
+	if rm.lastWallW <= 0 || rm.lastCoolW == 0 {
+		return 1
+	}
+	return (rm.lastWallW + rm.lastCoolW) / rm.lastWallW
+}
+
+// PinReasonNames returns the metric suffixes of the room pin-reason
+// taxonomy in attribution-priority order; "room.pin." + name is the
+// counter each appears under, and RackKernelStats.Pins is indexed the
+// same way.
+func PinReasonNames() []string {
+	out := make([]string, pinReasons)
+	copy(out, pinNames[:])
+	return out
+}

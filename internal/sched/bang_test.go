@@ -52,7 +52,7 @@ func TestBangBangEventMatchesFixed(t *testing.T) {
 	build := func() *rack.Rack { return bangRack(t, 3, 1) }
 	cfg := TraceConfig{Dt: 1, Horizon: 1800}
 	fixed, event, ftel, etel := runBoth(t, build, jobs, func() Policy { return NewRoundRobin() }, cfg)
-	assertEquivalent(t, "bangbang", fixed, event, ftel, etel)
+	assertEquivalent(t, "bangbang", false, fixed, event, ftel, etel)
 	if ftel.FanChanges == 0 {
 		t.Fatal("trace never moved the fans; the fan-change equivalence is vacuous")
 	}
@@ -63,13 +63,13 @@ func TestBangBangEventMatchesFixed(t *testing.T) {
 
 // TestBangBangEventMatchesFixedThroughFaultWindows: the bang-bang quiet
 // band now extends inside fault windows, where the predicted trajectory
-// holds every faulted input constant until its next edge, while a dark
-// slot still promises only its decision cadence. Through overlapping
-// windows the event kernel must match fixed-dt exactly, fan changes
-// included. Without a dark slot the band carries the kernel across the
-// windows: measured 1200 → 63 rack steps, against 1200 → 95 with the
-// faulted servers held to plain steps (and their bands refused) through
-// their windows.
+// holds every faulted input constant until its next edge, and a dark
+// slot's controller, which does not run, bounds no window. Through
+// overlapping windows the event kernel must match fixed-dt exactly, fan
+// changes included. Measured 1200 → 63 rack steps without a dark slot,
+// against 1200 → 95 with the faulted servers held to plain steps (and
+// their bands refused) through their windows; 600 → 47 with one, against
+// 600 → 209 while the dark slot's promise still bounded the windows.
 func TestBangBangEventMatchesFixedThroughFaultWindows(t *testing.T) {
 	soak := &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.FanStick, Server: 0, Fan: 0, At: 120, Clear: 360},
@@ -77,7 +77,6 @@ func TestBangBangEventMatchesFixedThroughFaultWindows(t *testing.T) {
 		{Kind: fault.CRACOutage, At: 250, Clear: 450, Severity: 4},
 		{Kind: fault.AmbientExcursion, Server: 2, At: 300, Clear: 480, Severity: 3},
 	}}
-	soak.Sort()
 	for _, c := range []struct {
 		name     string
 		faults   *fault.Schedule
@@ -93,7 +92,7 @@ func TestBangBangEventMatchesFixedThroughFaultWindows(t *testing.T) {
 			build := func() *rack.Rack { return bangRack(t, 3, 1) }
 			cfg := TraceConfig{Dt: 1, Horizon: c.horizon, Faults: c.faults}
 			fixed, event, ftel, etel := runBoth(t, build, jobs, func() Policy { return NewRoundRobin() }, cfg)
-			assertEquivalent(t, c.name, fixed, event, ftel, etel)
+			assertEquivalent(t, c.name, false, fixed, event, ftel, etel)
 			if ftel.FanChanges == 0 {
 				t.Fatal("trace never moved the fans; the fan-change equivalence is vacuous")
 			}
@@ -127,5 +126,33 @@ func TestBangBangNoPromisePinRetired(t *testing.T) {
 	}
 	if res.RackSteps*2 > 1200 {
 		t.Errorf("event kernel took %d of 1200 steps — the cadence promise alone should at least halve it", res.RackSteps)
+	}
+}
+
+// TestBangBangDarkSlotDoesNotPin: a dark slot's controller does not run,
+// so its promise must not bound the event kernel's windows. An untouched
+// bang-bang controller reports a decision that is already due, which used
+// to pin the kernel to single steps for the whole dark period: with slot
+// 2's supply failed from 100 s to 1 100 s this trace took 1 016 rack
+// advances, 957 of them controller pins. It must now cross the dark period
+// about as cheaply as the same trace with an ambient excursion in place of
+// the failure, and still match fixed-dt.
+func TestBangBangDarkSlotDoesNotPin(t *testing.T) {
+	const horizon = 1200.0
+	run := func(ev fault.Event) (advances int, controllerPins int64) {
+		rng := rand.New(rand.NewSource(810))
+		jobs := randomTrace(t, rng, horizon, 3, 0.4)
+		build := func() *rack.Rack { return bangRack(t, 3, 1) }
+		reg := obs.NewRegistry()
+		cfg := TraceConfig{Dt: 1, Horizon: horizon, Faults: &fault.Schedule{Events: []fault.Event{ev}}, Metrics: reg}
+		fixed, event, ftel, etel := runBoth(t, build, jobs, func() Policy { return NewRoundRobin() }, cfg)
+		assertEquivalent(t, ev.Kind.String(), false, fixed, event, ftel, etel)
+		return event.RackSteps, reg.Counter("kernel.pin.controller").Value()
+	}
+	dark, darkPins := run(fault.Event{Kind: fault.PSUFail, Server: 2, At: 100, Clear: 1100})
+	warm, _ := run(fault.Event{Kind: fault.AmbientExcursion, Server: 2, At: 100, Clear: 1100, Severity: 3})
+	t.Logf("dark slot: %d rack advances, %d controller pins; ambient excursion: %d advances", dark, darkPins, warm)
+	if dark > 2*warm || darkPins > 10 {
+		t.Errorf("dark slot pinned the kernel: %d rack advances (%d controller pins), want ≤ 2×%d", dark, darkPins, warm)
 	}
 }

@@ -40,8 +40,9 @@ func TestRunTraceCapBoundary(t *testing.T) {
 	// picks slot 0, and the admission estimate is the utilization-driven
 	// DC increment lifted through the chain.
 	r := capRack(t)
-	mdc := MarginalDCPower(r.Server(0).Config().Power, 0, 40)
-	predicted := float64(r.WallPowerWith(0, mdc))
+	model := r.Server(0).Config().Power
+	mdc := MarginalDCPower(&model, 0, 40)
+	predicted := float64(r.WallPowerWithAll([]units.Watts{mdc}))
 
 	res, err := RunTraceCfg(r, jobs, NewRoundRobin(), TraceConfig{Dt: 1, Horizon: 60, WallCapW: predicted})
 	if err != nil {
@@ -71,8 +72,9 @@ func TestRunTraceCapBoundary(t *testing.T) {
 // against the same stale idle draw.
 func TestRunTraceCapCountsSameStepPlacements(t *testing.T) {
 	r := capRack(t)
-	mdc := MarginalDCPower(r.Server(0).Config().Power, 0, 40)
-	oneJob := float64(r.WallPowerWith(0, mdc))
+	model := r.Server(0).Config().Power
+	mdc := MarginalDCPower(&model, 0, 40)
+	oneJob := float64(r.WallPowerWithAll([]units.Watts{mdc}))
 	jobs := []Job{
 		{ID: 0, Arrival: 0, Duration: 1e9, Demand: 40},
 		{ID: 1, Arrival: 0, Duration: 1e9, Demand: 40},
@@ -157,8 +159,9 @@ func flatTable(p0, p50, p100 float64) *lut.Table {
 func TestRunTraceCapMarginalDefersEarlier(t *testing.T) {
 	jobs := []Job{{ID: 0, Arrival: 0, Duration: 1e9, Demand: 40}}
 	r := capRack(t)
-	mdc := MarginalDCPower(r.Server(0).Config().Power, 0, 40)
-	fastWall := float64(r.WallPowerWith(0, mdc))
+	model := r.Server(0).Config().Power
+	mdc := MarginalDCPower(&model, 0, 40)
+	fastWall := float64(r.WallPowerWithAll([]units.Watts{mdc}))
 
 	// Synthetic per-slot tables with a 25 W settled fan+leak marginal for
 	// the 0 → 40% transition (EntryFor rounds 40 up to the 50% row).
@@ -176,7 +179,7 @@ func TestRunTraceCapMarginalDefersEarlier(t *testing.T) {
 	// At the conservative prediction itself, the job is admitted again
 	// (a placement landing exactly on the cap is admitted).
 	r = capRack(t)
-	consWall := float64(r.WallPowerWith(0, mdc+25))
+	consWall := float64(r.WallPowerWithAll([]units.Watts{mdc + 25}))
 	res, err = RunTraceCfg(r, jobs, NewRoundRobin(),
 		TraceConfig{Dt: 1, Horizon: 30, WallCapW: consWall, CapMarginal: tables})
 	if err != nil {
@@ -224,8 +227,9 @@ func TestRunTraceCapMarginalNeverAdmitsMore(t *testing.T) {
 func TestRunTraceCapMarginalNilEntriesFallBack(t *testing.T) {
 	jobs := []Job{{ID: 0, Arrival: 0, Duration: 1e9, Demand: 40}}
 	r := capRack(t)
-	mdc := MarginalDCPower(r.Server(0).Config().Power, 0, 40)
-	fastWall := float64(r.WallPowerWith(0, mdc))
+	model := r.Server(0).Config().Power
+	mdc := MarginalDCPower(&model, 0, 40)
+	fastWall := float64(r.WallPowerWithAll([]units.Watts{mdc}))
 	res, err := RunTraceCfg(r, jobs, NewRoundRobin(),
 		TraceConfig{Dt: 1, Horizon: 10, WallCapW: fastWall, CapMarginal: []*lut.Table{nil, nil}})
 	if err != nil {

@@ -28,8 +28,8 @@
 // rack step underneath fans out (under the repository-wide "job i writes
 // only slot i; reductions serial in index order" contract documented in
 // internal/par). Policies must be deterministic, breaking ties by the
-// lowest server index; RunTrace places strictly FIFO, so the queue head
-// blocks until it fits. Results are therefore byte-identical for any
+// lowest server index; RunTraceCfg places strictly FIFO, so the queue
+// head blocks until it fits. Results are therefore byte-identical for any
 // worker count.
 //
 // # Wall-power capping

@@ -3,6 +3,7 @@ package sched
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/control"
@@ -226,9 +227,8 @@ func randomSchedule(rng *rand.Rand, n int, horizon float64) *fault.Schedule {
 		}
 		events = append(events, ev)
 	}
-	s := &fault.Schedule{Events: events}
-	s.Sort()
-	return s
+	sort.SliceStable(events, func(a, b int) bool { return events[a].At < events[b].At })
+	return &fault.Schedule{Events: events}
 }
 
 // TestFaultDeterminism is the PR's headline contract: randomized fault
@@ -287,7 +287,6 @@ func faultWindows() *fault.Schedule {
 		{Kind: fault.CRACOutage, At: 250, Clear: 450, Severity: 4},
 		{Kind: fault.PSUFail, Server: 2, At: 300, Clear: 480},
 	}}
-	sch.Sort()
 	return sch
 }
 
@@ -315,7 +314,7 @@ func TestEventVsFixedWithFaultWindow(t *testing.T) {
 	if fixed.Requeued == 0 {
 		t.Fatal("the dark slot killed no job; the fault windows are vacuous")
 	}
-	assertEquivalent(t, "fault windows", fixed, evented, rf.Telemetry(), re.Telemetry())
+	assertEquivalent(t, "fault windows", true, fixed, evented, rf.Telemetry(), re.Telemetry())
 	ms := re.MetricsRollup()
 	plain := ms.PlainIntegrator + ms.PlainSlew + ms.PlainTripBand + ms.PlainDrift + ms.PlainTail
 	ratio := float64(ms.CollapsedSteps) / float64(ms.CollapsedSteps+plain)

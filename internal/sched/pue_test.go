@@ -77,58 +77,11 @@ func TestPUEAwareMarginalIncludesCooling(t *testing.T) {
 	}
 }
 
-// TestNewPUEAwareRecalibratesTables: constructed from configs, the policy
-// must build its cost tables at the setpoint-shifted ambients — a raised
-// cold aisle yields strictly costlier steady fan+leak marginals than the
-// reference build, which is the signal facility-blind tables miss.
-func TestNewPUEAwareRecalibratesTables(t *testing.T) {
-	cfgs := []server.Config{server.T3Config(), server.T3Config()}
-	cfgs[1].Ambient = 30
-	build := lut.DefaultBuild()
-	build.Workers = 1
-
-	ref, err := NewPUEAware(cfgs, nil, cooling.DefaultFacility(cooling.DefaultCRAC().ReferenceC), build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := NewPUEAware(cfgs, nil, cooling.DefaultFacility(cooling.DefaultCRAC().ReferenceC+8), build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for slot := range cfgs {
-		refEntry, err := ref.inner.tables[slot].EntryFor(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		warmEntry, err := warm.inner.tables[slot].EntryFor(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warmEntry.FanLeakPower <= refEntry.FanLeakPower {
-			t.Fatalf("slot %d: warm-aisle table fan+leak %v must exceed reference %v",
-				slot, warmEntry.FanLeakPower, refEntry.FanLeakPower)
-		}
-	}
-	// Reference setpoint = zero delta: tables must match a plain cap-aware
-	// build over the unshifted configs.
-	ca, err := NewCapAware(cfgs, nil, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for slot := range cfgs {
-		a, _ := ref.inner.tables[slot].EntryFor(50)
-		b, _ := ca.tables[slot].EntryFor(50)
-		if a != b {
-			t.Fatalf("slot %d: reference-setpoint table differs from cap-aware build: %+v vs %+v", slot, a, b)
-		}
-	}
-}
-
 // TestNewPUEAwareValidation covers the error paths.
 func TestNewPUEAwareValidation(t *testing.T) {
 	bad := cooling.DefaultFacility(20)
 	bad.Chiller.COP0 = 0
-	if _, err := NewPUEAware([]server.Config{server.T3Config()}, nil, bad, lut.DefaultBuild()); err == nil {
+	if _, err := NewPUEAwareFromTables(nil, nil, nil, bad); err == nil {
 		t.Fatal("invalid facility must be rejected")
 	}
 	if _, err := NewPUEAwareFromTables(nil, nil, nil, cooling.DefaultFacility(20)); err == nil {

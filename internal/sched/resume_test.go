@@ -123,7 +123,6 @@ func TestResumeEquivalence(t *testing.T) {
 		{Kind: fault.CRACOutage, At: 200, Clear: 380, Severity: 4},
 		{Kind: fault.ChillerDegraded, At: 210, Clear: 390, Severity: 0.2},
 	}}
-	cascade.Sort()
 
 	policies := map[string]func() Policy{
 		"round-robin":   func() Policy { return NewRoundRobin() }, // stateful cursor

@@ -72,7 +72,7 @@ func TestSaturatedTraceEquivalence(t *testing.T) {
 				if fixed.MaxQueueLen < 2 {
 					t.Fatalf("trace not saturated (max queue %d); the property is vacuous", fixed.MaxQueueLen)
 				}
-				assertEquivalent(t, name, fixed, event, ftel, etel)
+				assertEquivalent(t, name, true, fixed, event, ftel, etel)
 				if event.RackSteps*3 > fixed.RackSteps {
 					t.Errorf("%s: only %d→%d rack steps (<3× collapse despite load-only refusal)",
 						name, fixed.RackSteps, event.RackSteps)
@@ -196,7 +196,7 @@ func TestBlockedHeadArrivalsJoinTail(t *testing.T) {
 		build := func() *rack.Rack { return eventRack(t, eventRackCfg{servers: 1, workers: 1}) }
 		cfg := TraceConfig{Dt: 1, Horizon: 900, Backfill: backfill}
 		fixed, event, ftel, etel := runBoth(t, build, jobs, func() Policy { return NewLeastUtilized() }, cfg)
-		assertEquivalent(t, "arrivals", fixed, event, ftel, etel)
+		assertEquivalent(t, "arrivals", true, fixed, event, ftel, etel)
 		if fixed.MaxQueueLen < 50 {
 			t.Fatalf("backfill=%v: max queue %d, the arrivals never queued behind the head", backfill, fixed.MaxQueueLen)
 		}

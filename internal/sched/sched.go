@@ -13,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/rack"
-	"repro/internal/server"
 	"repro/internal/units"
 )
 
@@ -227,21 +226,10 @@ type LeakageAware struct {
 	tables []*lut.Table // per rack slot
 }
 
-// NewLeakageAware precomputes the per-server cost curves with
-// lut.BuildPerConfig (identical-physics configs share one build).
-func NewLeakageAware(cfgs []server.Config, build lut.BuildConfig) (*LeakageAware, error) {
-	tables, err := lut.BuildPerConfig(cfgs, build)
-	if err != nil {
-		return nil, fmt.Errorf("sched: leakage-aware tables: %w", err)
-	}
-	return NewLeakageAwareFromTables(tables)
-}
-
 // NewLeakageAwareFromTables builds the policy over already-built per-slot
-// cost tables (slot i of the rack uses tables[i]). Callers that have
-// LUTs for the rack's fan controllers anyway — the rack experiment — can
-// hand the same tables in instead of paying for a second grid of
-// steady-state solves.
+// cost tables (slot i of the rack uses tables[i]), such as the LUTs the
+// rack's fan controllers use (lut.DiskCache.BuildPerConfig), so one grid
+// of steady-state solves serves both.
 func NewLeakageAwareFromTables(tables []*lut.Table) (*LeakageAware, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("sched: leakage-aware needs at least one table")
@@ -328,21 +316,6 @@ type CapAware struct {
 	psus   []*power.PSUModel // nil slice or nil entries = ideal supplies
 }
 
-// NewCapAware precomputes per-slot cost curves with lut.BuildPerConfig and
-// builds the wall-power-aware policy. psus may be nil (every supply ideal)
-// or hold one entry per slot, nil entries meaning an ideal supply.
-func NewCapAware(cfgs []server.Config, psus []*power.PSUModel, build lut.BuildConfig) (*CapAware, error) {
-	tables, err := lut.BuildPerConfig(cfgs, build)
-	if err != nil {
-		return nil, fmt.Errorf("sched: cap-aware tables: %w", err)
-	}
-	models := make([]power.ServerModel, len(cfgs))
-	for i, cfg := range cfgs {
-		models[i] = cfg.Power
-	}
-	return NewCapAwareFromTables(tables, models, psus)
-}
-
 // NewCapAwareFromTables builds the policy over already-built per-slot cost
 // tables and power models (slot i uses tables[i]/models[i]/psus[i]).
 func NewCapAwareFromTables(tables []*lut.Table, models []power.ServerModel, psus []*power.PSUModel) (*CapAware, error) {
@@ -378,7 +351,7 @@ func (p *CapAware) marginalWall(v ServerView, d units.Percent) (units.Watts, err
 	if err != nil {
 		return 0, err
 	}
-	mdc := steady + MarginalDCPower(p.models[v.Index], v.Load, d)
+	mdc := steady + MarginalDCPower(&p.models[v.Index], v.Load, d)
 	psu := p.psuFor(v.Index)
 	if psu == nil {
 		return mdc, nil
@@ -434,27 +407,6 @@ func (p *CapAware) Place(j Job, views []ServerView) int {
 type PUEAware struct {
 	inner *CapAware
 	fac   cooling.Facility
-}
-
-// NewPUEAware builds the facility-aware policy: per-slot cost tables are
-// built at setpoint-corrected ambients (each config's Ambient shifted by
-// fac.AmbientDelta), then composed with the slots' PSU curves and the
-// facility's cooling response. psus may be nil (ideal supplies) or one
-// entry per slot.
-func NewPUEAware(cfgs []server.Config, psus []*power.PSUModel, fac cooling.Facility, build lut.BuildConfig) (*PUEAware, error) {
-	if err := fac.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: pue-aware facility: %w", err)
-	}
-	shifted := make([]server.Config, len(cfgs))
-	delta := fac.AmbientDelta()
-	for i, cfg := range cfgs {
-		shifted[i] = cfg.ShiftAmbient(delta)
-	}
-	inner, err := NewCapAware(shifted, psus, build)
-	if err != nil {
-		return nil, fmt.Errorf("sched: pue-aware tables: %w", err)
-	}
-	return &PUEAware{inner: inner, fac: fac}, nil
 }
 
 // NewPUEAwareFromTables builds the policy over already-built per-slot cost
@@ -523,7 +475,7 @@ func (p *PUEAware) Place(j Job, views []ServerView) int {
 // slower and policy-dependent; the cap-aware policy adds them from its
 // steady-state tables, while the capped trace runner deliberately uses
 // only this fast, model-exact part as its admission estimate.
-func MarginalDCPower(m power.ServerModel, u, d units.Percent) units.Watts {
+func MarginalDCPower(m *power.ServerModel, u, d units.Percent) units.Watts {
 	return m.Active.Power(u+d) - m.Active.Power(u) + m.Memory.Power(u+d) - m.Memory.Power(u)
 }
 
@@ -717,13 +669,6 @@ type faultAction struct {
 	ev    fault.Event
 }
 
-// RunTrace drives the rack through the job trace under the policy with a
-// fixed step dt, from rack-time start for horizon seconds, with no wall
-// cap. See RunTraceCfg.
-func RunTrace(r *rack.Rack, jobs []Job, p Policy, dt, horizon float64) (Result, error) {
-	return RunTraceCfg(r, jobs, p, TraceConfig{Dt: dt, Horizon: horizon})
-}
-
 // RunTraceCfg drives the rack through the job trace under the policy. Jobs
 // are placed FIFO — the queue head blocks until it fits (and, when
 // tc.WallCapW is set, until its placement keeps the predicted wall draw at
@@ -794,6 +739,10 @@ func newTraceRun(r *rack.Rack, jobs []Job, p Policy, tc TraceConfig) (*traceRun,
 	}
 	if tc.WallCapW > 0 {
 		e.capExtra = make([]units.Watts, r.NumServers())
+		e.models = make([]power.ServerModel, r.NumServers())
+		for i := range e.models {
+			e.models[i] = r.Server(i).Config().Power
+		}
 	}
 	if !tc.Faults.Empty() {
 		if err := tc.Faults.Validate(r.NumServers(), r.Server(0).Fans().NumFans()); err != nil {
@@ -863,10 +812,12 @@ type traceRun struct {
 	// macro windows over a refused FIFO head; a cap-deferred head is
 	// crossed whenever backfill is off (see runEvents and foldBlocked).
 	// capExtra is the wall-floor query's scratch: the head's DC increment
-	// per slot, +Inf where it cannot go.
+	// per slot, +Inf where it cannot go. models holds each slot's power
+	// model for cap admission, read once at run start under a cap.
 	loadOnly     bool
 	crossBlocked bool
 	capExtra     []units.Watts
+	models       []power.ServerModel
 
 	// Pinned fault edges in application order (k ascending, clears before
 	// applies at a shared step), the cursor into them, and the sorted wake
@@ -1087,7 +1038,7 @@ func (e *traceRun) admitCap(j Job, slot int) bool {
 // capMarginal is the DC increment cap admission charges for placing j on
 // slot at the current loads.
 func (e *traceRun) capMarginal(j Job, slot int) units.Watts {
-	mdc := MarginalDCPower(e.r.Server(slot).Config().Power, e.loads[slot], j.Demand)
+	mdc := MarginalDCPower(&e.models[slot], e.loads[slot], j.Demand)
 	if slot < len(e.tc.CapMarginal) && e.tc.CapMarginal[slot] != nil {
 		// Conservative admission: charge the settled fan+leak cost up
 		// front. Clamped at zero so the conservative estimate is never

@@ -65,15 +65,27 @@ func TestCoolestFirstPicksLowestTemp(t *testing.T) {
 	}
 }
 
+// leakageAware builds the policy over per-slot tables, as the rack
+// experiment does.
+func leakageAware(t *testing.T, cfgs []server.Config) *LeakageAware {
+	t.Helper()
+	tables, err := lut.DiskCache{}.BuildPerConfig(cfgs, lut.DefaultBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewLeakageAwareFromTables(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestLeakageAwarePrefersColdAisle(t *testing.T) {
 	cold := server.T3Config()
 	cold.Ambient = 21
 	hot := server.T3Config()
 	hot.Ambient = 30
-	p, err := NewLeakageAware([]server.Config{hot, cold}, lut.DefaultBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := leakageAware(t, []server.Config{hot, cold})
 	// Equal load on both: the cold-aisle server's marginal fan+leak power
 	// is lower, so the job must go there despite the higher index.
 	v := views([]float64{40, 40}, []float64{60, 50})
@@ -86,10 +98,7 @@ func TestLeakageAwareSharesTableBuilds(t *testing.T) {
 	cfg := server.T3Config()
 	a, b := cfg, cfg
 	a.NoiseSeed, b.NoiseSeed = 1, 999 // noise cannot affect steady state
-	p, err := NewLeakageAware([]server.Config{a, b}, lut.DefaultBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := leakageAware(t, []server.Config{a, b})
 	if p.tables[0] != p.tables[1] {
 		t.Fatal("identical physics configs must share one table")
 	}
@@ -120,7 +129,7 @@ func TestRunTraceAccounting(t *testing.T) {
 		{ID: 3, Arrival: 0, Duration: 10, Demand: 60}, // must queue: 3 servers busy
 		{ID: 4, Arrival: 200, Duration: 1e9, Demand: 50},
 	}
-	res, err := RunTrace(traceRack(t), jobs, NewRoundRobin(), 1, 300)
+	res, err := RunTraceCfg(traceRack(t), jobs, NewRoundRobin(), TraceConfig{Dt: 1, Horizon: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +151,10 @@ func TestRunTraceAccounting(t *testing.T) {
 
 func TestRunTraceRejectsUnsorted(t *testing.T) {
 	jobs := []Job{{Arrival: 10}, {Arrival: 0}}
-	if _, err := RunTrace(traceRack(t), jobs, NewRoundRobin(), 1, 100); err == nil {
+	if _, err := RunTraceCfg(traceRack(t), jobs, NewRoundRobin(), TraceConfig{Dt: 1, Horizon: 100}); err == nil {
 		t.Fatal("unsorted jobs must be rejected")
 	}
-	if _, err := RunTrace(traceRack(t), nil, NewRoundRobin(), 0, 100); err == nil {
+	if _, err := RunTraceCfg(traceRack(t), nil, NewRoundRobin(), TraceConfig{Dt: 0, Horizon: 100}); err == nil {
 		t.Fatal("non-positive dt must be rejected")
 	}
 }
@@ -160,7 +169,7 @@ func TestRunTraceFIFOHeadBlocks(t *testing.T) {
 		{ID: 3, Arrival: 1, Duration: 50, Demand: 90}, // blocks: nothing free
 		{ID: 4, Arrival: 1, Duration: 5, Demand: 10},  // would fit, must wait behind 3
 	}
-	res, err := RunTrace(traceRack(t), jobs, NewLeastUtilized(), 1, 200)
+	res, err := RunTraceCfg(traceRack(t), jobs, NewLeastUtilized(), TraceConfig{Dt: 1, Horizon: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,10 +201,7 @@ func TestPoliciesWithControllersEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	la, err := NewLeakageAware([]server.Config{cfg, cfg}, lut.DefaultBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
+	la := leakageAware(t, []server.Config{cfg, cfg})
 	for _, p := range []Policy{NewRoundRobin(), NewLeastUtilized(), NewCoolestFirst(), la} {
 		specs := make([]rack.ServerSpec, 2)
 		for i := range specs {
@@ -212,7 +218,7 @@ func TestPoliciesWithControllersEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		jobs := []Job{{ID: 0, Arrival: 0, Duration: 60, Demand: 50}, {ID: 1, Arrival: 10, Duration: 60, Demand: 50}}
-		res, err := RunTrace(r, jobs, p, 1, 120)
+		res, err := RunTraceCfg(r, jobs, p, TraceConfig{Dt: 1, Horizon: 120})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -231,7 +237,7 @@ func TestPoliciesWithControllersEndToEnd(t *testing.T) {
 // overran the measured window.
 func TestRunTraceNonIntegerDtWindow(t *testing.T) {
 	r := traceRack(t)
-	if _, err := RunTrace(r, nil, NewRoundRobin(), 0.1, 36); err != nil {
+	if _, err := RunTraceCfg(r, nil, NewRoundRobin(), TraceConfig{Dt: 0.1, Horizon: 36}); err != nil {
 		t.Fatal(err)
 	}
 	if now := r.Now(); now > 36.05 || now < 35.95 {
@@ -244,7 +250,7 @@ func TestRunTraceNonIntegerDtWindow(t *testing.T) {
 // placed, not silently stranded in Submitted.
 func TestRunTraceAdmitsFinalStepArrivals(t *testing.T) {
 	jobs := []Job{{ID: 0, Arrival: 9.5, Duration: 100, Demand: 30}}
-	res, err := RunTrace(traceRack(t), jobs, NewRoundRobin(), 1, 10)
+	res, err := RunTraceCfg(traceRack(t), jobs, NewRoundRobin(), TraceConfig{Dt: 1, Horizon: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // Config is the full parameterization of the simulated server.
 //
-// Calibration notes (see DESIGN.md for the arithmetic):
+// Calibration notes:
 //
 //   - Leakage/active constants are the paper's own fit (k1=0.4452,
 //     k2=0.3231, k3=0.04749) plus a C=10 W temperature-independent leakage
@@ -64,7 +64,7 @@ type Config struct {
 	MaxThermalStep float64
 
 	// MacroDriftTolC bounds the die-temperature movement, in °C, a single
-	// closed-form macro-step (Server.MacroStep) may span before the
+	// closed-form macro-step (Server.MacroWindow) may span before the
 	// leakage linearization is re-anchored at the current temperatures.
 	// Smaller values track the fixed-dt reference more tightly at the cost
 	// of more sub-steps per event gap; 0 selects the default 1 °C, which

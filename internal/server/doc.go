@@ -12,7 +12,7 @@
 // and the trip flag LATCHES. Tripped() keeps reporting true for the rest
 // of the run even after the machine cools back below the threshold — like
 // a real machine's fault log, a trip is an event record, not a state
-// readout. Nothing in Step, MacroStep or the controllers ever clears it;
+// readout. Nothing in Step, MacroWindow or the controllers ever clears it;
 // the only reset is the operator's explicit ResetTrip (the clear leg of a
 // fault.ServerTrip event uses it). Rack health (rack.Health) and the trace
 // scheduler's kill/requeue logic key off this latch, so a server that
@@ -34,9 +34,9 @@
 // Fan-level faults (stick, fail) live on the fans.Bank reached via Fans().
 //
 // None of these surfaces changes how the server steps between them. A
-// fault is one more input held constant until its next edge, so MacroStep
-// and MacroWindow collapse the steps inside a fault window as they do any
+// fault is one more input held constant until its next edge, so
+// MacroWindow collapses the steps inside a fault window as it does any
 // others, and a dark machine's relaxation collapses exactly (see
-// MacroStep). The only fallbacks to plain steps are the RK4 integrator,
+// MacroWindow). The only fallbacks to plain steps are the RK4 integrator,
 // slewing fans and the trip-guard band.
 package server

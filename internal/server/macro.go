@@ -23,9 +23,11 @@ const defaultMacroDriftTolC = 1.0
 // less than this band.
 const tripGuardC = 5
 
-// MacroStep advances the server by up to maxSteps consecutive fixed-dt
-// steps in one closed-form application of the linearized step map,
-// returning the number of steps actually advanced (always ≥ 1).
+// MacroWindow advances the server through exactly `steps` fixed-dt steps —
+// the rack-level macro window — chaining closed-form sub-steps and falling
+// back to plain Steps where a sub-window cannot be collapsed. It returns
+// the maxima observed at sub-step boundaries for the rack's temperature
+// roll-ups.
 //
 // Between scheduling events the server's inputs are constant: utilization,
 // fan command, ambient and therefore active, memory, fan and idle power.
@@ -37,13 +39,16 @@ const tripGuardC = 5
 // linearization error, the DIMM bank collapses its first-order lag exactly
 // (mem.StepN), and the energy meters are charged from the closed-form
 // temperature sum — the same rectangle rule the fixed-dt path accumulates,
-// evaluated at the window's mean hottest-die temperature.
+// evaluated at the sub-window's mean hottest-die temperature. The
+// window-constant bookkeeping (DIMM lag, fan energy, peak sampling, the
+// power breakdown) is deferred to flush points instead of being repeated
+// per sub-step, which is what makes a transient-heavy window cheap.
 //
-// The caller owns controller scheduling: MacroStep never ticks a fan
+// The caller owns controller scheduling: MacroWindow never ticks a fan
 // controller, so it must only be asked to span windows every controller
-// has promised to stay quiet for (control.HorizonPromiser). It falls back
-// to a single plain Step — the exact reference semantics — whenever a
-// window cannot be collapsed: RK4 integration, slewing fans (the airflow
+// has promised to stay quiet for (control.HorizonPromiser). A sub-window
+// falls back to a plain Step — the exact reference semantics — whenever it
+// cannot be collapsed: RK4 integration, slewing fans (the airflow
 // conductances move every step), proximity to the thermal-trip threshold,
 // or a transient faster than the drift tolerance.
 //
@@ -53,26 +58,6 @@ const tripGuardC = 5
 // too. Nothing feeds back on its temperatures, so its linearization has
 // zero slopes and is exact, it draws no energy, and its DIMMs relax at
 // zero load, as Step's dark branch does.
-func (s *Server) MacroStep(dt float64, maxSteps int) int {
-	if maxSteps > 1 && dt > 0 && s.macroEligible() {
-		if n := s.stepMacroCore(dt, maxSteps); n > 0 {
-			s.flushMacro(dt, n)
-			s.finishMacroWindow()
-			return n
-		}
-	}
-	s.Step(dt)
-	return 1
-}
-
-// MacroWindow advances the server through exactly `steps` fixed-dt steps —
-// the rack-level macro window — chaining closed-form sub-steps and falling
-// back to plain Steps where a sub-window cannot be collapsed. The
-// window-constant bookkeeping (DIMM lag, fan energy, peak sampling, the
-// power breakdown) is deferred to flush points instead of being repeated
-// per sub-step, which is what makes a transient-heavy window cheap. It
-// returns the maxima observed at sub-step boundaries for the rack's
-// temperature roll-ups.
 func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInletC float64) {
 	maxDieC, maxDIMMC, maxInletC = -1e9, -1e9, -1e9
 	fold := func() {
@@ -237,7 +222,7 @@ func (s *Server) stepMacroCore(dt float64, maxSteps int) int {
 		// dPleak/dT = K3·(Pleak − C) for the exponential model: reuse the
 		// (memoized) leakage evaluation instead of a second math.Exp.
 		leak := s.leakageAt(units.Celsius(s.net.Temp(die)))
-		s.macroSlopes[die] = lm.K3 * (leak - lm.C) * s.voltScale / nSockets
+		s.macroSlopes[die] = lm.K3 * (leak - lm.C) / nSockets
 	}
 	tol := s.cfg.MacroDriftTolC
 	if tol <= 0 {
@@ -273,10 +258,10 @@ func (s *Server) stepMacroCore(dt float64, maxSteps int) int {
 	}
 	meanMax /= float64(n)
 	constW := float64(s.cfg.Power.IdleFloor) +
-		float64(s.cfg.Power.Active.Power(s.effectiveUtil(u)))*s.dynScale() +
+		float64(s.cfg.Power.Active.Power(u)) +
 		float64(s.cfg.Power.Memory.Power(u)) +
 		float64(s.fans.Power())
-	leakMean := float64(s.cfg.Power.Leakage.Power(units.Celsius(meanMax))) * s.voltScale
+	leakMean := float64(s.cfg.Power.Leakage.Power(units.Celsius(meanMax)))
 	s.energy += units.Joules((constW + leakMean) * span)
 	s.clock += span
 	s.macroStats.Anchors++

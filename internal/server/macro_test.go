@@ -36,9 +36,7 @@ func TestMacroStepMatchesFixedSteps(t *testing.T) {
 		ev.SetLoad(load)
 		ref.SetLoad(load)
 		const dt, window = 1.0, 900
-		for done := 0; done < window; {
-			done += ev.MacroStep(dt, window-done)
-		}
+		ev.MacroWindow(dt, window)
 		for k := 0; k < window; k++ {
 			ref.Step(dt)
 		}
@@ -73,9 +71,7 @@ func TestMacroStepLoadTransient(t *testing.T) {
 	phase := func(load units.Percent, secs int) {
 		ev.SetLoad(load)
 		ref.SetLoad(load)
-		for done := 0; done < secs; {
-			done += ev.MacroStep(1, secs-done)
-		}
+		ev.MacroWindow(1, secs)
 		for k := 0; k < secs; k++ {
 			ref.Step(1)
 		}
@@ -95,39 +91,37 @@ func TestMacroStepLoadTransient(t *testing.T) {
 	}
 }
 
-// TestMacroStepFallbacks: slewing fans and RK4 integration must advance
-// exactly one plain step.
+// TestMacroStepFallbacks: slewing fans and RK4 integration must take a
+// plain step where a window could otherwise collapse, and say why.
 func TestMacroStepFallbacks(t *testing.T) {
 	srv, _ := macroPair(t, nil)
 	srv.SetLoad(50)
 	srv.Step(1) // settle the fan bank bookkeeping
 	srv.Fans().SetAll(srv.Fans().Target() + 600)
-	if n := srv.MacroStep(1, 100); n != 1 {
-		t.Fatalf("slewing fans must pin to single steps, got %d", n)
+	srv.MacroWindow(1, 2)
+	if st := srv.MacroStats(); st.Anchors != 0 || st.PlainSlew != 1 {
+		t.Fatalf("slewing fans must pin to single steps: %+v", st)
 	}
 
 	rk, _ := macroPair(t, func(c *Config) { c.ThermalIntegrator = thermal.IntegratorRK4 })
 	rk.SetLoad(50)
-	if n := rk.MacroStep(1, 100); n != 1 {
-		t.Fatalf("RK4 servers must pin to single steps, got %d", n)
+	rk.MacroWindow(1, 100)
+	if st := rk.MacroStats(); st.Anchors != 0 || st.PlainIntegrator != 99 {
+		t.Fatalf("RK4 servers must pin to single steps: %+v", st)
 	}
 }
 
 // TestMacroStepCollapsesQuietTail: once settled, a long quiet window must
-// cost a handful of macro calls, not one per dt.
+// cost a handful of closed-form anchors, not one per dt.
 func TestMacroStepCollapsesQuietTail(t *testing.T) {
 	srv, _ := macroPair(t, nil)
 	srv.SetLoad(40)
 	for k := 0; k < 1200; k++ {
 		srv.Step(1) // settle near steady state
 	}
-	calls := 0
-	for done := 0; done < 3600; {
-		done += srv.MacroStep(1, 3600-done)
-		calls++
-	}
-	if calls > 6 {
-		t.Fatalf("a settled hour took %d macro calls, want ≤ 6 (power-of-two windows)", calls)
+	srv.MacroWindow(1, 3600)
+	if st := srv.MacroStats(); st.Anchors > 6 || st.CollapsedSteps+st.PlainTail != 3600 {
+		t.Fatalf("a settled hour took %+v, want ≤ 6 anchors (power-of-two windows)", st)
 	}
 }
 
@@ -153,10 +147,10 @@ func TestMacroStepAllocationFree(t *testing.T) {
 		srv.Step(1)
 	}
 	for i := 0; i < 4; i++ {
-		srv.MacroStep(1, 1<<20) // size the macro scratch
+		srv.MacroWindow(1, 3600) // size the macro scratch
 	}
-	if avg := testing.AllocsPerRun(100, func() { srv.MacroStep(1, 1<<20) }); avg != 0 {
-		t.Fatalf("Server.MacroStep allocates %.1f objects/op at steady state, want 0", avg)
+	if avg := testing.AllocsPerRun(100, func() { srv.MacroWindow(1, 3600) }); avg != 0 {
+		t.Fatalf("Server.MacroWindow allocates %.1f objects/op at steady state, want 0", avg)
 	}
 }
 

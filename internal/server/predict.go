@@ -190,7 +190,7 @@ func (s *Server) DieFloor(dt float64, steps int, floor, walk []float64) int {
 
 // DCAtDie returns the server's DC draw at an instant before its next input
 // change at which its hottest die sits at dieC: every term but leakage is
-// window-constant (utilization, DVFS state, settled fans), and leakage is
+// window-constant (utilization, settled fans), and leakage is
 // read at the hottest die, as Step's breakdown reads it. Leakage rises
 // with the die temperature, so a DieFloor bound gives a DC floor, and a
 // walked die the predicted draw. A dark machine draws nothing.
@@ -205,8 +205,8 @@ func (s *Server) DCAtDie(dieC float64) float64 {
 // slopes at the *predicted* die temperatures in predTemps — the prediction
 // twin of syncThermalInputs + stepMacroCore's slope pass, evaluated on the
 // model directly (anchor temperatures are hypothetical, so the live memo
-// must not be polluted). Sink nodes inject nothing; utilization, DVFS and
-// fan speed are window-constant by the promise contract.
+// must not be polluted). Sink nodes inject nothing; utilization and fan
+// speed are window-constant by the promise contract.
 func (s *Server) fillPredictInputs() {
 	for i := range s.predPowers {
 		s.predPowers[i] = 0
@@ -216,9 +216,9 @@ func (s *Server) fillPredictInputs() {
 	lm := s.cfg.Power.Leakage
 	for i, die := range s.dieNodes {
 		sockU, _ := s.cpu.SocketUtilization(i)
-		active := float64(s.cfg.Power.Active.Power(s.effectiveUtil(sockU))) * s.dynScale() / nSockets
+		active := float64(s.cfg.Power.Active.Power(sockU)) / nSockets
 		leak := float64(lm.Power(units.Celsius(s.predTemps[die])))
-		s.predPowers[die] = active + leak*s.voltScale/nSockets
-		s.predSlopes[die] = lm.K3 * (leak - lm.C) * s.voltScale / nSockets
+		s.predPowers[die] = active + leak/nSockets
+		s.predSlopes[die] = lm.K3 * (leak - lm.C) / nSockets
 	}
 }

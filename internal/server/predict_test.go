@@ -195,14 +195,14 @@ func TestDieFloorSound(t *testing.T) {
 		load := units.Percent(rng.Intn(101))
 		pred.SetLoad(load)
 		ref.SetLoad(load)
-		cores := pred.CPU().Topology().Cores()
+		cores := pred.cpu.Topology().Cores()
 		for c := 0; c < cores; c++ {
 			if rng.Intn(3) == 0 {
 				u := units.Percent(rng.Intn(101))
-				if err := pred.CPU().SetCoreLoad(c, u); err != nil {
+				if err := pred.cpu.SetCoreLoad(c, u); err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.CPU().SetCoreLoad(c, u); err != nil {
+				if err := ref.cpu.SetCoreLoad(c, u); err != nil {
 					t.Fatal(err)
 				}
 			}

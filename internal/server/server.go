@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/fans"
 	"repro/internal/mathx"
@@ -42,13 +41,6 @@ type Server struct {
 	// baseAmbient anchors SetAmbientOffset.
 	powered     bool
 	baseAmbient units.Celsius
-
-	// DVFS state (extension): scaling factors relative to the top P-state.
-	// Dynamic CPU power scales as freqScale·voltScale², leakage as
-	// voltScale, and the demanded load inflates to demanded/freqScale.
-	freqScale float64
-	voltScale float64
-	throttled bool
 
 	lastBreakdown power.Breakdown
 
@@ -101,8 +93,6 @@ func New(cfg Config) (*Server, error) {
 		fans:        fanBank,
 		net:         newNetwork(cfg),
 		noise:       randx.New(cfg.NoiseSeed),
-		freqScale:   1,
-		voltScale:   1,
 		powered:     true,
 		baseAmbient: cfg.Ambient,
 	}
@@ -184,8 +174,8 @@ func (s *Server) syncThermalInputs() {
 		// Active.Power takes machine-wide percent; each socket contributes
 		// k1·U_socket/nSockets so that uniform load sums to k1·U.
 		sockU, _ := s.cpu.SocketUtilization(i)
-		active := float64(s.cfg.Power.Active.Power(s.effectiveUtil(sockU))) * s.dynScale() / float64(nSockets)
-		leak := s.leakageAt(units.Celsius(s.net.Temp(s.dieNodes[i]))) * s.voltScale / float64(nSockets)
+		active := float64(s.cfg.Power.Active.Power(sockU)) / float64(nSockets)
+		leak := s.leakageAt(units.Celsius(s.net.Temp(s.dieNodes[i]))) / float64(nSockets)
 		_ = s.net.SetPower(s.dieNodes[i], active+leak)
 	}
 }
@@ -211,58 +201,16 @@ func (s *Server) updateBreakdown() {
 }
 
 // breakdownAt is the power breakdown of a powered server at its current
-// utilization, DVFS state and fan speed, with leakW of leakage at full
-// voltage.
+// utilization and fan speed, with leakW of leakage.
 func (s *Server) breakdownAt(leakW float64) power.Breakdown {
 	u := s.cpu.Utilization()
 	return power.Breakdown{
 		Idle:    s.cfg.Power.IdleFloor,
-		Active:  units.Watts(float64(s.cfg.Power.Active.Power(s.effectiveUtil(u))) * s.dynScale()),
-		Leakage: units.Watts(leakW * s.voltScale),
+		Active:  s.cfg.Power.Active.Power(u),
+		Leakage: units.Watts(leakW),
 		Memory:  s.cfg.Power.Memory.Power(u),
 		Fan:     s.fans.Power(),
 	}
-}
-
-// dynScale is the DVFS multiplier on dynamic CPU power: f·V².
-func (s *Server) dynScale() float64 { return s.freqScale * s.voltScale * s.voltScale }
-
-// effectiveUtil inflates a demanded utilization by the frequency scale: the
-// same work rate occupies more cycles at a lower clock. Demand beyond the
-// scaled capacity marks the run as throttled.
-func (s *Server) effectiveUtil(demanded units.Percent) units.Percent {
-	eff := float64(demanded) / s.freqScale
-	if eff > 100 {
-		s.throttled = true
-		eff = 100
-	}
-	return units.Percent(eff)
-}
-
-// SetDVFS applies a P-state as frequency and voltage scales relative to the
-// top state. Both must lie in (0, 1]. Dynamic CPU power scales as f·V²,
-// leakage as V. This is the extension hook the paper's conclusion points
-// to (coordinated DVFS + fan control, cf. its reference [5]).
-func (s *Server) SetDVFS(freqScale, voltScale float64) error {
-	if freqScale <= 0 || freqScale > 1 || voltScale <= 0 || voltScale > 1 {
-		return fmt.Errorf("server: DVFS scales must be in (0,1]: f=%g v=%g", freqScale, voltScale)
-	}
-	s.freqScale = freqScale
-	s.voltScale = voltScale
-	return nil
-}
-
-// DVFS returns the current frequency and voltage scales.
-func (s *Server) DVFS() (freqScale, voltScale float64) { return s.freqScale, s.voltScale }
-
-// Throttled reports whether the demanded load ever exceeded the scaled
-// capacity (throughput loss under DVFS).
-func (s *Server) Throttled() bool { return s.throttled }
-
-// EffectiveUtilization returns the utilization after DVFS inflation — what
-// sar would report on the slowed machine.
-func (s *Server) EffectiveUtilization() units.Percent {
-	return units.Percent(math.Min(100, float64(s.cpu.Utilization())/s.freqScale))
 }
 
 // Step advances the whole server by dt seconds.
@@ -308,9 +256,6 @@ func (s *Server) SetLoad(u units.Percent) { s.cpu.SetUniformLoad(u) }
 // Utilization returns the true machine-wide utilization.
 func (s *Server) Utilization() units.Percent { return s.cpu.Utilization() }
 
-// CPU returns the CPU complex for fine-grained load control.
-func (s *Server) CPU() *cpupkg.Complex { return s.cpu }
-
 // Fans returns the fan bank, the actuation surface for controllers.
 func (s *Server) Fans() *fans.Bank { return s.fans }
 
@@ -322,14 +267,6 @@ func (s *Server) Config() Config { return s.cfg }
 
 // Now returns seconds since power-on.
 func (s *Server) Now() float64 { return s.clock }
-
-// DieTemp returns the true temperature of one socket's die.
-func (s *Server) DieTemp(socket int) (units.Celsius, error) {
-	if socket < 0 || socket >= len(s.dieNodes) {
-		return 0, fmt.Errorf("server: socket %d out of range", socket)
-	}
-	return units.Celsius(s.net.Temp(s.dieNodes[socket])), nil
-}
 
 // MaxCPUTemp returns the hottest true die temperature.
 func (s *Server) MaxCPUTemp() units.Celsius {

@@ -311,22 +311,6 @@ func TestSensors(t *testing.T) {
 	}
 }
 
-func TestDieTempAccessors(t *testing.T) {
-	s := newServer(t)
-	if _, err := s.DieTemp(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DieTemp(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DieTemp(2); err == nil {
-		t.Error("socket 2 should not exist")
-	}
-	if _, err := s.DieTemp(-1); err == nil {
-		t.Error("negative socket should error")
-	}
-}
-
 func TestClockAdvances(t *testing.T) {
 	s := newServer(t)
 	s.Step(10)

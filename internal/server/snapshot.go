@@ -34,10 +34,6 @@ type State struct {
 
 	AmbientOffsetC float64
 
-	FreqScale float64
-	VoltScale float64
-	Throttled bool
-
 	Macro MacroStats
 }
 
@@ -56,9 +52,6 @@ func (s *Server) State() State {
 		Tripped:        s.tripped,
 		Powered:        s.powered,
 		AmbientOffsetC: float64(s.AmbientOffset()),
-		FreqScale:      s.freqScale,
-		VoltScale:      s.voltScale,
-		Throttled:      s.throttled,
 		Macro:          s.macroStats,
 	}
 }
@@ -87,9 +80,6 @@ func (s *Server) SetState(st State) error {
 	s.tripped = st.Tripped
 	s.powered = st.Powered
 	s.cfg.Ambient = s.baseAmbient + units.Celsius(st.AmbientOffsetC)
-	s.freqScale = st.FreqScale
-	s.voltScale = st.VoltScale
-	s.throttled = st.Throttled
 	s.macroStats = st.Macro
 	s.leakValid = false
 	s.syncThermalInputs()

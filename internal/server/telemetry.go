@@ -18,20 +18,12 @@ import (
 // setup makes separately observable. Drive the harness with
 // h.Advance(srv.Now()) after each simulation step.
 func (s *Server) AttachTelemetry(h *telemetry.Harness) error {
-	return s.AttachTelemetryPrefixed(h, "")
-}
-
-// AttachTelemetryPrefixed registers the same channel list with every
-// sensor name prefixed — how a rack fans one harness out over many
-// servers without name collisions (rack.AttachTelemetry uses
-// "rack<N>." per slot).
-func (s *Server) AttachTelemetryPrefixed(h *telemetry.Harness, prefix string) error {
 	// CPU die temperature sensors: cpu<die>.temp<sensor>.
 	for die := 0; die < len(s.dieNodes); die++ {
 		for sensor := 0; sensor < 2; sensor++ {
 			die, sensor := die, sensor
-			name := fmt.Sprintf("%scpu%d.temp%d", prefix, die, sensor)
-			err := h.Register(name, "°C", func() float64 {
+			name := fmt.Sprintf("cpu%d.temp%d", die, sensor)
+			err := h.Register(name, func() float64 {
 				readings := s.CPUTempSensors()
 				return float64(readings[die*2+sensor])
 			})
@@ -43,8 +35,8 @@ func (s *Server) AttachTelemetryPrefixed(h *telemetry.Harness, prefix string) er
 	// DIMM temperatures.
 	for i := 0; i < s.mem.NumDIMMs(); i++ {
 		i := i
-		name := fmt.Sprintf("%sdimm%02d.temp", prefix, i)
-		err := h.Register(name, "°C", func() float64 {
+		name := fmt.Sprintf("dimm%02d.temp", i)
+		err := h.Register(name, func() float64 {
 			t, err := s.mem.Temp(i)
 			if err != nil {
 				return 0
@@ -59,7 +51,7 @@ func (s *Server) AttachTelemetryPrefixed(h *telemetry.Harness, prefix string) er
 	cores := s.cpu.Topology().Cores()
 	for core := 0; core < cores; core++ {
 		core := core
-		errV := h.Register(fmt.Sprintf("%score%02d.volts", prefix, core), "V", func() float64 {
+		errV := h.Register(fmt.Sprintf("core%02d.volts", core), func() float64 {
 			v, _, err := s.cpu.VI(core, s.cfg.Power.CPUHeat(s.Utilization(), s.MaxCPUTemp()))
 			if err != nil {
 				return 0
@@ -69,7 +61,7 @@ func (s *Server) AttachTelemetryPrefixed(h *telemetry.Harness, prefix string) er
 		if errV != nil {
 			return errV
 		}
-		errI := h.Register(fmt.Sprintf("%score%02d.amps", prefix, core), "A", func() float64 {
+		errI := h.Register(fmt.Sprintf("core%02d.amps", core), func() float64 {
 			_, a, err := s.cpu.VI(core, s.cfg.Power.CPUHeat(s.Utilization(), s.MaxCPUTemp()))
 			if err != nil {
 				return 0
@@ -81,17 +73,17 @@ func (s *Server) AttachTelemetryPrefixed(h *telemetry.Harness, prefix string) er
 		}
 	}
 	// Whole-system power and the separately metered fan channel.
-	if err := h.Register(prefix+"system.power", "W", func() float64 {
+	if err := h.Register("system.power", func() float64 {
 		return float64(s.MeasuredSystemPower())
 	}); err != nil {
 		return err
 	}
-	if err := h.Register(prefix+"fans.power", "W", func() float64 {
+	if err := h.Register("fans.power", func() float64 {
 		return float64(s.MeasuredFanPower())
 	}); err != nil {
 		return err
 	}
-	if err := h.Register(prefix+"fans.rpm", "RPM", func() float64 {
+	if err := h.Register("fans.rpm", func() float64 {
 		return float64(s.fans.MeanRPM())
 	}); err != nil {
 		return err

@@ -59,21 +59,21 @@ func TestAttachTelemetryPolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if series.Len() != 31 {
-		t.Fatalf("polls = %d, want 31", series.Len())
+	temps := series.Samples()
+	if len(temps) != 31 {
+		t.Fatalf("polls = %d, want 31", len(temps))
 	}
 	// Temperatures rise under load.
-	vals := series.Values()
-	if vals[len(vals)-1] <= vals[0]+5 {
-		t.Fatalf("temp did not rise: %g → %g", vals[0], vals[len(vals)-1])
+	if first, last := temps[0].Value, temps[len(temps)-1].Value; last <= first+5 {
+		t.Fatalf("temp did not rise: %g → %g", first, last)
 	}
 	// System power is in the calibrated envelope.
 	p, err := h.Series("system.power")
 	if err != nil {
 		t.Fatal(err)
 	}
-	last, ok := p.Last()
-	if !ok || last.Value < 450 || last.Value > 620 {
+	powers := p.Samples()
+	if last := powers[len(powers)-1]; last.Value < 450 || last.Value > 620 {
 		t.Fatalf("system power = %+v", last)
 	}
 	// CSV export carries all channels.

@@ -78,6 +78,8 @@
 //   - 3: server.State loses FixedPin and server.MacroStats loses
 //     PlainPinned, since fault windows and dark slots macro-step like any
 //     other interval (testdata/checkpoint-v3.snap).
+//   - 4: server.State loses FreqScale, VoltScale and Throttled with the
+//     DVFS extension that set them (testdata/checkpoint-v4.snap).
 //
 // # Checkpoint instants
 //

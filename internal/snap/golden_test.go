@@ -216,7 +216,6 @@ func liveCheckpoint(t *testing.T) sched.Checkpoint {
 		{Kind: fault.PSUFail, Server: 1, At: 140, Clear: 520},
 		{Kind: fault.CRACOutage, At: 200, Clear: 540, Severity: 4},
 	}}
-	faults.Sort()
 	var ck *sched.Checkpoint
 	_, err = sched.RunTraceCfg(r, sched.JobsFromSpecs(trace), sched.NewRoundRobin(), sched.TraceConfig{
 		Dt: 1, Horizon: horizon, EventStepping: true, Faults: faults, SampleEvery: 10,

@@ -12,7 +12,7 @@ import (
 
 // Version is the snapshot format version this build reads and writes. See
 // the package comment for the bump policy.
-const Version uint32 = 3
+const Version uint32 = 4
 
 // magic identifies a snapshot file.
 var magic = [8]byte{'R', 'E', 'P', 'R', 'O', 'S', 'N', 'P'}

@@ -1,38 +1,21 @@
-// Package stats provides the descriptive statistics used by the telemetry
-// harness and the experiment reports: online moments (Welford), percentiles,
-// and regression quality measures (RMSE, R²).
+// Package stats provides the statistics the leakage-model fit reports:
+// an online mean and the coefficient of determination R².
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
-// Online accumulates count, mean and variance incrementally (Welford's
-// algorithm) along with min and max. The zero value is ready to use.
+// Online accumulates a count and a running mean incrementally (Welford's
+// update). The zero value is ready to use.
 type Online struct {
-	n        int
-	mean, m2 float64
-	min, max float64
+	n    int
+	mean float64
 }
 
 // Add incorporates one observation.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
 	d := x - o.mean
 	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
 }
 
 // N returns the number of observations.
@@ -40,98 +23,6 @@ func (o *Online) N() int { return o.n }
 
 // Mean returns the running mean (0 if empty).
 func (o *Online) Mean() float64 { return o.mean }
-
-// Var returns the population variance (0 if fewer than 2 observations).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n)
-}
-
-// Std returns the population standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
-// Min returns the smallest observation (0 if empty).
-func (o *Online) Min() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.min
-}
-
-// Max returns the largest observation (0 if empty).
-func (o *Online) Max() float64 {
-	if o.n == 0 {
-		return 0
-	}
-	return o.max
-}
-
-// Summary is a complete snapshot of a sample.
-type Summary struct {
-	N                   int
-	Mean, Std, Min, Max float64
-	P50, P95, P99       float64
-}
-
-// Summarize computes a Summary from raw samples.
-func Summarize(xs []float64) Summary {
-	var o Online
-	for _, x := range xs {
-		o.Add(x)
-	}
-	s := Summary{N: o.N(), Mean: o.Mean(), Std: o.Std(), Min: o.Min(), Max: o.Max()}
-	if len(xs) > 0 {
-		s.P50 = Percentile(xs, 50)
-		s.P95 = Percentile(xs, 95)
-		s.P99 = Percentile(xs, 99)
-	}
-	return s
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
-		s.N, s.Mean, s.Std, s.Min, s.P50, s.P95, s.Max)
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between order statistics. It copies xs and so leaves the
-// input untouched. Percentile of an empty slice is 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo] + frac*(sorted[hi]-sorted[lo])
-}
-
-// RMSE computes the root mean squared error between predictions and truth.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
-}
 
 // RSquared computes the coefficient of determination of predictions against
 // truth. 1 is a perfect fit; it can go negative for fits worse than the mean.
@@ -158,38 +49,4 @@ func RSquared(pred, truth []float64) float64 {
 		return math.Inf(-1)
 	}
 	return 1 - ssRes/ssTot
-}
-
-// MeanOf returns the arithmetic mean of xs (0 for empty input).
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// MaxOf returns the maximum of xs (-Inf for empty input).
-func MaxOf(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// MinOf returns the minimum of xs (+Inf for empty input).
-func MinOf(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }

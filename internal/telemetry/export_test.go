@@ -20,7 +20,7 @@ func TestWriteCSVEmpty(t *testing.T) {
 		t.Errorf("no-sensor export = %q", sb.String())
 	}
 
-	_ = h.Register("a", "W", func() float64 { return 1 })
+	_ = h.Register("a", func() float64 { return 1 })
 	sb.Reset()
 	if err := h.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestWriteCSVEmpty(t *testing.T) {
 // one data row carrying the poll instant and value.
 func TestWriteCSVSingleSample(t *testing.T) {
 	h, _ := NewHarness(10, 0)
-	_ = h.Register("a", "W", func() float64 { return 2.5 })
+	_ = h.Register("a", func() float64 { return 2.5 })
 	h.PollNow(7)
 	var sb strings.Builder
 	if err := h.WriteCSV(&sb); err != nil {
@@ -49,37 +49,17 @@ func TestWriteCSVSingleSample(t *testing.T) {
 	}
 }
 
-// TestCSVQuoting feeds sensor names and unit strings containing commas
-// and double quotes through both exports and round-trips the result with
-// encoding/csv: every field must come back verbatim.
+// TestCSVQuoting feeds a sensor name containing commas and double quotes
+// through the wide export and round-trips the result with encoding/csv:
+// every field must come back verbatim.
 func TestCSVQuoting(t *testing.T) {
 	h, _ := NewHarness(10, 0)
 	name := `wall,total "AC"`
-	unit := `W, at the wall ("metered")`
-	_ = h.Register(name, unit, func() float64 { return 9 })
-	_ = h.Register("plain", "°C", func() float64 { return 1 })
+	_ = h.Register(name, func() float64 { return 9 })
+	_ = h.Register("plain", func() float64 { return 1 })
 	h.PollNow(0)
 
 	var sb strings.Builder
-	if err := h.WriteUnitsCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("units export is not valid CSV: %v\n%s", err, sb.String())
-	}
-	if len(rows) != 3 || rows[1][0] != name || rows[1][1] != unit {
-		t.Errorf("units rows = %q", rows)
-	}
-	if rows[2][0] != "plain" || rows[2][1] != "°C" {
-		t.Errorf("plain unit row = %q", rows[2])
-	}
-	// Unquoted fields must pass through byte-for-byte (no gratuitous quoting).
-	if !strings.Contains(sb.String(), "plain,°C\n") {
-		t.Errorf("plain fields were re-encoded:\n%s", sb.String())
-	}
-
-	sb.Reset()
 	if err := h.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +83,7 @@ func TestRingWraparoundOrdering(t *testing.T) {
 	for _, polls := range []int{3, 4, 11} {
 		h, _ := NewHarness(1, 3)
 		n := 0.0
-		_ = h.Register("x", "", func() float64 { n++; return n })
+		_ = h.Register("x", func() float64 { n++; return n })
 		h.Advance(float64(polls - 1)) // polls at t=0..polls-1
 		s, _ := h.Series("x")
 		if s.Len() != 3 {

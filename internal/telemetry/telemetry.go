@@ -1,7 +1,7 @@
 // Package telemetry reimplements the role of the Continuous System
 // Telemetry Harness (CSTH) from the paper: a registry of named sensors
-// polled on a fixed period (10 s in the paper), with ring-buffer history,
-// snapshots, and CSV export for offline analysis.
+// polled on a fixed period (10 s in the paper), with ring-buffer history
+// and CSV export for offline analysis.
 //
 // Sensors are pull-based: each is a function returning the current reading.
 // The harness is driven by the simulation clock, not wall time, so
@@ -27,15 +27,13 @@ type Sample struct {
 
 // Series is the retained history of one sensor.
 type Series struct {
-	Name    string
-	Unit    string
 	samples []Sample
 	cap     int // ring capacity; 0 = unbounded
 	start   int // ring head when capped
 }
 
-func newSeries(name, unit string, capacity int) *Series {
-	return &Series{Name: name, Unit: unit, cap: capacity}
+func newSeries(capacity int) *Series {
+	return &Series{cap: capacity}
 }
 
 func (s *Series) add(t, v float64) {
@@ -47,17 +45,6 @@ func (s *Series) add(t, v float64) {
 	s.samples = append(s.samples, Sample{t, v})
 }
 
-// Len returns the number of retained samples.
-func (s *Series) Len() int { return len(s.samples) }
-
-// At returns the i-th oldest retained sample.
-func (s *Series) At(i int) (Sample, error) {
-	if i < 0 || i >= len(s.samples) {
-		return Sample{}, fmt.Errorf("telemetry: index %d out of range [0,%d)", i, len(s.samples))
-	}
-	return s.samples[(s.start+i)%len(s.samples)], nil
-}
-
 // Samples returns a chronological copy of the retained history.
 func (s *Series) Samples() []Sample {
 	out := make([]Sample, 0, len(s.samples))
@@ -65,39 +52,6 @@ func (s *Series) Samples() []Sample {
 		out = append(out, s.samples[(s.start+i)%len(s.samples)])
 	}
 	return out
-}
-
-// Values returns just the values, chronologically.
-func (s *Series) Values() []float64 {
-	out := make([]float64, 0, len(s.samples))
-	for _, smp := range s.Samples() {
-		out = append(out, smp.Value)
-	}
-	return out
-}
-
-// Times returns just the timestamps, chronologically.
-func (s *Series) Times() []float64 {
-	out := make([]float64, 0, len(s.samples))
-	for _, smp := range s.Samples() {
-		out = append(out, smp.Time)
-	}
-	return out
-}
-
-// Last returns the most recent sample.
-func (s *Series) Last() (Sample, bool) {
-	if len(s.samples) == 0 {
-		return Sample{}, false
-	}
-	idx := s.start - 1
-	if idx < 0 {
-		idx += len(s.samples)
-	}
-	if s.cap == 0 || len(s.samples) < s.cap {
-		idx = len(s.samples) - 1
-	}
-	return s.samples[idx], true
 }
 
 // Harness is the CSTH stand-in.
@@ -129,7 +83,7 @@ func NewHarness(period float64, capacity int) (*Harness, error) {
 }
 
 // Register adds a named sensor. Re-registering a name is an error.
-func (h *Harness) Register(name, unit string, s Sensor) error {
+func (h *Harness) Register(name string, s Sensor) error {
 	if s == nil {
 		return fmt.Errorf("telemetry: nil sensor %q", name)
 	}
@@ -137,7 +91,7 @@ func (h *Harness) Register(name, unit string, s Sensor) error {
 		return fmt.Errorf("telemetry: duplicate sensor %q", name)
 	}
 	h.sensors[name] = s
-	h.series[name] = newSeries(name, unit, h.cap)
+	h.series[name] = newSeries(h.cap)
 	h.order = append(h.order, name)
 	return nil
 }
@@ -160,14 +114,6 @@ func (h *Harness) Advance(now float64) int {
 	return polls
 }
 
-// PollNow forces an immediate poll at the given timestamp without changing
-// the schedule.
-func (h *Harness) PollNow(t float64) {
-	for _, name := range h.order {
-		h.series[name].add(t, h.sensors[name]())
-	}
-}
-
 // Series returns the history for one sensor.
 func (h *Harness) Series(name string) (*Series, error) {
 	s, ok := h.series[name]
@@ -175,24 +121,6 @@ func (h *Harness) Series(name string) (*Series, error) {
 		return nil, fmt.Errorf("telemetry: unknown sensor %q", name)
 	}
 	return s, nil
-}
-
-// Snapshot reads every sensor immediately (without recording) and returns
-// name → value.
-func (h *Harness) Snapshot() map[string]float64 {
-	out := make(map[string]float64, len(h.sensors))
-	for name, s := range h.sensors {
-		out[name] = s()
-	}
-	return out
-}
-
-// Reset clears all recorded history and restarts the poll schedule at t=0.
-func (h *Harness) Reset() {
-	for name := range h.series {
-		h.series[name] = newSeries(name, h.series[name].Unit, h.cap)
-	}
-	h.nextDue = 0
 }
 
 // csvField quotes s per RFC 4180 when it contains a comma, a double
@@ -205,27 +133,10 @@ func csvField(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
-// WriteUnitsCSV emits the sensor metadata as a two-column CSV
-// (sensor,unit) in registration order — the sidecar that gives the wide
-// WriteCSV export its units. Names and unit strings are RFC 4180-quoted
-// when they need it (a unit like `W, "wall"` survives a round trip).
-func (h *Harness) WriteUnitsCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "sensor,unit\n"); err != nil {
-		return err
-	}
-	for _, n := range h.order {
-		row := csvField(n) + "," + csvField(h.series[n].Unit) + "\n"
-		if _, err := io.WriteString(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteCSV emits all series as a wide CSV: time plus one column per sensor.
-// Sensors are sampled on the same schedule, so rows align; if they do not
-// (PollNow mixed with Advance), the union of timestamps is used and missing
-// cells are empty.
+// Sensors are sampled on the same schedule, so rows align; where a series
+// lacks a timestamp (a sensor registered after polling began), the union
+// of timestamps is used and the missing cells are empty.
 func (h *Harness) WriteCSV(w io.Writer) error {
 	names := append([]string(nil), h.order...)
 	// Collect the union of timestamps.

@@ -1,9 +1,65 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// The accessors below read a series' retained ring for the tests; the
+// harness itself exports only Samples and WriteCSV.
+
+// Len returns the number of retained samples.
+func (s *Series) Len() int { return len(s.samples) }
+
+// At returns the i-th oldest retained sample.
+func (s *Series) At(i int) (Sample, error) {
+	if i < 0 || i >= len(s.samples) {
+		return Sample{}, fmt.Errorf("telemetry: index %d out of range [0,%d)", i, len(s.samples))
+	}
+	return s.samples[(s.start+i)%len(s.samples)], nil
+}
+
+// Values returns just the values, chronologically.
+func (s *Series) Values() []float64 {
+	out := make([]float64, 0, len(s.samples))
+	for _, smp := range s.Samples() {
+		out = append(out, smp.Value)
+	}
+	return out
+}
+
+// Times returns just the timestamps, chronologically.
+func (s *Series) Times() []float64 {
+	out := make([]float64, 0, len(s.samples))
+	for _, smp := range s.Samples() {
+		out = append(out, smp.Time)
+	}
+	return out
+}
+
+// Last returns the most recent sample.
+func (s *Series) Last() (Sample, bool) {
+	if len(s.samples) == 0 {
+		return Sample{}, false
+	}
+	idx := s.start - 1
+	if idx < 0 {
+		idx += len(s.samples)
+	}
+	if s.cap == 0 || len(s.samples) < s.cap {
+		idx = len(s.samples) - 1
+	}
+	return s.samples[idx], true
+}
+
+// PollNow forces an immediate poll at the given timestamp without changing
+// the schedule.
+func (h *Harness) PollNow(t float64) {
+	for _, name := range h.order {
+		h.series[name].add(t, h.sensors[name]())
+	}
+}
 
 func TestNewHarnessValidation(t *testing.T) {
 	if _, err := NewHarness(0, 0); err == nil {
@@ -23,13 +79,13 @@ func TestRegisterAndPoll(t *testing.T) {
 		t.Fatal(err)
 	}
 	val := 1.0
-	if err := h.Register("cpu0.temp", "°C", func() float64 { return val }); err != nil {
+	if err := h.Register("cpu0.temp", func() float64 { return val }); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Register("cpu0.temp", "°C", func() float64 { return 0 }); err == nil {
+	if err := h.Register("cpu0.temp", func() float64 { return 0 }); err == nil {
 		t.Error("duplicate registration should error")
 	}
-	if err := h.Register("nil", "x", nil); err == nil {
+	if err := h.Register("nil", nil); err == nil {
 		t.Error("nil sensor should error")
 	}
 
@@ -65,7 +121,7 @@ func TestRegisterAndPoll(t *testing.T) {
 func TestSeriesValuesAndAt(t *testing.T) {
 	h, _ := NewHarness(1, 0)
 	n := 0.0
-	_ = h.Register("x", "", func() float64 { n++; return n })
+	_ = h.Register("x", func() float64 { n++; return n })
 	h.Advance(4)
 	s, _ := h.Series("x")
 	vals := s.Values()
@@ -93,7 +149,7 @@ func TestSeriesValuesAndAt(t *testing.T) {
 func TestRingBufferCap(t *testing.T) {
 	h, _ := NewHarness(1, 3)
 	n := 0.0
-	_ = h.Register("x", "", func() float64 { n++; return n })
+	_ = h.Register("x", func() float64 { n++; return n })
 	h.Advance(9) // 10 polls at t=0..9
 	s, _ := h.Series("x")
 	if s.Len() != 3 {
@@ -112,7 +168,7 @@ func TestRingBufferCap(t *testing.T) {
 
 func TestEmptySeriesLast(t *testing.T) {
 	h, _ := NewHarness(1, 0)
-	_ = h.Register("x", "", func() float64 { return 0 })
+	_ = h.Register("x", func() float64 { return 0 })
 	s, _ := h.Series("x")
 	if _, ok := s.Last(); ok {
 		t.Fatal("empty series should have no last sample")
@@ -126,55 +182,10 @@ func TestUnknownSeries(t *testing.T) {
 	}
 }
 
-func TestSnapshotDoesNotRecord(t *testing.T) {
-	h, _ := NewHarness(10, 0)
-	_ = h.Register("a", "", func() float64 { return 42 })
-	snap := h.Snapshot()
-	if snap["a"] != 42 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	s, _ := h.Series("a")
-	if s.Len() != 0 {
-		t.Fatal("snapshot recorded history")
-	}
-}
-
-func TestPollNow(t *testing.T) {
-	h, _ := NewHarness(10, 0)
-	_ = h.Register("a", "", func() float64 { return 7 })
-	h.PollNow(3.5)
-	s, _ := h.Series("a")
-	if s.Len() != 1 {
-		t.Fatal("PollNow did not record")
-	}
-	smp, _ := s.At(0)
-	if smp.Time != 3.5 || smp.Value != 7 {
-		t.Fatalf("sample = %+v", smp)
-	}
-}
-
-func TestReset(t *testing.T) {
-	h, _ := NewHarness(10, 0)
-	_ = h.Register("a", "W", func() float64 { return 1 })
-	h.Advance(100)
-	h.Reset()
-	s, _ := h.Series("a")
-	if s.Len() != 0 {
-		t.Fatal("reset did not clear history")
-	}
-	if s.Unit != "W" {
-		t.Fatal("reset lost unit")
-	}
-	// Poll schedule restarts at 0.
-	if polls := h.Advance(0); polls != 1 {
-		t.Fatalf("post-reset polls = %d", polls)
-	}
-}
-
 func TestNames(t *testing.T) {
 	h, _ := NewHarness(1, 0)
-	_ = h.Register("b", "", func() float64 { return 0 })
-	_ = h.Register("a", "", func() float64 { return 0 })
+	_ = h.Register("b", func() float64 { return 0 })
+	_ = h.Register("a", func() float64 { return 0 })
 	names := h.Names()
 	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
 		t.Fatalf("names = %v (want registration order)", names)
@@ -183,8 +194,8 @@ func TestNames(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	h, _ := NewHarness(10, 0)
-	_ = h.Register("temp", "°C", func() float64 { return 55.5 })
-	_ = h.Register("power", "W", func() float64 { return 500 })
+	_ = h.Register("temp", func() float64 { return 55.5 })
+	_ = h.Register("power", func() float64 { return 500 })
 	h.Advance(20)
 	var sb strings.Builder
 	if err := h.WriteCSV(&sb); err != nil {
@@ -205,9 +216,9 @@ func TestWriteCSV(t *testing.T) {
 
 func TestWriteCSVSparse(t *testing.T) {
 	h, _ := NewHarness(10, 0)
-	_ = h.Register("a", "", func() float64 { return 1 })
+	_ = h.Register("a", func() float64 { return 1 })
 	h.PollNow(5)
-	_ = h.Register("b", "", func() float64 { return 2 })
+	_ = h.Register("b", func() float64 { return 2 })
 	h.PollNow(15)
 	var sb strings.Builder
 	if err := h.WriteCSV(&sb); err != nil {

@@ -223,3 +223,6 @@ func TestIntegratorSelection(t *testing.T) {
 		t.Fatal("SetIntegrator did not switch")
 	}
 }
+
+// IntegratorInUse returns the currently selected stepping scheme.
+func (n *Network) IntegratorInUse() Integrator { return n.integrator }

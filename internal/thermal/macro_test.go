@@ -312,3 +312,8 @@ func itoa(v int) string {
 	}
 	return string(buf[i:])
 }
+
+// CondGeneration returns the conductance generation counter: it advances
+// exactly when some link's conductance value changes (or the topology is
+// edited), so equal generations imply an identical system matrix.
+func (n *Network) CondGeneration() uint64 { return n.condGen }

@@ -125,9 +125,6 @@ func NewNetwork(maxStep float64) *Network {
 // propagator is rebuilt lazily on the next Step.
 func (n *Network) SetIntegrator(i Integrator) { n.integrator = i }
 
-// IntegratorInUse returns the currently selected stepping scheme.
-func (n *Network) IntegratorInUse() Integrator { return n.integrator }
-
 // invalidate drops every cached propagator; called on topology mutations
 // (node or link additions), which change the meaning of the conductance
 // vector the cache entries are keyed on. Plain conductance changes do NOT
@@ -231,11 +228,6 @@ func (n *Network) SetConductance(id LinkID, g float64) error {
 	n.condGen++
 	return nil
 }
-
-// CondGeneration returns the conductance generation counter: it advances
-// exactly when some link's conductance value changes (or the topology is
-// edited), so equal generations imply an identical system matrix.
-func (n *Network) CondGeneration() uint64 { return n.condGen }
 
 // SetBoundaryTemp updates a boundary temperature (e.g. inlet preheat).
 func (n *Network) SetBoundaryTemp(id BoundaryID, temp float64) error {

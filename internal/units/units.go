@@ -30,18 +30,13 @@ type GramsPerSecond float64
 // paper.
 func (j Joules) KWh() float64 { return float64(j) / 3.6e6 }
 
-// JoulesFromKWh converts kilowatt-hours back to Joules.
-func JoulesFromKWh(kwh float64) Joules { return Joules(kwh * 3.6e6) }
-
 // Energy accumulates power over a time step of dt seconds.
 func Energy(p Watts, dtSeconds float64) Joules { return Joules(float64(p) * dtSeconds) }
 
-func (c Celsius) String() string        { return fmt.Sprintf("%.2f°C", float64(c)) }
-func (w Watts) String() string          { return fmt.Sprintf("%.2fW", float64(w)) }
-func (j Joules) String() string         { return fmt.Sprintf("%.1fJ", float64(j)) }
-func (r RPM) String() string            { return fmt.Sprintf("%.0fRPM", float64(r)) }
-func (p Percent) String() string        { return fmt.Sprintf("%.1f%%", float64(p)) }
-func (g GramsPerSecond) String() string { return fmt.Sprintf("%.2fg/s", float64(g)) }
+func (c Celsius) String() string { return fmt.Sprintf("%.2f°C", float64(c)) }
+func (w Watts) String() string   { return fmt.Sprintf("%.2fW", float64(w)) }
+func (r RPM) String() string     { return fmt.Sprintf("%.0fRPM", float64(r)) }
+func (p Percent) String() string { return fmt.Sprintf("%.1f%%", float64(p)) }
 
 // Clamp limits p to the valid utilization range [0, 100].
 func (p Percent) Clamp() Percent {
@@ -69,20 +64,4 @@ func ClampRPM(r, lo, hi RPM) RPM {
 		return hi
 	}
 	return r
-}
-
-// MaxC returns the larger of two temperatures.
-func MaxC(a, b Celsius) Celsius {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinC returns the smaller of two temperatures.
-func MinC(a, b Celsius) Celsius {
-	if a < b {
-		return a
-	}
-	return b
 }

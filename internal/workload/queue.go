@@ -53,11 +53,6 @@ func (c QueueConfig) Validate() error {
 	return nil
 }
 
-// OfferedLoad returns ρ = λ/(c·μ), the expected long-run utilization.
-func (c QueueConfig) OfferedLoad() float64 {
-	return c.ArrivalRate * c.ServiceMean / float64(c.Servers)
-}
-
 // QueueResult carries the simulated utilization trace and summary counters.
 type QueueResult struct {
 	SampleEvery  float64
@@ -65,18 +60,6 @@ type QueueResult struct {
 	JobsArrived  int
 	JobsFinished int
 	MaxQueueLen  int
-}
-
-// MeanUtilization returns the average of the utilization trace.
-func (r QueueResult) MeanUtilization() units.Percent {
-	if len(r.Utilization) == 0 {
-		return 0
-	}
-	var s float64
-	for _, u := range r.Utilization {
-		s += float64(u)
-	}
-	return units.Percent(s / float64(len(r.Utilization)))
 }
 
 // SimulateMMC runs an event-driven M/M/c queue and samples machine

@@ -29,6 +29,23 @@ func TestQueueConfigValidate(t *testing.T) {
 	}
 }
 
+// OfferedLoad returns ρ = λ/(c·μ), the expected long-run utilization.
+func (c QueueConfig) OfferedLoad() float64 {
+	return c.ArrivalRate * c.ServiceMean / float64(c.Servers)
+}
+
+// MeanUtilization returns the average of the utilization trace.
+func (r QueueResult) MeanUtilization() units.Percent {
+	if len(r.Utilization) == 0 {
+		return 0
+	}
+	var s float64
+	for _, u := range r.Utilization {
+		s += float64(u)
+	}
+	return units.Percent(s / float64(len(r.Utilization)))
+}
+
 func TestOfferedLoad(t *testing.T) {
 	c := DefaultShellConfig()
 	want := 0.64 * 20 / 32

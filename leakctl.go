@@ -15,28 +15,24 @@
 //     fixed-speed default;
 //   - the full evaluation harness regenerating Figures 1-3 and Table I.
 //
-// The quickest way in:
-//
-//	res, err := leakctl.RunPipeline(leakctl.DefaultPipeline())
-//	// res.Fit holds k1, C, k2, k3; res.Controller is ready to deploy.
-//
-// or run a controller against a workload:
+// The quickest way in: build the paper's lookup table and run its
+// controller against a Table I workload.
 //
 //	cfg := leakctl.T3Config()
-//	rows, err := leakctl.TableI(cfg, 42, leakctl.DefaultEval())
+//	table, err := leakctl.BuildLUT(cfg, leakctl.DefaultLUTBuild())
+//	ctrl, err := leakctl.NewLUTController(table, leakctl.DefaultLUT())
+//	tests, err := leakctl.TestWorkloads(42)
+//	res, err := leakctl.RunControlled(cfg, tests[0].Profile, ctrl, leakctl.DefaultEval())
 //
-// This package is a facade; the implementation lives in the internal
-// packages (server, thermal, power, fans, cpu, mem, telemetry, loadgen,
-// workload, fitting, lut, control, experiments).
+// This package is a facade over what the example programs and godoc
+// examples use; the implementation lives in the internal packages, and
+// the commands under cmd/ drive them directly.
 package leakctl
 
 import (
-	"io"
-
 	"repro/internal/control"
 	"repro/internal/cooling"
 	"repro/internal/core"
-	"repro/internal/dvfs"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/fitting"
@@ -45,7 +41,6 @@ import (
 	"repro/internal/plot"
 	"repro/internal/power"
 	"repro/internal/rack"
-	"repro/internal/reliability"
 	"repro/internal/room"
 	"repro/internal/sched"
 	"repro/internal/server"
@@ -154,9 +149,6 @@ func BuildLUT(cfg ServerConfig, b LUTBuildConfig) (*LUTTable, error) { return lu
 // DefaultLUTBuild returns the paper's grid and 75 °C cap.
 func DefaultLUTBuild() LUTBuildConfig { return lut.DefaultBuild() }
 
-// ReadLUT deserializes a table written with Table.WriteJSON.
-func ReadLUT(r io.Reader) (*LUTTable, error) { return lut.ReadJSON(r) }
-
 // LUTDiskCache caches built tables on disk keyed by config hash, so
 // repeated processes skip identical steady-state grids. The zero value
 // builds directly.
@@ -172,17 +164,6 @@ type (
 	SweepConfig = fitting.SweepConfig
 )
 
-// DefaultSweep returns the paper's Section IV sweep.
-func DefaultSweep() SweepConfig { return fitting.DefaultSweep() }
-
-// Characterize runs the sweep against fresh simulated servers.
-func Characterize(cfg ServerConfig, sweep SweepConfig) (*Dataset, error) {
-	return fitting.Collect(func() (*Server, error) { return server.New(cfg) }, sweep)
-}
-
-// FitLeakage fits Pcpu = k1·U + C + k2·e^(k3·T) to a dataset.
-func FitLeakage(ds *Dataset) (FitResult, error) { return fitting.FitLeakage(ds) }
-
 // End-to-end pipeline.
 type (
 	// Pipeline bundles every stage configuration.
@@ -190,13 +171,6 @@ type (
 	// PipelineResult carries all pipeline artifacts.
 	PipelineResult = core.PipelineResult
 )
-
-// DefaultPipeline returns the paper's configuration end to end.
-func DefaultPipeline() Pipeline { return core.DefaultPipeline() }
-
-// RunPipeline characterizes, fits, builds the LUT and constructs the
-// controller in one call.
-func RunPipeline(cfg Pipeline) (*PipelineResult, error) { return core.Run(cfg) }
 
 // Workloads.
 type (
@@ -237,43 +211,8 @@ func RunControlled(cfg ServerConfig, prof Profile, ctrl Controller, ec EvalConfi
 	return experiments.RunControlled(cfg, prof, ctrl, ec)
 }
 
-// TableI reproduces the paper's Table I, fanning the controller×workload
-// runs out over all cores.
-func TableI(cfg ServerConfig, seed int64, ec EvalConfig) ([]TableIRow, error) {
-	return experiments.TableI(cfg, seed, ec)
-}
-
-// TableIParallel is TableI with an explicit worker bound (≤ 0 = GOMAXPROCS,
-// 1 = the serial reference path). Rows are identical for every worker count.
-func TableIParallel(cfg ServerConfig, seed int64, ec EvalConfig, workers int) ([]TableIRow, error) {
-	return experiments.TableIParallel(cfg, seed, ec, workers)
-}
-
-// FormatTableI renders Table I rows as text.
-func FormatTableI(w io.Writer, rows []TableIRow) error {
-	return experiments.FormatTableI(w, rows)
-}
-
-// Fig1a regenerates Figure 1(a): transients at 100% load across fan speeds.
-func Fig1a(cfg ServerConfig, rpms []RPM) ([]TransientResult, error) {
-	return experiments.Fig1a(cfg, rpms)
-}
-
-// Fig1b regenerates Figure 1(b): transients at 1800 RPM across loads.
-func Fig1b(cfg ServerConfig, utils []Percent) ([]TransientResult, error) {
-	return experiments.Fig1b(cfg, utils)
-}
-
 // Fig2a regenerates Figure 2(a): the fan/leakage tradeoff at 100% load.
 func Fig2a(cfg ServerConfig) (TradeoffCurve, error) { return experiments.Fig2a(cfg) }
-
-// Fig2b regenerates Figure 2(b): tradeoff curves across utilization levels.
-func Fig2b(cfg ServerConfig) ([]TradeoffCurve, error) { return experiments.Fig2b(cfg) }
-
-// Fig3 regenerates Figure 3: Test-3 temperature traces per controller.
-func Fig3(cfg ServerConfig, seed int64, ec EvalConfig) ([]Series, error) {
-	return experiments.Fig3(cfg, seed, ec)
-}
 
 // Rack-scale simulation and thermal-aware job scheduling.
 type (
@@ -329,10 +268,10 @@ func DefaultPSU() PSUModel { return power.DefaultPSU() }
 // DefaultPDU returns the 98%-asymptote rack distribution model.
 func DefaultPDU() PDUModel { return power.DefaultPDU() }
 
-// Facility cooling loop (CRAC supply/return air + chiller COP chain).
+// Facility cooling loop (CRAC air handler + chiller COP chain).
 type (
 	// CRACModel is the room air handler: cold-aisle supply setpoint,
-	// air-transport (blower) cost, return-air telemetry.
+	// air-transport (blower) cost.
 	CRACModel = cooling.CRACModel
 	// ChillerModel removes the collected heat at COP = COP0·f(load,
 	// outdoor), improving with a warmer supply setpoint.
@@ -348,26 +287,12 @@ type (
 // blower cost).
 func DefaultCRAC() CRACModel { return cooling.DefaultCRAC() }
 
-// DefaultChiller returns the COP-4.5 water-cooled chiller model.
-func DefaultChiller() ChillerModel { return cooling.DefaultChiller() }
-
 // DefaultFacility returns the default CRAC/chiller pair with the cold
 // aisle at the given supply setpoint.
 func DefaultFacility(supplyC Celsius) Facility { return cooling.DefaultFacility(supplyC) }
 
 // NewRack builds a rack of simulated servers.
 func NewRack(cfg RackConfig) (*Rack, error) { return rack.New(cfg) }
-
-// PoissonJobTrace synthesizes a seeded Poisson job trace.
-func PoissonJobTrace(cfg PoissonTraceConfig) ([]JobSpec, error) { return loadgen.PoissonTrace(cfg) }
-
-// JobsFromSpecs converts a loadgen job trace into scheduler jobs.
-func JobsFromSpecs(specs []JobSpec) []Job { return sched.JobsFromSpecs(specs) }
-
-// RunJobTrace drives a rack through a job trace under a placement policy.
-func RunJobTrace(r *Rack, jobs []Job, p PlacementPolicy, dt, horizon float64) (SchedResult, error) {
-	return sched.RunTrace(r, jobs, p, dt, horizon)
-}
 
 // RunJobTraceCfg is RunJobTrace with the full trace configuration,
 // including the rack-level wall-power cap under which placements that
@@ -378,84 +303,6 @@ func RunJobTraceCfg(r *Rack, jobs []Job, p PlacementPolicy, tc TraceConfig) (Sch
 
 // NewRoundRobinPolicy returns the rotating placement baseline.
 func NewRoundRobinPolicy() PlacementPolicy { return sched.NewRoundRobin() }
-
-// NewLeastUtilizedPolicy returns the load-balancing placement policy.
-func NewLeastUtilizedPolicy() PlacementPolicy { return sched.NewLeastUtilized() }
-
-// NewCoolestFirstPolicy returns the reactive thermal placement policy.
-func NewCoolestFirstPolicy() PlacementPolicy { return sched.NewCoolestFirst() }
-
-// NewLeakageAwarePolicy returns the proactive policy that places each job
-// where the predicted marginal leakage+fan power is lowest, precomputing
-// per-server cost curves with the paper's LUT machinery.
-func NewLeakageAwarePolicy(cfgs []ServerConfig, build LUTBuildConfig) (PlacementPolicy, error) {
-	return sched.NewLeakageAware(cfgs, build)
-}
-
-// NewCapAwarePolicy returns the wall-power-aware policy: the leakage-aware
-// marginal cost lifted through each slot's PSU efficiency curve, so jobs
-// go where the predicted marginal *wall* power is lowest. psus may be nil
-// (ideal supplies) or one entry per slot.
-func NewCapAwarePolicy(cfgs []ServerConfig, psus []*PSUModel, build LUTBuildConfig) (PlacementPolicy, error) {
-	return sched.NewCapAware(cfgs, psus, build)
-}
-
-// NewPUEAwarePolicy returns the facility-aware policy: per-slot cost
-// tables rebuilt at the ambients the CRAC setpoint actually supplies, and
-// each placement ranked by its predicted marginal facility power — the
-// marginal wall power plus the CRAC/chiller power removing it as heat.
-func NewPUEAwarePolicy(cfgs []ServerConfig, psus []*PSUModel, fac Facility, build LUTBuildConfig) (PlacementPolicy, error) {
-	return sched.NewPUEAware(cfgs, psus, fac, build)
-}
-
-// DefaultRackEval returns the standard 8-server rack comparison setup.
-func DefaultRackEval() RackEval { return experiments.DefaultRackEval() }
-
-// RackPolicyComparison runs one Poisson trace across all five placement
-// policies on identical heterogeneous racks.
-func RackPolicyComparison(base ServerConfig, ev RackEval) ([]RackPolicyResult, error) {
-	return experiments.RackPolicyComparison(base, ev)
-}
-
-// RackACComparison runs the AC-side experiment: all five policies, first
-// uncapped and then under the rack wall-power budget, with PSU/PDU
-// conversion losses accounted at the wall.
-func RackACComparison(base ServerConfig, ev RackEval) (*RackACResult, error) {
-	return experiments.RackACComparison(base, ev)
-}
-
-// DefaultFacilityEval returns the standard policy × cold-aisle-setpoint
-// sweep configuration.
-func DefaultFacilityEval() FacilityEval { return experiments.DefaultFacilityEval() }
-
-// RackFacilityComparison sweeps every placement policy across cold-aisle
-// supply setpoints with the CRAC/chiller loop attached: the cold end
-// overpays the chiller, the warm end overpays server fans and leakage,
-// and total facility energy is minimized at an interior setpoint.
-func RackFacilityComparison(base ServerConfig, fe FacilityEval) ([]FacilityPolicyResult, error) {
-	return experiments.RackFacilityComparison(base, fe)
-}
-
-// FacilitySweetSpot returns the setpoint with the lowest facility energy
-// among a policy's rows of a facility comparison.
-func FacilitySweetSpot(rows []FacilityPolicyResult, policy string) (setpointC, facilityWh float64, err error) {
-	return experiments.FacilitySweetSpot(rows, policy)
-}
-
-// FormatRackFacilityTable renders the policy×setpoint facility table.
-func FormatRackFacilityTable(w io.Writer, rows []FacilityPolicyResult) error {
-	return experiments.FormatRackFacilityTable(w, rows)
-}
-
-// FormatRackTable renders the policy×metric comparison table.
-func FormatRackTable(w io.Writer, rows []RackPolicyResult) error {
-	return experiments.FormatRackTable(w, rows)
-}
-
-// FormatRackACTable renders the AC-side (wall power) comparison table.
-func FormatRackACTable(w io.Writer, res *RackACResult) error {
-	return experiments.FormatRackACTable(w, res)
-}
 
 // Fault injection and graceful degradation.
 type (
@@ -497,28 +344,6 @@ const (
 	Tripped = rack.Tripped
 	Failed  = rack.Failed
 )
-
-// DefaultFaultScenarios returns the standard degradation catalogue, from
-// the healthy baseline to the compound cascade.
-func DefaultFaultScenarios() []FaultScenario { return experiments.DefaultFaultScenarios() }
-
-// DefaultFaultEval returns the standard fault-scenario × policy comparison
-// configuration.
-func DefaultFaultEval() FaultEval { return experiments.DefaultFaultEval() }
-
-// RackFaultComparison drives every placement policy through every fault
-// scenario on identical racks over one shared job trace: jobs on dead or
-// tripped servers are killed and requeued (or dropped), policies place
-// around unhealthy slots, and each row carries the disruption and
-// reliability bill of its scenario.
-func RackFaultComparison(base ServerConfig, fe FaultEval) ([]RackFaultResult, error) {
-	return experiments.RackFaultComparison(base, fe)
-}
-
-// FormatRackFaultTable renders the scenario×policy degradation table.
-func FormatRackFaultTable(w io.Writer, rows []RackFaultResult) error {
-	return experiments.FormatRackFaultTable(w, rows)
-}
 
 // Room scale: N racks behind one shared CRAC bank, thermally coupled by
 // heat recirculation, placed by a two-level policy (rack chooser + slot
@@ -564,86 +389,7 @@ type (
 // NewRoom builds a room from its spec, constructing every rack.
 func NewRoom(cfg RoomConfig) (*Room, error) { return room.New(cfg) }
 
-// NewRecircMatrix builds an n×n zero recirculation matrix (uncoupled).
-func NewRecircMatrix(n int) *RecircMatrix { return room.NewMatrix(n) }
-
 // NeighborRecircMatrix returns the default coupling for n racks in one
 // row: 12% of a rack's exhaust rise reaches each adjacent inlet, 4% two
 // positions away.
 func NeighborRecircMatrix(n int) *RecircMatrix { return room.NeighborMatrix(n) }
-
-// ParseRecircMatrix loads a recirculation matrix from its text form (one
-// row per line, '#' comments) and validates it.
-func ParseRecircMatrix(data []byte) (*RecircMatrix, error) { return room.ParseMatrix(data) }
-
-// DefaultEconomizer returns the default water-side economizer (14 °C
-// engagement, 3% free-cooling transport cost).
-func DefaultEconomizer() EconomizerModel { return cooling.DefaultEconomizer() }
-
-// RunRoomTrace drives a room through a job trace under a two-level
-// policy; see RunJobTraceCfg for the rack-scale equivalent.
-func RunRoomTrace(rm *Room, jobs []Job, pol *RoomPolicy, tc RoomTraceConfig) (RoomSchedResult, error) {
-	return room.RunTrace(rm, jobs, pol, tc)
-}
-
-// NewRoomPolicy pairs a rack chooser with one slot policy per rack.
-func NewRoomPolicy(chooser RackChooser, slots []PlacementPolicy) (*RoomPolicy, error) {
-	return room.NewPolicy(chooser, slots)
-}
-
-// NewRoundRobinRacksChooser returns the rotating rack chooser.
-func NewRoundRobinRacksChooser() RackChooser { return room.NewRoundRobinRacks() }
-
-// NewLeastLoadedRackChooser returns the load-balancing rack chooser.
-func NewLeastLoadedRackChooser() RackChooser { return room.NewLeastLoadedRack() }
-
-// NewCoolestRackChooser returns the reactive thermal rack chooser (lowest
-// hottest inlet, recirculation offsets included).
-func NewCoolestRackChooser() RackChooser { return room.NewCoolestRack() }
-
-// DefaultRoomEval returns the standard 4-rack × 8-server room comparison
-// setup.
-func DefaultRoomEval() RoomEval { return experiments.DefaultRoomEval() }
-
-// RoomPolicyLabels returns the room comparison's policy-combo labels in
-// table order.
-func RoomPolicyLabels() []string { return experiments.RoomPolicyLabels() }
-
-// RoomPolicyComparison runs one Poisson trace across all six two-level
-// policy combos on identical fresh rooms behind the shared CRAC bank.
-func RoomPolicyComparison(base ServerConfig, ev RoomEval) ([]RoomPolicyResult, error) {
-	return experiments.RoomPolicyComparison(base, ev)
-}
-
-// FormatRoomTable renders the room policy comparison table.
-func FormatRoomTable(w io.Writer, rows []RoomPolicyResult) error {
-	return experiments.FormatRoomTable(w, rows)
-}
-
-// Extensions beyond the paper (DESIGN.md §6).
-type (
-	// PState is one point of the DVFS ladder.
-	PState = dvfs.PState
-	// DVFSTable is the coordinated (P-state, fan) lookup table.
-	DVFSTable = dvfs.Table
-	// DVFSRunResult reports a coordinated-controller evaluation.
-	DVFSRunResult = dvfs.RunResult
-	// ReliabilityReport summarizes thermal-reliability exposure.
-	ReliabilityReport = reliability.Report
-)
-
-// BuildDVFSTable generates the coordinated DVFS+fan table.
-func BuildDVFSTable(cfg ServerConfig) (*DVFSTable, error) {
-	return dvfs.Build(cfg, dvfs.DefaultBuild())
-}
-
-// RunCoordinated evaluates the coordinated DVFS+fan policy on a workload.
-func RunCoordinated(cfg ServerConfig, table *DVFSTable, prof Profile) (DVFSRunResult, error) {
-	return dvfs.Run(cfg, table, prof, dvfs.DefaultRun())
-}
-
-// AnalyzeReliability scores a sampled temperature trace with the Arrhenius
-// and Coffin-Manson models behind the paper's 75 °C cap.
-func AnalyzeReliability(tempsC []float64) (ReliabilityReport, error) {
-	return reliability.Analyze(tempsC)
-}

@@ -5,6 +5,10 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/fitting"
+	"repro/internal/lut"
 )
 
 func TestFacadeServerConstruction(t *testing.T) {
@@ -45,12 +49,12 @@ func TestFacadeLUTFlow(t *testing.T) {
 	if !dec.Changed || dec.Target != 2400 {
 		t.Fatalf("decision = %+v", dec)
 	}
-	// JSON round trip via the facade.
+	// JSON round trip.
 	var buf bytes.Buffer
 	if err := table.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadLUT(&buf)
+	back, err := lut.ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,20 +87,20 @@ func TestFacadeWorkloads(t *testing.T) {
 }
 
 func TestFacadeCharacterizeAndFit(t *testing.T) {
-	sweep := DefaultSweep()
+	sweep := fitting.DefaultSweep()
 	sweep.Utils = []Percent{25, 75}
 	sweep.RPMs = []RPM{1800, 4200}
 	sweep.Warmup = 15 * 60
 	sweep.Measure = 5 * 60
 	sweep.PerPoll = false
-	ds, err := Characterize(T3Config(), sweep)
+	ds, err := fitting.Collect(func() (*Server, error) { return NewServer(T3Config()) }, sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ds.Points) != 4 {
 		t.Fatalf("points = %d", len(ds.Points))
 	}
-	fit, err := FitLeakage(ds)
+	fit, err := fitting.FitLeakage(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestFacadeFigures(t *testing.T) {
 	if opt.RPM != 2400 {
 		t.Fatalf("Fig2a optimum = %v", opt.RPM)
 	}
-	curves, err := Fig2b(T3Config())
+	curves, err := experiments.Fig2b(T3Config())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +143,7 @@ func TestFacadeRunControlled(t *testing.T) {
 		t.Fatal("no energy recorded")
 	}
 	var sb strings.Builder
-	if err := FormatTableI(&sb, []TableIRow{{TestID: 1, TestName: "t", Default: res, BangBang: res, LUT: res}}); err != nil {
+	if err := experiments.FormatTableI(&sb, []experiments.TableIRow{{TestID: 1, TestName: "t", Default: res, BangBang: res, LUT: res}}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Energy(kWh)") {
