@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -138,6 +139,16 @@ func ambientList(base server.Config, n int) string {
 	return out
 }
 
+// checkSize rejects a negative or non-finite size flag, which the
+// experiments would otherwise replace by their default without a word; 0
+// picks the default.
+func checkSize(name string, v float64) error {
+	if v >= 0 && !math.IsInf(v, 0) {
+		return nil
+	}
+	return fmt.Errorf("evalctl: -%s must be 0 (the default) or positive and finite, got %g", name, v)
+}
+
 func main() {
 	fig3 := flag.Bool("fig3", false, "emit Figure 3 temperature traces for Test-3")
 	testID := flag.Int("test", 0, "run a single test id 1-4 (0 = all)")
@@ -154,8 +165,8 @@ func main() {
 	faultCmp := flag.Bool("faults", false, "run the fault-scenario × policy degradation catalogue")
 	dropOnFault := flag.Bool("drop", false, "for -faults: abandon killed jobs instead of requeueing them")
 	setpoints := flag.String("setpoints", "", "comma-separated supply setpoints in °C for -facility (default 14,21,28)")
-	servers := flag.Int("servers", 0, "rack size for -rack/-facility (0 = default)")
-	horizon := flag.Float64("horizon", 0, "measured window in seconds for -rack/-facility (0 = default)")
+	servers := flag.Int("servers", 0, "rack size for -rack/-facility/-faults/-room (0 = default)")
+	horizon := flag.Float64("horizon", 0, "measured window in seconds for -rack/-facility/-faults/-room (0 = default)")
 	capW := flag.Float64("cap", 0, "wall-power budget in W (-rack: 0 = auto, negative = uncapped runs only; -facility: 0 = uncapped)")
 	policyFlag := flag.String("policy", "",
 		"for -rack/-room: restrict the comparison to one placement policy by name "+
@@ -165,18 +176,18 @@ func main() {
 	ideal := flag.Bool("ideal", false, "lossless delivery chain for -rack/-facility: no PSU/PDU, wall == DC")
 	lutCache := flag.String("lutcache", "", "directory for the cross-process LUT disk cache")
 	eventStep := flag.Bool("eventstep", false,
-		"event-driven trace kernel for -rack/-facility: advance the rack per scheduling event "+
-			"instead of per fixed dt (several-fold faster; energies within 1e-6 of the fixed-dt reference)")
+		"event-driven trace kernel for -rack/-facility/-faults/-room: advance the racks per scheduling "+
+			"event instead of per fixed dt (several-fold faster; energies within 1e-6 of the fixed-dt reference)")
 	rate := flag.Float64("rate", 0,
-		"job arrival rate in jobs/s for -rack/-facility/-faults (0 = experiment default; raise it "+
+		"job arrival rate in jobs/s for -rack/-facility/-faults/-room (0 = experiment default; raise it "+
 			"well past capacity for a saturated backlog)")
 	backfill := flag.Bool("backfill", false,
 		"for -rack/-facility/-faults: let jobs queued behind a blocked head place out of order "+
 			"(FIFO backfill pass under the same cap admission; the head keeps strict priority)")
 	fanCtl := flag.String("fanctl", "",
-		"fan controller for -rack/-facility/-faults: lut (default) or bang (the Section V reactive policy)")
+		"fan controller for -rack/-facility/-faults/-room: lut (default) or bang (the Section V reactive policy)")
 	metricsFlag := flag.Bool("metrics", false,
-		"for -rack/-facility/-faults: attach a run-metrics registry (internal/obs) and print the "+
+		"for -rack/-facility/-faults/-room: attach a run-metrics registry (internal/obs) and print the "+
 			"pin-reason breakdown plus the full sorted counter dump after the tables")
 	debugAddr := flag.String("debugaddr", "",
 		"host:port serving /metrics (Prometheus text format of the live run-metrics registry) and "+
@@ -191,6 +202,13 @@ func main() {
 		"for -rack with -policy: resume the run from a checkpoint file written by -checkpoint "+
 			"(the eval flags must match the interrupted run's)")
 	flag.Parse()
+	for _, err := range []error{checkSize("horizon", *horizon), checkSize("rate", *rate),
+		checkSize("servers", float64(*servers)), checkSize("racks", float64(*racks))} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 
 	cfg := server.T3Config()
 	ec := experiments.DefaultEval()

@@ -29,13 +29,16 @@
 // raises rack j's inlet by W[i][j]·ΔT_i. Offsets are recomputed serially
 // after every barrier — each step on the fixed-dt path, each segment
 // boundary under event stepping — and applied as deltas through
-// rack.AddAmbientOffset, composing with fault heat soaks. Within a macro
-// window the offsets are held constant and re-anchored at the window
-// boundary: the coupling drifts by at most the offset change across the
-// window, which the same MacroDriftTolC contract that bounds the rack
-// kernel's closed-form drift absorbs (TestRoomEventEquivalence pins the
-// 1e-6 relative energy tolerance). A zero matrix applies no offset at all,
-// leaving every rack bit-identical to independent stepping.
+// rack.AddAmbientOffset, composing with fault heat soaks. Within a
+// segment the offsets are held constant and re-anchored at its end, so
+// the coupling lags by up to one segment. TestRoomEventMatchesFixed pins
+// the event kernel to 1e-6 relative energy against the fixed-dt
+// reference for uncoupled rooms, and for coupled rooms only while
+// SampleEvery (10 s there) bounds every segment. The configuration the
+// experiments and the benchmark run — coupled, SampleEvery 0, event
+// settle — reads up to 8.1e-5 (ROADMAP item 1, the recirculation
+// horizon). A zero matrix applies no offset at all, leaving every rack
+// bit-identical to independent stepping.
 //
 // Energy is conserved by construction: the shared facility removes exactly
 // the heat the racks reject (Σ rack wall watts — the recirculated fraction
@@ -43,16 +46,19 @@
 // room's independently integrated heat meter equals the sum of the rack
 // wall meters to float reordering (≤1e-9 relative, TestRoomHeatConservation).
 //
-// # Event kernel, one level up
+// # One trace kernel
 //
-// RunTrace's event mode bounds a global segment by the next scheduling
-// event (arrival, completion, fault edge, sample tick, horizon end —
-// computed with the same float-exact step arithmetic as internal/sched, so
-// both kernels agree on every decision step). Within a segment each rack
-// advances independently: a rack whose controllers promise quiet through
-// the segment crosses it in closed-form macro windows (rack.Advance),
-// while a pinned rack single-steps — so one noisy rack no longer drags
-// the whole room to fixed-dt. Every advance is charged to a macro window
-// or exactly one pin reason; Σ pins == advances − macro windows holds per
-// rack and room-wide (TestRoomPinIdentity).
+// RunTrace and Settle run on internal/sched's trace kernel
+// (sched.RunPlant, sched.SettlePlant): the room is a sched.Plant whose
+// head-placement hook is the two-level chooser→slot policy over
+// RackViews, so the decision step, fault-edge pinning, float-exact step
+// arithmetic, cancellation check, divergence guard, pin taxonomy and
+// metric handles are the rack runner's, reported under room.*. Under
+// event stepping a segment ends where a rack run's window would, bar the
+// controller horizon: within a segment each rack chunks on its own
+// (sched.Segment.Chunk), a rack whose controllers promise quiet crossing
+// it in closed-form macro windows (rack.Advance) while a pinned rack
+// single-steps, so one noisy rack does not drag the whole room to
+// fixed-dt. Σ pins == advances − macro windows holds per rack and
+// room-wide (TestRoomPinIdentity).
 package room

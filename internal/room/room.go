@@ -187,17 +187,6 @@ func (rm *Room) Now() float64 { return rm.clock }
 // to rack i, in °C — zero in an uncoupled room.
 func (rm *Room) RecircOffsetC(i int) float64 { return rm.offsets[i] }
 
-// TripRisk reports whether any rack has a live slot inside the trip-guard
-// band (see rack.TripRisk) — the room kernel's global single-step pin.
-func (rm *Room) TripRisk() bool {
-	for _, rk := range rm.racks {
-		if rk.TripRisk() {
-			return true
-		}
-	}
-	return false
-}
-
 // Step advances every rack by dt seconds: the per-rack work — each rack's
 // own serial per-server loop — fans out over the bounded pool (rack-i
 // contract), then every room-level reduction and the recirculation

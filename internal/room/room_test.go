@@ -2,6 +2,7 @@ package room
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -383,7 +384,7 @@ func TestRoomDeterminism(t *testing.T) {
 
 // assertPinIdentity checks Advances − MacroWindows == Σ Pins for one
 // rack's kernel stats.
-func assertPinIdentity(t *testing.T, label string, st RackKernelStats) (pins int) {
+func assertPinIdentity(t *testing.T, label string, st sched.RackKernelStats) (pins int) {
 	t.Helper()
 	for _, p := range st.Pins {
 		pins += p
@@ -398,7 +399,7 @@ func assertPinIdentity(t *testing.T, label string, st RackKernelStats) (pins int
 // roomPinSum extracts (Σ room.pin.*, room.rack.steps.total,
 // room.windows.macro, room.grid.steps) from a registry.
 func roomPinSum(reg *obs.Registry) (pins, steps, macro, grid int64) {
-	for _, name := range PinReasonNames() {
+	for _, name := range sched.PinReasonNames() {
 		pins += reg.Counter("room.pin." + name).Value()
 	}
 	return pins,
@@ -729,12 +730,90 @@ func (rm *Room) PUE() float64 {
 	return (rm.lastWallW + rm.lastCoolW) / rm.lastWallW
 }
 
-// PinReasonNames returns the metric suffixes of the room pin-reason
-// taxonomy in attribution-priority order; "room.pin." + name is the
-// counter each appears under, and RackKernelStats.Pins is indexed the
-// same way.
-func PinReasonNames() []string {
-	out := make([]string, pinReasons)
-	copy(out, pinNames[:])
-	return out
+// TestInvalidGridRejected drives every bad time-grid value through both
+// scopes of the shared kernel — a rack run, a room run and both Settles,
+// on both kernels — and requires an error naming the field, with nothing
+// stepped. A NaN or infinite Dt or Horizon used to run zero steps and an
+// infinite SampleEvery to pin every one, all with a nil error.
+func TestInvalidGridRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name                string
+		dt, horizon, sample float64
+		field               string
+	}{
+		{"dt-nan", nan, 100, 0, "Dt"},
+		{"dt-zero", 0, 100, 0, "Dt"},
+		{"dt-negative", -1, 100, 0, "Dt"},
+		{"dt-inf", inf, 100, 0, "Dt"},
+		{"horizon-nan", 1, nan, 0, "Horizon"},
+		{"horizon-inf", 1, inf, 0, "Horizon"},
+		{"horizon-negative", 1, -5, 0, "Horizon"},
+		{"steps-overflow", 1e-300, 1e300, 0, "Horizon"},
+		{"sample-inf", 1, 100, inf, "SampleEvery"},
+		{"sample-nan", 1, 100, nan, "SampleEvery"},
+		{"sample-negative", 1, 100, -10, "SampleEvery"},
+	} {
+		for _, event := range []bool{false, true} {
+			check := func(scope string, now func() float64, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), tc.field) {
+					t.Errorf("%s/%s event=%v: got %v, want an error naming %s", tc.name, scope, event, err, tc.field)
+				}
+				if now() != 0 {
+					t.Errorf("%s/%s event=%v: a rejected run stepped to t=%g", tc.name, scope, event, now())
+				}
+			}
+			rk, err := rack.New(testRackConfig(t, 2, 1, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = sched.RunTraceCfg(rk, nil, sched.NewRoundRobin(), sched.TraceConfig{
+				Dt: tc.dt, Horizon: tc.horizon, SampleEvery: tc.sample, EventStepping: event,
+			})
+			check("rack", rk.Now, err)
+			rm := testRoom(t, 2, 2, 1, nil, nil, true)
+			_, err = RunTrace(rm, nil, rrPolicy(t, 2), TraceConfig{
+				Dt: tc.dt, Horizon: tc.horizon, SampleEvery: tc.sample, EventStepping: event,
+			})
+			check("room", rm.Now, err)
+			if tc.field != "Dt" {
+				continue // Settle's duration is checked below; it has no sample cadence
+			}
+			check("rack-settle", rk.Now, sched.Settle(rk, tc.dt, tc.horizon, event))
+			check("room-settle", rm.Now, Settle(rm, tc.dt, tc.horizon, event))
+		}
+	}
+	for _, d := range []float64{nan, inf, -inf} {
+		rk, err := rack.New(testRackConfig(t, 2, 1, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rm := testRoom(t, 2, 2, 1, nil, nil, true)
+		for scope, err := range map[string]error{"rack": sched.Settle(rk, 1, d, true), "room": Settle(rm, 1, d, false)} {
+			if err == nil || !strings.Contains(err.Error(), "duration") {
+				t.Errorf("%s settle duration %g: got %v, want an error naming the duration", scope, d, err)
+			}
+		}
+	}
+}
+
+// TestRoomDivergenceGuard is sched's TestDivergenceGuard one level up: a
+// NaN planted in one rack's ambient must stop a room run with
+// *sched.Diverged on both kernels, instead of coasting to the horizon with
+// finite-looking telemetry.
+func TestRoomDivergenceGuard(t *testing.T) {
+	const horizon = 300
+	for _, event := range []bool{false, true} {
+		rm := testRoom(t, 2, 2, 1, NeighborMatrix(2), nil, true)
+		rm.Rack(1).AddAmbientOffset(units.Celsius(math.NaN()))
+		_, err := RunTrace(rm, nil, rrPolicy(t, 2), TraceConfig{Dt: 1, Horizon: horizon, EventStepping: event})
+		var d *sched.Diverged
+		if !errors.As(err, &d) {
+			t.Fatalf("event=%v: got %v, want *sched.Diverged", event, err)
+		}
+		if d.Step <= 0 || d.Step > horizon {
+			t.Fatalf("event=%v: divergence at implausible step %d", event, d.Step)
+		}
+	}
 }

@@ -3,8 +3,6 @@ package room
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -14,66 +12,49 @@ import (
 	"repro/internal/units"
 )
 
-// TraceConfig parameterizes a room trace run. It is the room-scope subset
-// of sched.TraceConfig: the wall-cap and backfill machinery stay
-// rack-scope features (drive a single rack through sched.RunTraceCfg for
-// those); the room runner adds the per-rack fault schedules and the
-// two-level kernel.
+// TraceConfig parameterizes a room trace run: the room-scope subset of
+// sched.TraceConfig, whose fields of the same name it sets, with one fault
+// schedule per rack. The wall cap, backfill and checkpoints stay rack-run
+// features (drive a single rack through sched.RunTraceCfg for those).
 type TraceConfig struct {
-	Dt      float64 // simulation step, seconds
-	Horizon float64 // trace window, seconds
+	Dt      float64 // simulation step, seconds; positive and finite
+	Horizon float64 // trace window, seconds; positive and finite
 
-	// Ctx, when non-nil, makes the run cooperatively cancellable: it is
-	// checked at every decision-step boundary (each grid step on the fixed
-	// path, each global segment on the event path — never mid-fan-out), and
-	// a cancelled run stops there, returning the partial Result accumulated
-	// so far together with an error wrapping ctx.Err(). Room runs have no
-	// resume cursor (that is a rack-scope feature, see sched.ResumeTraceCfg);
-	// cancellation is for bounding wall-clock, not for checkpointing.
+	// Ctx, when non-nil, is checked at every decision-step boundary, never
+	// mid-fan-out; a cancelled run returns the partial Result with an
+	// error wrapping ctx.Err(). Room runs have no checkpoint to resume
+	// from: cancellation bounds wall-clock only.
 	Ctx context.Context
 
-	// EventStepping selects the room's event-driven kernel: the global
-	// segment between scheduling events is computed once — arrivals,
-	// completions, fault edges, sample ticks and the horizon end, with the
-	// same float-exact step arithmetic as internal/sched, a non-empty
-	// backlog collapsing it to one step unless the whole policy's refusal
-	// is load-only — and within it every rack advances independently: a
-	// rack whose controllers promise quiet crosses the segment in macro
-	// windows while a pinned rack single-steps. false is the fixed-dt
-	// reference path.
+	// EventStepping selects the event kernel. A segment ends where a rack
+	// run's window would, bar the controller horizon: within it every
+	// rack advances on its own, a rack whose controllers promise quiet in
+	// macro windows while a pinned rack single-steps (see the package
+	// doc). false is the fixed-dt reference path.
 	EventStepping bool
 
 	// SampleEvery, in seconds, optionally bounds event-stepping segments at
 	// a fixed telemetry cadence — which also bounds how long recirculation
-	// offsets are held between re-anchors. 0 samples only at events.
+	// offsets are held between re-anchors. 0 samples only at events; a
+	// negative or non-finite value is an error.
 	SampleEvery float64
 
 	// Faults holds one deterministic fault schedule per rack (index i
 	// drives rack i); nil entries and a nil slice are fault-free. Edges are
-	// pinned to grid steps and applied serially exactly like the rack
-	// runner's, clears before applies at a shared step, rack order breaking
-	// remaining ties. Facility-scope kinds act on the room's shared bank
-	// (see Room.ApplyFault).
+	// pinned and applied exactly like a rack run's, rack order breaking
+	// ties at a shared step. Facility-scope kinds act on the room's shared
+	// bank (see Room.ApplyFault).
 	Faults []*fault.Schedule
 
 	// DropOnFault switches fault kills from requeue-at-head to drop.
 	DropOnFault bool
 
-	// Metrics, when non-nil, receives the run's observability counters
-	// (room.* names, see metrics.go) plus every rack's physics roll-up
-	// (rack.MetricsInto, folded serially after the run). Handle updates are
-	// atomic and commutative, so dumps are byte-identical for every worker
-	// count.
+	// Metrics, when non-nil, receives the run's room.* counters —
+	// room.segments and room.grid.steps per segment, the advance, window
+	// and pin counters per rack chunk, the scheduling counts — and, after
+	// the run, every rack's physics roll-up (rack.MetricsInto), byte-
+	// identical for every worker count.
 	Metrics *obs.Registry
-}
-
-// RackKernelStats is one rack's kernel accounting over a run. The pin
-// identity Advances − MacroWindows == Σ Pins holds by construction, per
-// rack and (summed) room-wide.
-type RackKernelStats struct {
-	Advances     int   // rack.Advance calls (chunks)
-	MacroWindows int   // chunks spanning > 1 grid step
-	Pins         []int // single-step chunks by reason, indexed as PinReasonNames
 }
 
 // Result summarizes the scheduling outcome of one room trace run; the
@@ -89,490 +70,185 @@ type Result struct {
 	Lost           int
 	LostJobSeconds float64
 
-	Segments  int // global segments processed (fixed-dt: one per step)
+	Segments  int // segments processed (fixed-dt: one per step)
 	GridSteps int // fixed-dt grid steps crossed (Σ segment lengths == horizon/dt)
 
 	// Kernel holds per-rack kernel accounting, indexed by rack.
-	Kernel []RackKernelStats
+	Kernel []sched.RackKernelStats
 
 	// Metrics echoes TraceConfig.Metrics after the run's counters have been
 	// folded in; nil when no registry was attached.
 	Metrics *obs.Registry
 }
 
-// activeJob is a placed job with its completion time and placement site.
-type activeJob struct {
-	end    float64
-	rackI  int
-	slot   int
-	demand units.Percent
-	job    sched.Job
-	start  float64
-}
-
-// roomFaultAction is one pinned fault edge: apply or clear ev on rack
-// rackI at grid step k.
-type roomFaultAction struct {
-	k     int
-	rackI int
-	apply bool
-	ev    fault.Event
-}
-
 // RunTrace drives the room through the job trace under the two-level
-// policy. The decision process — FIFO head, completions before fault edges
-// before kills before arrivals before placements, float-exact step
-// pinning — is the rack runner's (sched.RunTraceCfg), lifted one level:
-// the chooser picks a rack, that rack's slot policy picks the slot, and a
-// slot-policy refusal masks the rack (Blocked) and retries the chooser, so
-// a job is refused only when every fitting rack refused it. All decisions
-// run serially; only the physics between them fans out over racks.
+// policy, on the rack runner's kernel (sched.RunPlant). Only the placement
+// is the room's own: the chooser picks a rack, that rack's slot policy
+// picks the slot, and a slot-policy refusal masks the rack (Blocked) and
+// retries the chooser, so a job is refused only when every fitting rack
+// refused it. All decisions run serially; only the physics between them
+// fans out over racks.
 func RunTrace(rm *Room, jobs []sched.Job, pol *Policy, tc TraceConfig) (Result, error) {
-	dt, horizon := tc.Dt, tc.Horizon
-	if dt <= 0 || horizon <= 0 {
-		return Result{}, fmt.Errorf("room: dt and horizon must be positive")
-	}
-	if !sort.SliceIsSorted(jobs, func(a, b int) bool { return jobs[a].Arrival < jobs[b].Arrival }) {
-		return Result{}, fmt.Errorf("room: jobs must be sorted by arrival time")
-	}
 	if pol == nil || pol.Chooser == nil {
 		return Result{}, fmt.Errorf("room: trace needs a placement policy")
 	}
 	if len(pol.Slots) != rm.NumRacks() {
 		return Result{}, fmt.Errorf("room: policy has %d slot policies for %d racks", len(pol.Slots), rm.NumRacks())
 	}
-	if len(tc.Faults) > 0 && len(tc.Faults) != rm.NumRacks() {
-		return Result{}, fmt.Errorf("room: %d fault schedules for %d racks (one per rack, nil entries allowed)", len(tc.Faults), rm.NumRacks())
-	}
 	pol.reset()
-
-	e := &roomRun{
-		rm:    rm,
-		jobs:  jobs,
-		pol:   pol,
-		tc:    tc,
-		dt:    dt,
-		res:   Result{Submitted: len(jobs)},
-		start: rm.Now(),
-		steps: int(math.Ceil(horizon/dt - 1e-9)),
-		m:     newRunMetrics(tc.Metrics),
-		// The backlog un-pin engages only when the whole two-level refusal
-		// is provably invariant between events (see Policy.loadOnly).
-		backlogMacro: pol.loadOnly(),
-	}
-	e.res.Kernel = make([]RackKernelStats, rm.NumRacks())
-	e.loads = make([][]units.Percent, rm.NumRacks())
-	e.views = make([]RackView, rm.NumRacks())
-	for i := 0; i < rm.NumRacks(); i++ {
-		n := rm.racks[i].NumServers()
-		e.loads[i] = make([]units.Percent, n)
-		e.views[i].Slots = make([]sched.ServerView, n)
-		e.res.Kernel[i].Pins = make([]int, pinReasons)
-	}
-	e.m.submitted.Add(int64(len(jobs)))
-	for ri, sch := range tc.Faults {
-		if sch.Empty() {
-			continue
-		}
-		rk := rm.racks[ri]
-		if err := sch.Validate(rk.NumServers(), rk.Server(0).Fans().NumFans()); err != nil {
-			return Result{}, fmt.Errorf("room: fault schedule for rack %d: %w", ri, err)
-		}
-		e.buildFaultActions(ri, sch)
-	}
-	e.sortFaultActions()
-	var err error
-	if tc.EventStepping {
-		err = e.runEvents()
-	} else {
-		err = e.runFixed()
-	}
-	if e.res.Placed > 0 {
-		e.res.MeanWaitSec = e.totalWait / float64(e.res.Placed)
-	}
-	if tc.Metrics != nil {
-		// Serial post-run fold of the physics-layer counters, in rack-index
-		// order; the additive rack.* names accumulate across racks.
-		for _, rk := range rm.racks {
-			rk.MetricsInto(tc.Metrics)
-		}
-		e.res.Metrics = tc.Metrics
-	}
-	return e.res, err
+	p := newPlant(rm, pol)
+	res, kernel, err := sched.RunPlant(p, jobs, sched.TraceConfig{
+		Dt: tc.Dt, Horizon: tc.Horizon, Ctx: tc.Ctx, EventStepping: tc.EventStepping,
+		SampleEvery: tc.SampleEvery, DropOnFault: tc.DropOnFault, Metrics: tc.Metrics,
+	}, tc.Faults)
+	return Result{
+		Submitted:      res.Submitted,
+		Completed:      res.Completed,
+		Placed:         res.Placed,
+		MeanWaitSec:    res.MeanWaitSec,
+		MaxQueueLen:    res.MaxQueueLen,
+		Requeued:       res.Requeued,
+		Lost:           res.Lost,
+		LostJobSeconds: res.LostJobSeconds,
+		Segments:       res.RackSteps,
+		GridSteps:      p.gridSteps,
+		Kernel:         kernel,
+		Metrics:        res.Metrics,
+	}, err
 }
 
 // Settle advances the room with no offered load for `duration` seconds —
 // the idle stabilization window room experiments run before their measured
-// trace, with the same kernel they will measure under.
+// trace, with the same kernel they will measure under (sched.SettlePlant).
 func Settle(rm *Room, dt, duration float64, eventStepping bool) error {
-	if duration <= 0 {
-		return nil
-	}
-	if eventStepping {
-		slots := make([]sched.Policy, rm.NumRacks())
-		for i := range slots {
-			slots[i] = sched.NewRoundRobin()
-		}
-		pol, err := NewPolicy(NewRoundRobinRacks(), slots)
-		if err != nil {
-			return err
-		}
-		_, err = RunTrace(rm, nil, pol, TraceConfig{Dt: dt, Horizon: duration, EventStepping: true})
-		return err
-	}
-	for k := int(math.Ceil(duration/dt - 1e-9)); k > 0; k-- {
-		rm.Step(dt)
-	}
-	return nil
+	return sched.SettlePlant(newPlant(rm, nil), dt, duration, eventStepping)
 }
 
-// roomRun is the state of one room trace execution, shared by the fixed-dt
-// reference loop and the event kernel so both take scheduling decisions
-// through literally the same code.
-type roomRun struct {
-	rm    *Room
-	jobs  []sched.Job
-	pol   *Policy
-	tc    TraceConfig
-	dt    float64
-	res   Result
-	loads [][]units.Percent
-	views []RackView
+// plant is the room as the trace kernel's sched.Plant: the two-level
+// placement over RackViews, and each segment crossed rack by rack. A
+// room's global slots number rack 0's servers first. Now, ApplyFault and
+// ClearFault are the Room's own.
+type plant struct {
+	*Room
+	pol       *Policy // nil while settling: no job is ever placed
+	first     []int   // first global slot of each rack
+	views     []RackView
+	gridSteps int // grid steps crossed (Σ segment lengths)
 
-	pending   []sched.Job
-	running   []activeJob
-	totalWait float64
-	nextJob   int
-	start     float64
-	steps     int
-
-	backlogMacro bool
-
-	actions    []roomFaultAction
-	nextAction int
-	faultSteps []int
-
-	m runMetrics
-
-	// Segment fan-out staging (see rack.Rack's prebuilt-closure idiom):
-	// segK/segEnd/segCause are written serially before the barrier and only
-	// read by the jobs; segFn is built once.
-	segK, segEnd int
-	segCause     pinReason
-	segFn        func(i int)
+	// Segment fan-out staging (see rack.Rack's prebuilt-closure idiom): seg
+	// is written serially before the barrier and only read by the jobs;
+	// segFn is built once.
+	seg   *sched.Segment
+	segFn func(i int)
 }
 
-// runFixed is the fixed-dt reference path: every grid step processes
-// events serially, then the whole room steps once (rack fan-out inside
-// Room.Step), every rack charged one fixed-dt pin.
-func (e *roomRun) runFixed() error {
-	for k := 0; k < e.steps; k++ {
-		if err := e.cancelled(k); err != nil {
-			return err
-		}
-		if err := e.processStep(k); err != nil {
-			return err
-		}
-		e.applyLoads()
-		e.rm.Step(e.dt)
-		e.res.Segments++
-		e.res.GridSteps++
-		e.m.segments.Inc()
-		e.m.gridSteps.Add(1)
-		for i := range e.res.Kernel {
-			st := &e.res.Kernel[i]
-			st.Advances++
-			st.Pins[pinFixedDt]++
-			e.m.chunk(1, pinFixedDt)
-		}
+func newPlant(rm *Room, pol *Policy) *plant {
+	p := &plant{Room: rm, pol: pol, first: make([]int, rm.NumRacks()), views: make([]RackView, rm.NumRacks())}
+	n := 0
+	for i, rk := range rm.racks {
+		p.first[i] = n
+		n += rk.NumServers()
+		p.views[i].Slots = make([]sched.ServerView, rk.NumServers())
 	}
-	return nil
+	p.segFn = p.rackSegment
+	return p
 }
 
-// runEvents is the room's event kernel: one global segment per iteration,
-// bounded by the next scheduling event, each rack crossing it with its own
-// sub-kernel (rackSegment).
-func (e *roomRun) runEvents() error {
-	if e.segFn == nil {
-		e.segFn = e.rackSegment
-	}
-	sampleSteps := 0
-	if e.tc.SampleEvery > 0 {
-		sampleSteps = int(math.Round(e.tc.SampleEvery / e.dt))
-		if sampleSteps < 1 {
-			sampleSteps = 1
-		}
-	}
-	for k := 0; k < e.steps; {
-		if err := e.cancelled(k); err != nil {
-			return err
-		}
-		if err := e.processStep(k); err != nil {
-			return err
-		}
-		e.applyLoads()
-		seg, cause := 1, pinBacklog
-		// A non-empty backlog pins the room to single-step segments — the
-		// head is retried against fresh telemetry every step, like the
-		// fixed path — unless the whole policy's refusal is load-only.
-		if len(e.pending) == 0 || e.backlogMacro {
-			seg, cause = e.segment(k, sampleSteps)
-		}
-		e.rm.beginSegment()
-		e.segK, e.segEnd, e.segCause = k, k+seg, cause
-		par.ForEach(e.rm.NumRacks(), e.rm.workers, e.segFn)
-		e.rm.endSegment(e.dt, seg)
-		e.res.Segments++
-		e.res.GridSteps += seg
-		e.m.segments.Inc()
-		e.m.gridSteps.Add(int64(seg))
-		k += seg
-	}
-	return nil
+func (p *plant) Racks() []*rack.Rack { return p.racks }
+
+// Step implements sched.Plant: the whole room steps once, the rack fan-out
+// inside Room.Step.
+func (p *plant) Step(dt float64) {
+	p.Room.Step(dt)
+	p.gridSteps++
 }
 
-// cancelled implements the cooperative-cancellation check both kernels
-// run at the top of every decision-step boundary. No fan-out is in flight
-// there, so stopping leaves the room at a consistent instant and the
-// partial Result internally coherent.
-func (e *roomRun) cancelled(k int) error {
-	if e.tc.Ctx == nil {
-		return nil
-	}
-	if err := e.tc.Ctx.Err(); err != nil {
-		return fmt.Errorf("room: run cancelled at step %d/%d: %w", k, e.steps, err)
-	}
-	return nil
+// Cross implements sched.Plant: every rack crosses the segment with its
+// own chunks (rackSegment) in the fan-out, then the room's serial
+// post-barrier phase integrates the shared bank and re-anchors the
+// recirculation offsets.
+func (p *plant) Cross(s *sched.Segment) {
+	p.beginSegment()
+	p.seg = s
+	par.ForEach(len(p.racks), p.workers, p.segFn)
+	p.endSegment(s.Dt, s.End-s.K)
+	p.gridSteps += s.End - s.K
 }
 
-// segment returns the global segment length from step k — up to, exclusive,
-// the next grid step at which any scheduling decision can happen — plus
-// the cause that bound it (the pin reason charged for single-step chunks
-// ending at the segment boundary). Same bound set and tie precedence as
-// the rack kernel's window(), minus the controller horizon, which is each
-// rack's own business inside the segment.
-func (e *roomRun) segment(k, sampleSteps int) (int, pinReason) {
-	if (len(e.actions) > 0 || len(e.pending) > 0) && e.rm.TripRisk() {
-		// Same trip-guard as the rack kernel, room-wide: a natural trip
-		// latching mid-segment would defer its kills to the boundary.
-		return 1, pinTripGuard
-	}
-	next, cause := e.steps, pinHorizonEnd
-	if e.nextJob < len(e.jobs) {
-		if ka := e.arrivalStep(e.jobs[e.nextJob].Arrival); ka < next {
-			next, cause = ka, pinArrival
-		}
-	}
-	for _, kf := range e.faultSteps {
-		if kf > k {
-			if kf < next {
-				next, cause = kf, pinFaultEdge
-			}
-			break
-		}
-	}
-	for _, a := range e.running {
-		if kc := e.stepAtOrAfter(a.end); kc < next {
-			next, cause = kc, pinCompletion
-		}
-	}
-	if sampleSteps > 0 {
-		if ks := (k/sampleSteps + 1) * sampleSteps; ks < next {
-			next, cause = ks, pinSample
-		}
-	}
-	if next <= k {
-		next = k + 1
-	}
-	return next - k, cause
-}
-
-// rackSegment crosses the current global segment for rack i — the fan-out
-// job of the event kernel's barrier. The rack runs its own mini event
-// kernel: controllers tick at each visited step, the rack's quiet horizon
-// bounds each chunk, and the gap advances in closed form (rack.Advance).
-// A quiet rack crosses the segment in a few macro windows while a pinned
-// rack single-steps. Writes only rack i's state and Kernel[i]; the obs
-// handles are atomic and commutative.
-func (e *roomRun) rackSegment(i int) {
-	rk := e.rm.racks[i]
-	st := &e.res.Kernel[i]
-	for kk := e.segK; kk < e.segEnd; {
-		now := e.start + float64(kk)*e.dt
-		rk.TickControllers(now)
-		// The segment boundary is this chunk's default bound; the rack's
-		// own horizon can only shorten it. On ties the segment cause wins —
-		// the same earlier-check-wins precedence as the rack kernel.
-		w, cause := e.segEnd-kk, e.segCause
-		if q, qc := rk.QuietHorizonCause(now, e.dt); !math.IsInf(q, 1) {
-			kq := e.stepAtOrAfter(q)
-			if kq <= kk {
-				kq = kk + 1
-			}
-			if kq-kk < w {
-				w = kq - kk
-				switch {
-				case qc == rack.QuietNoPromiser:
-					cause = pinNoPromise
-				case rk.FansUnsettled():
-					cause = pinFanSlew
-				default:
-					cause = pinController
-				}
-			}
-		}
-		rk.Advance(e.dt, w)
-		st.Advances++
-		if w > 1 {
-			st.MacroWindows++
-		} else {
-			st.Pins[cause]++
-		}
-		e.m.chunk(w, cause)
-		kk += w
+// rackSegment crosses the current segment for rack i — the fan-out job of
+// the event kernel's barrier. Each chunk runs to the segment's end or to
+// the rack's own controller horizon (sched.Segment.Chunk) and advances in
+// closed form (rack.Advance): a quiet rack crosses the segment in a few
+// macro windows while a pinned rack single-steps. Writes only rack i's
+// state and Kernel[i].
+func (p *plant) rackSegment(i int) {
+	rk, s := p.racks[i], p.seg
+	for k := s.K; k < s.End; {
+		w := s.Chunk(i, k)
+		rk.Advance(s.Dt, w)
+		k += w
 	}
 }
 
-// processStep takes every scheduling decision of grid step k, in the rack
-// runner's order: completions, fault edges, the kill scan, arrivals, then
-// head placements.
-func (e *roomRun) processStep(k int) error {
-	elapsed := float64(k) * e.dt
-	now := e.start + elapsed
+// RefusalIsLoadOnly implements sched.LoadOnlyRefuser for the whole
+// two-level placement (see Policy.loadOnly).
+func (p *plant) RefusalIsLoadOnly() bool { return p.pol != nil && p.pol.loadOnly() }
 
-	keep := e.running[:0]
-	for _, a := range e.running {
-		if a.end <= now {
-			e.loads[a.rackI][a.slot] -= a.demand
-			e.res.Completed++
-			e.m.completed.Inc()
+// Place implements sched.Plant: the chooser proposes a rack, its slot
+// policy places or refuses; a refusal masks the rack for this job and the
+// chooser retries over the rest. An out-of-range or overloaded slot, or
+// an unhealthy server, is a hard policy bug.
+func (p *plant) Place(j sched.Job, loads []units.Percent) (int, error) {
+	p.buildViews(loads)
+	for {
+		ri := p.pol.Chooser.Choose(j, p.views)
+		if ri < 0 {
+			return -1, nil
+		}
+		if ri >= len(p.views) || p.views[ri].Blocked {
+			return -1, fmt.Errorf("room: chooser %s proposed invalid or blocked rack %d for job %d",
+				p.pol.Chooser.Name(), ri, j.ID)
+		}
+		slot := p.pol.Slots[ri].Place(j, p.views[ri].Slots)
+		if slot < 0 {
+			p.views[ri].Blocked = true
 			continue
 		}
-		keep = append(keep, a)
-	}
-	e.running = keep
-
-	for e.nextAction < len(e.actions) && e.actions[e.nextAction].k <= k {
-		a := e.actions[e.nextAction]
-		var err error
-		if a.apply {
-			err = e.rm.ApplyFault(a.rackI, a.ev)
-		} else {
-			err = e.rm.ClearFault(a.rackI, a.ev)
+		rk := p.racks[ri]
+		if slot >= rk.NumServers() || loads[p.first[ri]+slot]+j.Demand > 100 {
+			return -1, fmt.Errorf("room: policy %s placed job %d on invalid/overloaded server %d of rack %d",
+				p.pol.Slots[ri].Name(), j.ID, slot, ri)
 		}
-		if err != nil {
-			return fmt.Errorf("room: fault at step %d: %w", k, err)
+		if h := rk.Health(slot); h != rack.Healthy {
+			return -1, fmt.Errorf("room: policy %s placed job %d on %v server %d of rack %d",
+				p.pol.Slots[ri].Name(), j.ID, h, slot, ri)
 		}
-		e.nextAction++
-	}
-
-	// Kill scan: work on a slot no longer healthy — a fault edge above or a
-	// natural trip latched since the last decision — is destroyed now.
-	var killed []sched.Job
-	keep = e.running[:0]
-	for _, a := range e.running {
-		if e.rm.racks[a.rackI].Health(a.slot) == rack.Healthy {
-			keep = append(keep, a)
-			continue
+		if c, ok := p.pol.Chooser.(RackCommitter); ok {
+			c.Committed(ri)
 		}
-		e.loads[a.rackI][a.slot] -= a.demand
-		e.res.Placed--
-		if e.tc.DropOnFault {
-			e.res.Lost++
-			e.m.dropped.Inc()
-			e.res.LostJobSeconds += a.job.Duration
-		} else {
-			e.res.Requeued++
-			e.m.requeued.Inc()
-			e.res.LostJobSeconds += elapsed - a.start
-			j := a.job
-			j.Arrival = elapsed
-			killed = append(killed, j)
-		}
+		return p.first[ri] + slot, nil
 	}
-	e.running = keep
-	if len(killed) > 0 {
-		e.pending = append(killed, e.pending...)
-	}
-
-	for e.nextJob < len(e.jobs) && e.jobs[e.nextJob].Arrival < elapsed+e.dt {
-		e.pending = append(e.pending, e.jobs[e.nextJob])
-		e.nextJob++
-	}
-	if len(e.pending) > e.res.MaxQueueLen {
-		e.res.MaxQueueLen = len(e.pending)
-	}
-	e.m.backlogHW.SetMax(float64(len(e.pending)))
-
-	// Place from the head while some rack accepts: the chooser proposes a
-	// rack, its slot policy places or refuses; a refusal masks the rack for
-	// this job and the chooser retries over the rest.
-	for len(e.pending) > 0 {
-		j := e.pending[0]
-		e.buildViews()
-		placed := false
-		for {
-			ri := e.pol.Chooser.Choose(j, e.views)
-			if ri < 0 {
-				break
-			}
-			if ri >= len(e.views) || e.views[ri].Blocked {
-				return fmt.Errorf("room: chooser %s proposed invalid or blocked rack %d for job %d",
-					e.pol.Chooser.Name(), ri, j.ID)
-			}
-			slot := e.pol.Slots[ri].Place(j, e.views[ri].Slots)
-			if slot < 0 {
-				e.views[ri].Blocked = true
-				continue
-			}
-			if err := e.checkPlacement(j, ri, slot); err != nil {
-				return err
-			}
-			e.place(j, ri, slot, now, elapsed)
-			if c, ok := e.pol.Chooser.(RackCommitter); ok {
-				c.Committed(ri)
-			}
-			placed = true
-			break
-		}
-		if !placed {
-			break
-		}
-		e.pending = e.pending[1:]
-	}
-	return nil
 }
 
 // buildViews refreshes the chooser's per-rack snapshot (and the embedded
-// per-slot views) from the current dispatcher loads and rack state — once
-// per placement attempt, so every decision sees same-step placements.
-func (e *roomRun) buildViews() {
-	for ri := range e.views {
-		rk := e.rm.racks[ri]
-		rv := &e.views[ri]
+// per-slot views) from the dispatcher loads and rack state — once per
+// placement attempt, so every decision sees same-step placements.
+func (p *plant) buildViews(loads []units.Percent) {
+	for ri := range p.views {
+		rk := p.racks[ri]
+		rv := &p.views[ri]
 		rv.Index = ri
-		rv.Name = e.rm.names[ri]
+		rv.Name = p.names[ri]
 		rv.Servers = rk.NumServers()
 		rv.Healthy = 0
 		rv.Load, rv.Free, rv.MaxFree = 0, 0, 0
 		rv.MaxInletC, rv.MaxCPUTempC = -1e9, -1e9
 		rv.WallPowerW = float64(rk.WallPower())
-		rv.RecircOffsetC = e.rm.offsets[ri]
-		rv.RecircRowSum = e.rm.rowSums[ri]
+		rv.RecircOffsetC = p.offsets[ri]
+		rv.RecircRowSum = p.rowSums[ri]
 		rv.Blocked = false
-		for i := range rv.Slots {
-			sv := sched.ServerView{
-				Index:      i,
-				Name:       rk.Name(i),
-				Load:       e.loads[ri][i],
-				Free:       100 - e.loads[ri][i],
-				MaxCPUTemp: rk.Server(i).MaxCPUTemp(),
-				InletTemp:  rk.Server(i).InletTemp(),
-				DCPower:    rk.ServerDCPower(i),
-				WallPower:  rk.ServerWallPower(i),
-				Health:     rk.Health(i),
-			}
-			rv.Slots[i] = sv
+		sched.FillViews(rv.Slots, rk, loads[p.first[ri]:])
+		for _, sv := range rv.Slots {
 			rv.Load += sv.Load
 			if sv.Health == rack.Healthy {
 				rv.Healthy++
@@ -589,131 +265,4 @@ func (e *roomRun) buildViews() {
 			}
 		}
 	}
-}
-
-// checkPlacement validates a slot policy's choice on the chosen rack —
-// out-of-range or overloaded slots and unhealthy servers are hard policy
-// bugs.
-func (e *roomRun) checkPlacement(j sched.Job, ri, slot int) error {
-	if slot >= len(e.loads[ri]) || e.loads[ri][slot]+j.Demand > 100 {
-		return fmt.Errorf("room: policy %s placed job %d on invalid/overloaded server %d of rack %d",
-			e.pol.Slots[ri].Name(), j.ID, slot, ri)
-	}
-	if h := e.rm.racks[ri].Health(slot); h != rack.Healthy {
-		return fmt.Errorf("room: policy %s placed job %d on %v server %d of rack %d",
-			e.pol.Slots[ri].Name(), j.ID, h, slot, ri)
-	}
-	return nil
-}
-
-// place commits job j to rack ri slot at decision instant (now absolute,
-// elapsed trace-relative).
-func (e *roomRun) place(j sched.Job, ri, slot int, now, elapsed float64) {
-	e.loads[ri][slot] += j.Demand
-	e.running = append(e.running, activeJob{end: now + j.Duration, rackI: ri, slot: slot, demand: j.Demand, job: j, start: elapsed})
-	if wait := elapsed - j.Arrival; wait > 0 {
-		e.totalWait += wait
-	}
-	e.res.Placed++
-	e.m.placements.Inc()
-}
-
-func (e *roomRun) applyLoads() {
-	for ri, loads := range e.loads {
-		rk := e.rm.racks[ri]
-		for i, u := range loads {
-			rk.SetLoad(i, u)
-		}
-	}
-}
-
-// buildFaultActions pins rack ri's schedule events to integer grid steps,
-// with exactly the rack runner's rules: apply at the first step with
-// k·dt ≥ At, clear at the first with k·dt ≥ Clear, past-horizon edges
-// dropped, zero-step windows collapsed.
-func (e *roomRun) buildFaultActions(ri int, sch *fault.Schedule) {
-	for _, ev := range sch.Events {
-		ka := e.relStepAtOrAfter(ev.At)
-		if ka >= e.steps {
-			continue
-		}
-		if ev.Windowed() {
-			kc := e.relStepAtOrAfter(ev.Clear)
-			if kc == ka {
-				continue
-			}
-			e.actions = append(e.actions, roomFaultAction{k: ka, rackI: ri, apply: true, ev: ev})
-			if kc < e.steps {
-				e.actions = append(e.actions, roomFaultAction{k: kc, rackI: ri, apply: false, ev: ev})
-			}
-			continue
-		}
-		e.actions = append(e.actions, roomFaultAction{k: ka, rackI: ri, apply: true, ev: ev})
-	}
-}
-
-// sortFaultActions orders the pinned edges by step, clears before applies
-// at a shared step, rack order then declaration order as final tie-breaks
-// (the stable sort preserves the rack-major build order).
-func (e *roomRun) sortFaultActions() {
-	sort.SliceStable(e.actions, func(a, b int) bool {
-		if e.actions[a].k != e.actions[b].k {
-			return e.actions[a].k < e.actions[b].k
-		}
-		return !e.actions[a].apply && e.actions[b].apply
-	})
-	for _, a := range e.actions {
-		e.faultSteps = append(e.faultSteps, a.k)
-	}
-}
-
-// arrivalStep returns the grid step at which the fixed-dt loop admits an
-// arrival at time a — sched's float-exact pinning, verbatim: the candidate
-// is corrected against the decision loop's own float expression.
-func (e *roomRun) arrivalStep(a float64) int {
-	admits := func(k int) bool { return a < float64(k)*e.dt+e.dt }
-	k := int(a / e.dt)
-	if k < 0 {
-		k = 0
-	}
-	for !admits(k) {
-		k++
-	}
-	for k > 0 && admits(k-1) {
-		k--
-	}
-	return k
-}
-
-// relStepAtOrAfter returns the smallest grid step k with k·dt ≥ t for a
-// trace-relative time t — the fault-edge pinning rule.
-func (e *roomRun) relStepAtOrAfter(t float64) int {
-	k := int(t / e.dt)
-	if k < 0 {
-		k = 0
-	}
-	for float64(k)*e.dt < t {
-		k++
-	}
-	for k > 0 && float64(k-1)*e.dt >= t {
-		k--
-	}
-	return k
-}
-
-// stepAtOrAfter returns the smallest grid step k with start + k·dt ≥ t —
-// the completion wake rule and the controller-horizon wake rule, with the
-// identical float expressions the decision code evaluates.
-func (e *roomRun) stepAtOrAfter(t float64) int {
-	k := int((t - e.start) / e.dt)
-	if k < 0 {
-		k = 0
-	}
-	for e.start+float64(k)*e.dt < t {
-		k++
-	}
-	for k > 0 && e.start+float64(k-1)*e.dt >= t {
-		k--
-	}
-	return k
 }

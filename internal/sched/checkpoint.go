@@ -2,14 +2,11 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/obs"
 	"repro/internal/rack"
 	"repro/internal/units"
 )
-
-func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // PolicyState is the serializable internal state of a stateful placement
 // policy — a generic tagged bag (like control.State) so the checkpoint
@@ -133,21 +130,22 @@ func (c *Cancelled) Error() string {
 
 func (c *Cancelled) Unwrap() error { return c.Err }
 
-// Diverged is the error the NaN/Inf guard returns when the rack's folded
+// Diverged is the error the NaN/Inf guard returns when the racks' folded
 // state sum goes non-finite after an advance: the physics has left the
 // representable regime (a bad parameterization or a genuine bug), and
 // continuing would only smear NaNs through every meter. Checkpoint is a
-// diagnostic snapshot at the failing boundary — inspectable, but carrying
-// the non-finite state, so it is not a sane resume point.
+// diagnostic snapshot of a rack run at the failing boundary — inspectable,
+// but carrying the non-finite state, so it is not a sane resume point; a
+// room run leaves it zero.
 type Diverged struct {
 	Step       int     // grid step after which the divergence was detected
-	StateSum   float64 // the poisoned rack.StateSum fold
+	StateSum   float64 // the poisoned Σ rack.StateSum fold
 	DCW, WallW float64 // aggregate draws at detection, for the log line
 	Checkpoint Checkpoint
 }
 
 func (d *Diverged) Error() string {
-	return fmt.Sprintf("sched: non-finite rack state after step %d (state sum %g, DC %g W, wall %g W); diagnostic snapshot captured",
+	return fmt.Sprintf("sched: non-finite rack state after step %d (state sum %g, DC %g W, wall %g W)",
 		d.Step, d.StateSum, d.DCW, d.WallW)
 }
 
@@ -320,10 +318,15 @@ func ResumeTraceCfg(r *rack.Rack, jobs []Job, p Policy, tc TraceConfig, ck Check
 // boundary runs the run-control hooks at the top of decision step k — the
 // only legal checkpoint instants: cooperative cancellation first, then the
 // periodic checkpoint cadence. Both kernels call it before processStep(k),
-// so in event mode checkpoints land exactly on macro-window boundaries.
+// so in event mode checkpoints land exactly on macro-window boundaries. A
+// room run has no checkpoint to hand back, so its cancellation error only
+// wraps the context's.
 func (e *traceRun) boundary(k int) error {
 	if e.tc.Ctx != nil {
 		if cerr := e.tc.Ctx.Err(); cerr != nil {
+			if e.r == nil {
+				return fmt.Errorf("%s: run cancelled at step %d/%d: %w", e.sc.name, k, e.steps, cerr)
+			}
 			ck, err := e.checkpoint(k)
 			if err != nil {
 				return fmt.Errorf("sched: cancelled at step %d, snapshot failed: %w", k, err)
@@ -344,26 +347,4 @@ func (e *traceRun) boundary(k int) error {
 		}
 	}
 	return nil
-}
-
-// checkFinite is the divergence guard both kernels run after every rack
-// advance: one read of rack.StateSum, the NaN-transparent fold of every
-// thermal node, DIMM, fan, and power aggregate. The max-style telemetry
-// roll-ups skip NaN in their comparisons and the leakage curve clamps
-// temperature, so a poisoned node can otherwise coast silently to the
-// horizon; the sum cannot hide it. k is the grid step the run has
-// advanced to.
-func (e *traceRun) checkFinite(k int) error {
-	sum := e.r.StateSum()
-	if isFinite(sum) {
-		return nil
-	}
-	// Best-effort diagnostic snapshot: the state is non-finite, so a
-	// capture error is secondary to reporting the divergence itself.
-	ck, _ := e.checkpoint(k)
-	return &Diverged{
-		Step: k, StateSum: sum,
-		DCW: float64(e.r.DCPower()), WallW: float64(e.r.WallPower()),
-		Checkpoint: ck,
-	}
 }
