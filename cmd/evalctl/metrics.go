@@ -12,24 +12,43 @@ import (
 	"repro/internal/sched"
 )
 
+// metricScopes are the trace-run scopes a registry can hold, as the sched
+// kernel registers them: the prefix of each one's advance, window and pin
+// counters, its rack-advance counter and its breakdown's title.
+var metricScopes = []struct{ kernel, steps, title string }{
+	{"kernel", "kernel.steps.total", "why the kernel advanced one step instead of a macro window"},
+	{"room", "room.rack.steps.total", "room.pin.*: why a rack advanced one step instead of a macro window"},
+}
+
 // printMetrics renders the run-metrics registry after an experiment: the
-// pin-reason breakdown with its sum identity — Σ per-reason single steps =
-// total rack advances − macro windows, exact by construction — followed by
-// the full sorted dump. Every reason in the taxonomy prints, zero or not,
-// in the fixed PinReasonNames order, so runs are diffable line-by-line.
+// pin-reason breakdown of every scope the runs registered, each with its
+// sum identity — Σ per-reason single steps = total rack advances − macro
+// windows, exact by construction — followed by the full sorted dump.
+// Every reason in the taxonomy prints, zero or not, in the fixed
+// PinReasonNames order, so runs are diffable line-by-line. A scope no run
+// registered prints nothing and adds nothing to the dump.
 func printMetrics(w io.Writer, reg *obs.Registry) {
-	steps := reg.Counter("kernel.steps.total").Value()
-	macro := reg.Counter("kernel.windows.macro").Value()
-	grid := reg.Counter("kernel.grid.steps").Value()
-	fmt.Fprintf(w, "\nPin-reason breakdown (why the kernel advanced one step instead of a macro window):\n")
-	var sum int64
-	for _, name := range sched.PinReasonNames() {
-		v := reg.Counter("kernel.pin." + name).Value()
-		sum += v
-		fmt.Fprintf(w, "  %-12s %10d\n", name, v)
+	registered := map[string]bool{}
+	for _, m := range reg.Snapshot() {
+		registered[m.Name] = true
 	}
-	fmt.Fprintf(w, "pin identity: Σ pins %d = rack advances %d − macro windows %d (grid steps crossed: %d)\n",
-		sum, steps, macro, grid)
+	for _, sc := range metricScopes {
+		if !registered[sc.steps] {
+			continue
+		}
+		steps := reg.Counter(sc.steps).Value()
+		macro := reg.Counter(sc.kernel + ".windows.macro").Value()
+		grid := reg.Counter(sc.kernel + ".grid.steps").Value()
+		fmt.Fprintf(w, "\nPin-reason breakdown (%s):\n", sc.title)
+		var sum int64
+		for _, name := range sched.PinReasonNames() {
+			v := reg.Counter(sc.kernel + ".pin." + name).Value()
+			sum += v
+			fmt.Fprintf(w, "  %-12s %10d\n", name, v)
+		}
+		fmt.Fprintf(w, "pin identity: Σ pins %d = rack advances %d − macro windows %d (grid steps crossed: %d)\n",
+			sum, steps, macro, grid)
+	}
 	fmt.Fprintf(w, "\nRun metrics (sorted; deterministic for every worker count):\n")
 	reg.WriteText(w)
 }

@@ -809,9 +809,10 @@ func (r *Rack) StateSum() float64 {
 // AddAmbientOffset shifts every server's ambient offset by delta,
 // composing additively with any offsets already applied (fault heat soaks
 // use the same mechanism). The room layer applies heat-recirculation inlet
-// deltas through it, serially between steps — never concurrently with
-// Step/Advance. A zero delta touches nothing, keeping an uncoupled room
-// bit-identical to independently stepped racks.
+// deltas through it between the rack's steps — in a trace run at the start
+// of the rack's own fan-out job — never concurrently with Step/Advance. A
+// zero delta touches nothing, keeping an uncoupled room bit-identical to
+// independently stepped racks.
 func (r *Rack) AddAmbientOffset(delta units.Celsius) {
 	if delta == 0 {
 		return

@@ -22,6 +22,29 @@
 // byte-identical for any Workers value, which TestRoomDeterminism pins
 // under -race.
 //
+// # One rack pool per run
+//
+// RunTrace and Settle cross every step or segment on one par.Pool that
+// lives exactly as long as the call: min(Workers, GOMAXPROCS, racks)
+// workers, each owning a fixed, contiguous block of racks for the whole
+// run, the calling goroutine working the first block. Between barriers a
+// worker spins for a bounded time and then parks; the pool closes when
+// the call returns, cancelled or diverged runs included, so nothing spins
+// after it. Output is byte-identical for every worker count. Room.Step,
+// outside a run, fans out with par.ForEach.
+//
+// The serial phase between two barriers reads and writes rack-level state
+// only; every per-server touch lives in the rack's own fan-out job. That
+// job first hands its servers the loads the kernel committed and the
+// recirculation shift the last re-anchor left pending, and after its last
+// advance records what the serial phase will read: its slots' placement
+// views, health, ambients and inlet preheat, its trip risk and its state
+// sum for the divergence guard. After the barrier the re-anchor moves
+// only mirrored ambients, from which Place builds the inlets the servers
+// will step under, bit for bit (server.ShiftedAmbient); a fault edge
+// applies its rack's pending shift first, so offsets compose in the same
+// order as under Room.Step, and refills the rack.
+//
 // # Heat recirculation and re-anchoring
 //
 // The row-major Matrix W couples exhausts to inlets: rack i's exhaust
@@ -29,7 +52,8 @@
 // raises rack j's inlet by W[i][j]·ΔT_i. Offsets are recomputed serially
 // after every barrier — each step on the fixed-dt path, each segment
 // boundary under event stepping — and applied as deltas through
-// rack.AddAmbientOffset, composing with fault heat soaks. Within a
+// rack.AddAmbientOffset before the racks step again, composing with fault
+// heat soaks. Within a
 // segment the offsets are held constant and re-anchored at its end, so
 // the coupling lags by up to one segment. TestRoomEventMatchesFixed pins
 // the event kernel to 1e-6 relative energy against the fixed-dt

@@ -64,7 +64,8 @@ type Room struct {
 	coupled    bool // w has at least one non-zero entry
 	riseCPerKW float64
 	rowSums    []float64
-	offsets    []float64 // currently applied recirc inlet offset per rack, °C
+	offsets    []float64 // recirc inlet offset per rack, °C
+	shift      []float64 // per rack: the last change in offsets its servers have not taken yet
 	exhaust    []float64 // scratch: per-rack exhaust rise at the last anchor
 
 	fac   *cooling.Facility
@@ -135,6 +136,7 @@ func New(cfg Config) (*Room, error) {
 		fac:        cfg.Facility,
 		rowSums:    make([]float64, n),
 		offsets:    make([]float64, n),
+		shift:      make([]float64, n),
 		exhaust:    make([]float64, n),
 		wallE0:     make([]float64, n),
 		lastWall:   make([]float64, n),
@@ -190,7 +192,8 @@ func (rm *Room) RecircOffsetC(i int) float64 { return rm.offsets[i] }
 // Step advances every rack by dt seconds: the per-rack work — each rack's
 // own serial per-server loop — fans out over the bounded pool (rack-i
 // contract), then every room-level reduction and the recirculation
-// re-anchor run serially in rack-index order.
+// re-anchor run serially in rack-index order, and every rack's servers
+// take their new offset before Step returns.
 func (rm *Room) Step(dt float64) {
 	if dt <= 0 {
 		return
@@ -199,6 +202,9 @@ func (rm *Room) Step(dt float64) {
 	rm.argDt = dt
 	par.ForEach(len(rm.racks), rm.workers, rm.stepFn)
 	rm.endSegment(dt, 1)
+	for j := range rm.racks {
+		rm.applyShift(j)
+	}
 }
 
 // beginSegment captures every rack's wall meter so endSegment can derive
@@ -251,9 +257,10 @@ func (rm *Room) observeEndpoint() {
 }
 
 // reanchorRecirc recomputes every rack's recirculation inlet offset from
-// the racks' instantaneous exhaust rises and applies the changes as
-// ambient-offset deltas, serially in rack-index order. An uncoupled room
-// returns immediately without touching any rack — the W = 0 bit-identity
+// the racks' instantaneous exhaust rises, serially in rack-index order,
+// and records each change as the rack's pending shift, which applyShift
+// hands to its servers before they step again. An uncoupled room returns
+// immediately without touching any rack — the W = 0 bit-identity
 // contract.
 func (rm *Room) reanchorRecirc() {
 	if !rm.coupled {
@@ -271,9 +278,21 @@ func (rm *Room) reanchorRecirc() {
 			rm.maxRecircC = off
 		}
 		if d := off - rm.offsets[j]; d != 0 {
-			rm.racks[j].AddAmbientOffset(units.Celsius(d))
+			rm.shift[j] = d
 			rm.offsets[j] = off
 		}
+	}
+}
+
+// applyShift shifts rack j's server ambients by its pending recirculation
+// shift (rack.AddAmbientOffset), composing with fault heat soaks, and
+// clears it. Room.Step applies every rack's shift before it returns; a
+// trace run applies rack j's inside rack j's next fan-out job, and before
+// a fault edge on it, so the shifts compose in the same order.
+func (rm *Room) applyShift(j int) {
+	if d := rm.shift[j]; d != 0 {
+		rm.racks[j].AddAmbientOffset(units.Celsius(d))
+		rm.shift[j] = 0
 	}
 }
 

@@ -313,7 +313,9 @@ func runOnce(t *testing.T, workers int, w *Matrix, fac *cooling.Facility, jobs [
 // rooms — racks × servers × choosers × fault schedules × both kernels —
 // must produce byte-identical telemetry, results and metrics dumps for
 // every worker count. Under -race this also proves the rack-i write
-// isolation of the segment fan-out.
+// isolation of the segment fan-out. The last case darkens a server of a
+// middle rack and lifts that rack's ambient: the paths on which the
+// serial phase refreshes a rack's recorded views, health and ambients.
 func TestRoomDeterminism(t *testing.T) {
 	fac := cooling.DefaultFacility(cooling.DefaultCRAC().ReferenceC)
 	rng := rand.New(rand.NewSource(77))
@@ -321,12 +323,16 @@ func TestRoomDeterminism(t *testing.T) {
 		name  string
 		event bool
 	}{{"fixed", false}, {"event", true}} {
-		for c := 0; c < 3; c++ {
+		for c := 0; c < 4; c++ {
 			racks := 2 + rng.Intn(3)
 			servers := 2 + rng.Intn(2)
 			seed := rng.Int63()
 			withFaults := c == 1
 			chooser := c % 3
+			midFaults := c == 3
+			if midFaults {
+				racks = 3
+			}
 			t.Run(kernel.name, func(t *testing.T) {
 				jobs := randomJobs(t, seed, 400, racks*servers, 0.5)
 				mkPol := func() *Policy {
@@ -357,9 +363,20 @@ func TestRoomDeterminism(t *testing.T) {
 						{Kind: fault.FanStick, Server: 0, Fan: 0, At: 150, Clear: 300},
 					}}
 				}
+				if midFaults {
+					tc.Faults = make([]*fault.Schedule, racks)
+					tc.Faults[1] = &fault.Schedule{Events: []fault.Event{
+						{Kind: fault.AmbientExcursion, Server: -1, Severity: 6, At: 130, Clear: 330},
+						{Kind: fault.PSUFail, Server: 0, At: 150, Clear: 300},
+						{Kind: fault.PSUFail, Server: 1, At: 200, Clear: 320},
+					}}
+				}
 				w := NeighborMatrix(racks)
 				ref := runOnce(t, 1, w, &fac, jobs, mkPol, tc, racks, servers)
-				for _, workers := range []int{4, racks} {
+				if midFaults && ref.res.Requeued == 0 {
+					t.Error("the mid-rack PSU failure killed no job")
+				}
+				for _, workers := range []int{2, 3, racks, 16} {
 					got := runOnce(t, workers, w, &fac, jobs, mkPol, tc, racks, servers)
 					if !reflect.DeepEqual(ref.res, got.res) {
 						t.Errorf("workers=%d result differs:\nserial:   %+v\nparallel: %+v", workers, ref.res, got.res)
@@ -711,6 +728,48 @@ func TestRoomSettleAndReset(t *testing.T) {
 		}
 		if got := rm.RecircOffsetC(0); got != pre {
 			t.Errorf("event=%v: reset moved the physical recirc offset %g -> %g", event, pre, got)
+		}
+	}
+}
+
+// TestRoomSettleAfterLoadKernelsAgree is sched's
+// TestSettleAfterLoadKernelsAgree one level up: a room driven for 30 s
+// settles under zero loads on both kernels, coupled or not, with energies
+// within the event budget. The fixed-dt settle once kept the driven
+// loads: 0.0595 kWh wall and 39.0 °C hottest die against the event
+// settle's 0.0559 kWh and 33.7 °C.
+func TestRoomSettleAfterLoadKernelsAgree(t *testing.T) {
+	for _, w := range []*Matrix{nil, NeighborMatrix(2)} {
+		var tel [2]Telemetry
+		for k, event := range []bool{false, true} {
+			rm := testRoom(t, 2, 2, 1, w, nil, true)
+			driveLoads(rm, 30)
+			rm.ResetAccounting()
+			if err := Settle(rm, 1, 120, event); err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < rm.NumRacks(); r++ {
+				rk := rm.Rack(r)
+				for i := 0; i < rk.NumServers(); i++ {
+					if rk.Load(i) != 0 || rk.Server(i).Utilization() != 0 {
+						t.Errorf("coupled=%v event=%v: rack %d slot %d settled at load %v, utilization %v; want 0",
+							w != nil, event, r, i, rk.Load(i), rk.Server(i).Utilization())
+					}
+				}
+			}
+			tel[k] = rm.Telemetry()
+		}
+		for _, m := range []struct {
+			name string
+			f, e float64
+		}{
+			{"TotalEnergyKWh", tel[0].TotalEnergyKWh, tel[1].TotalEnergyKWh},
+			{"WallEnergyKWh", tel[0].WallEnergyKWh, tel[1].WallEnergyKWh},
+			{"FacilityEnergyKWh", tel[0].FacilityEnergyKWh, tel[1].FacilityEnergyKWh},
+		} {
+			if d := relDiff(m.e, m.f); d > 1e-6 {
+				t.Errorf("coupled=%v: %s event settle %g vs fixed %g (%g relative)", w != nil, m.name, m.e, m.f, d)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/rack"
 	"repro/internal/sched"
+	"repro/internal/server"
 	"repro/internal/units"
 )
 
@@ -87,7 +88,8 @@ type Result struct {
 // picks the slot, and a slot-policy refusal masks the rack (Blocked) and
 // retries the chooser, so a job is refused only when every fitting rack
 // refused it. All decisions run serially; only the physics between them
-// fans out over racks.
+// fans out over racks, on a pool that lives as long as the run (see the
+// package doc).
 func RunTrace(rm *Room, jobs []sched.Job, pol *Policy, tc TraceConfig) (Result, error) {
 	if pol == nil || pol.Chooser == nil {
 		return Result{}, fmt.Errorf("room: trace needs a placement policy")
@@ -97,6 +99,7 @@ func RunTrace(rm *Room, jobs []sched.Job, pol *Policy, tc TraceConfig) (Result, 
 	}
 	pol.reset()
 	p := newPlant(rm, pol)
+	defer p.close()
 	res, kernel, err := sched.RunPlant(p, jobs, sched.TraceConfig{
 		Dt: tc.Dt, Horizon: tc.Horizon, Ctx: tc.Ctx, EventStepping: tc.EventStepping,
 		SampleEvery: tc.SampleEvery, DropOnFault: tc.DropOnFault, Metrics: tc.Metrics,
@@ -121,13 +124,28 @@ func RunTrace(rm *Room, jobs []sched.Job, pol *Policy, tc TraceConfig) (Result, 
 // the idle stabilization window room experiments run before their measured
 // trace, with the same kernel they will measure under (sched.SettlePlant).
 func Settle(rm *Room, dt, duration float64, eventStepping bool) error {
-	return sched.SettlePlant(newPlant(rm, nil), dt, duration, eventStepping)
+	p := newPlant(rm, nil)
+	defer p.close()
+	return sched.SettlePlant(p, dt, duration, eventStepping)
 }
 
 // plant is the room as the trace kernel's sched.Plant: the two-level
-// placement over RackViews, and each segment crossed rack by rack. A
-// room's global slots number rack 0's servers first. Now, ApplyFault and
-// ClearFault are the Room's own.
+// placement over RackViews, and each step or segment crossed rack by rack
+// on a persistent pool. A room's global slots number rack 0's servers
+// first. Now is the Room's own.
+//
+// The serial phase between two barriers touches rack-level state only.
+// Rack i's fan-out job first hands its servers the recirculation shift the
+// last re-anchor left pending (Room.applyShift) and its slots' loads
+// (SetLoads only keeps the kernel's slice). After its last advance it
+// records what the serial phase will read (fill): its slots' views bar
+// Load, Free and InletTemp, their ambients and inlet preheats, its
+// health, trip risk and state sum. After the barrier only the re-anchor
+// moves that state: the mirrored ambients follow each pending shift
+// (server.ShiftedAmbient), so Place builds the inlets the servers will
+// step under before they take them. A fault edge on a rack applies its
+// pending shift and refills it serially; close applies every shift left
+// when the run returns.
 type plant struct {
 	*Room
 	pol       *Policy // nil while settling: no job is ever placed
@@ -135,59 +153,217 @@ type plant struct {
 	views     []RackView
 	gridSteps int // grid steps crossed (Σ segment lengths)
 
-	// Segment fan-out staging (see rack.Rack's prebuilt-closure idiom): seg
-	// is written serially before the barrier and only read by the jobs;
-	// segFn is built once.
-	seg   *sched.Segment
-	segFn func(i int)
+	// The rack fan-out: the run's pool, its per-step jobs (built once, as
+	// rack.Rack's are), and their inputs, written serially before each
+	// round — the segment, the fixed step and the kernel's committed loads.
+	pool              *par.Pool
+	crossJob, stepJob func(i int)
+	seg               *sched.Segment
+	dt                float64
+	loads             []units.Percent
+
+	// What fill leaves for the serial phase besides the views: each rack's
+	// state sum and trip risk, and each global slot's ambient and inlet
+	// preheat (server.InletPreheat); base holds each slot's
+	// server.BaseAmbient.
+	sums               []float64
+	risk               []bool
+	amb, base, preheat []units.Celsius
 }
 
+// newPlant builds the plant for one run and starts its pool; the caller
+// closes the plant when the run returns. The first round fills every
+// rack's views, so the run's first decision step reads them too.
 func newPlant(rm *Room, pol *Policy) *plant {
-	p := &plant{Room: rm, pol: pol, first: make([]int, rm.NumRacks()), views: make([]RackView, rm.NumRacks())}
-	n := 0
-	for i, rk := range rm.racks {
-		p.first[i] = n
-		n += rk.NumServers()
-		p.views[i].Slots = make([]sched.ServerView, rk.NumServers())
+	nr := rm.NumRacks()
+	p := &plant{
+		Room: rm, pol: pol, first: make([]int, nr), views: make([]RackView, nr),
+		sums: make([]float64, nr), risk: make([]bool, nr),
 	}
-	p.segFn = p.rackSegment
+	for i, rk := range rm.racks {
+		p.first[i] = len(p.base)
+		rv := &p.views[i]
+		rv.Index, rv.Name, rv.Servers, rv.RecircRowSum = i, rm.names[i], rk.NumServers(), rm.rowSums[i]
+		rv.Slots = make([]sched.ServerView, rk.NumServers())
+		for s := range rv.Slots {
+			rv.Slots[s].Index, rv.Slots[s].Name = s, rk.Name(s)
+			p.base = append(p.base, rk.Server(s).BaseAmbient())
+		}
+	}
+	p.amb, p.preheat = make([]units.Celsius, len(p.base)), make([]units.Celsius, len(p.base))
+	p.crossJob, p.stepJob = p.crossRack, p.stepRack
+	p.pool = par.NewPool(rm.workers, nr)
+	p.pool.Run(p.fill)
 	return p
+}
+
+// close applies every recirculation shift still pending, so the room's
+// servers carry their offsets after the run, and ends the pool.
+func (p *plant) close() {
+	for j := range p.racks {
+		p.applyShift(j)
+	}
+	p.pool.Close()
 }
 
 func (p *plant) Racks() []*rack.Rack { return p.racks }
 
-// Step implements sched.Plant: the whole room steps once, the rack fan-out
-// inside Room.Step.
+// SetLoads implements sched.Plant: each rack's next job applies its slice.
+func (p *plant) SetLoads(loads []units.Percent) { p.loads = loads }
+
+// Step implements sched.Plant: every rack steps once in the fan-out, then
+// the room's serial post-barrier phase runs as in Room.Step, bar applying
+// the re-anchor's shifts, which the racks' next jobs do.
 func (p *plant) Step(dt float64) {
-	p.Room.Step(dt)
+	p.beginSegment()
+	p.dt = dt
+	p.pool.Run(p.stepJob)
+	p.endSegment(dt, 1)
 	p.gridSteps++
+	p.reanchored()
 }
 
 // Cross implements sched.Plant: every rack crosses the segment with its
-// own chunks (rackSegment) in the fan-out, then the room's serial
+// own chunks (crossRack) in the fan-out, then the room's serial
 // post-barrier phase integrates the shared bank and re-anchors the
 // recirculation offsets.
 func (p *plant) Cross(s *sched.Segment) {
 	p.beginSegment()
 	p.seg = s
-	par.ForEach(len(p.racks), p.workers, p.segFn)
+	p.pool.Run(p.crossJob)
 	p.endSegment(s.Dt, s.End-s.K)
 	p.gridSteps += s.End - s.K
+	p.reanchored()
 }
 
-// rackSegment crosses the current segment for rack i — the fan-out job of
-// the event kernel's barrier. Each chunk runs to the segment's end or to
-// the rack's own controller horizon (sched.Segment.Chunk) and advances in
-// closed form (rack.Advance): a quiet rack crosses the segment in a few
-// macro windows while a pinned rack single-steps. Writes only rack i's
-// state and Kernel[i].
-func (p *plant) rackSegment(i int) {
+// stepRack is rack i's fan-out job on the fixed-dt kernel.
+func (p *plant) stepRack(i int) {
+	p.applyInputs(i)
+	p.racks[i].Step(p.dt)
+	p.fill(i)
+}
+
+// crossRack is rack i's fan-out job on the event kernel. Each chunk runs
+// to the segment's end or to the rack's own controller horizon
+// (sched.Segment.Chunk) and advances in closed form (rack.Advance): a
+// quiet rack crosses the segment in a few macro windows while a pinned
+// rack single-steps. Writes only rack i's state, its plant entries and
+// Kernel[i].
+func (p *plant) crossRack(i int) {
+	p.applyInputs(i)
 	rk, s := p.racks[i], p.seg
 	for k := s.K; k < s.End; {
 		w := s.Chunk(i, k)
 		rk.Advance(s.Dt, w)
 		k += w
 	}
+	p.fill(i)
+}
+
+// applyInputs hands rack i's servers what the serial phase decided since
+// the rack last advanced: the pending recirculation shift and the
+// committed dispatcher loads.
+func (p *plant) applyInputs(i int) {
+	p.applyShift(i)
+	rk := p.racks[i]
+	for s, u := range p.loads[p.first[i] : p.first[i]+rk.NumServers()] {
+		rk.SetLoad(s, u)
+	}
+}
+
+// fill records what the serial phase reads of rack i until its next
+// advance: every slot's view telemetry, health, ambient and inlet
+// preheat, the rack aggregates that depend on neither loads nor ambients,
+// the trip risk and the state sum. Writes only rack i's entries.
+func (p *plant) fill(i int) {
+	rk, rv := p.racks[i], &p.views[i]
+	amb, pre := p.amb[p.first[i]:], p.preheat[p.first[i]:]
+	rv.Healthy = 0
+	rv.MaxCPUTempC = -1e9
+	rv.WallPowerW = float64(rk.WallPower())
+	for s := range rv.Slots {
+		srv, sv := rk.Server(s), &rv.Slots[s]
+		sv.MaxCPUTemp = srv.MaxCPUTemp()
+		sv.DCPower = rk.ServerDCPower(s)
+		sv.WallPower = rk.ServerWallPower(s)
+		sv.Health = rk.Health(s)
+		amb[s] = srv.Ambient()
+		if sv.Health != rack.Failed {
+			pre[s] = srv.InletPreheat()
+		}
+		if sv.Health == rack.Healthy {
+			rv.Healthy++
+		}
+		if sv.MaxCPUTemp > rv.MaxCPUTempC {
+			rv.MaxCPUTempC = sv.MaxCPUTemp
+		}
+	}
+	p.risk[i] = rk.TripRisk()
+	p.sums[i] = rk.StateSum()
+}
+
+// reanchored moves the mirrored ambients of every rack the serial
+// re-anchor left a pending shift on.
+func (p *plant) reanchored() {
+	for i, d := range p.shift {
+		if d == 0 {
+			continue
+		}
+		for s := p.first[i]; s < p.first[i]+len(p.views[i].Slots); s++ {
+			p.amb[s] = server.ShiftedAmbient(p.base[s], p.amb[s], units.Celsius(d))
+		}
+	}
+}
+
+// ApplyFault implements sched.Plant: rack i's pending shift first, so
+// offsets compose in re-anchor order, then the Room's own; rack i's
+// recorded state is refilled.
+func (p *plant) ApplyFault(i int, ev fault.Event) error {
+	p.applyShift(i)
+	if err := p.Room.ApplyFault(i, ev); err != nil {
+		return err
+	}
+	p.fill(i)
+	return nil
+}
+
+// ClearFault implements sched.Plant, as ApplyFault.
+func (p *plant) ClearFault(i int, ev fault.Event) error {
+	p.applyShift(i)
+	if err := p.Room.ClearFault(i, ev); err != nil {
+		return err
+	}
+	p.fill(i)
+	return nil
+}
+
+// Health implements sched.Plant from the views fill recorded, reading
+// only the rack's count while all its slots are healthy.
+func (p *plant) Health(i, slot int) rack.Health {
+	if rv := &p.views[i]; rv.Healthy < rv.Servers {
+		return rv.Slots[slot].Health
+	}
+	return rack.Healthy
+}
+
+// TripRisk implements sched.Plant from the risks fill recorded.
+func (p *plant) TripRisk() bool {
+	for _, r := range p.risk {
+		if r {
+			return true
+		}
+	}
+	return false
+}
+
+// StateSum implements sched.Plant: the recorded rack sums, folded in rack
+// order.
+func (p *plant) StateSum() float64 {
+	var sum float64
+	for _, s := range p.sums {
+		sum += s
+	}
+	return sum
 }
 
 // RefusalIsLoadOnly implements sched.LoadOnlyRefuser for the whole
@@ -209,17 +385,17 @@ func (p *plant) Place(j sched.Job, loads []units.Percent) (int, error) {
 			return -1, fmt.Errorf("room: chooser %s proposed invalid or blocked rack %d for job %d",
 				p.pol.Chooser.Name(), ri, j.ID)
 		}
-		slot := p.pol.Slots[ri].Place(j, p.views[ri].Slots)
+		slots := p.views[ri].Slots
+		slot := p.pol.Slots[ri].Place(j, slots)
 		if slot < 0 {
 			p.views[ri].Blocked = true
 			continue
 		}
-		rk := p.racks[ri]
-		if slot >= rk.NumServers() || loads[p.first[ri]+slot]+j.Demand > 100 {
+		if slot >= len(slots) || loads[p.first[ri]+slot]+j.Demand > 100 {
 			return -1, fmt.Errorf("room: policy %s placed job %d on invalid/overloaded server %d of rack %d",
 				p.pol.Slots[ri].Name(), j.ID, slot, ri)
 		}
-		if h := rk.Health(slot); h != rack.Healthy {
+		if h := slots[slot].Health; h != rack.Healthy {
 			return -1, fmt.Errorf("room: policy %s placed job %d on %v server %d of rack %d",
 				p.pol.Slots[ri].Name(), j.ID, h, slot, ri)
 		}
@@ -230,38 +406,37 @@ func (p *plant) Place(j sched.Job, loads []units.Percent) (int, error) {
 	}
 }
 
-// buildViews refreshes the chooser's per-rack snapshot (and the embedded
-// per-slot views) from the dispatcher loads and rack state — once per
-// placement attempt, so every decision sees same-step placements.
+// buildViews completes the chooser's per-rack snapshot, and the embedded
+// per-slot views, with what depends on the dispatcher loads or on the
+// re-anchored ambients — once per placement attempt, so every decision
+// sees same-step placements. An inlet takes server.InletTemp's own
+// expression over the mirrored ambient and the recorded preheat, so the
+// bits match: a dark slot's inlet is its ambient. The telemetry fill
+// recorded stays as it is.
 func (p *plant) buildViews(loads []units.Percent) {
 	for ri := range p.views {
-		rk := p.racks[ri]
 		rv := &p.views[ri]
-		rv.Index = ri
-		rv.Name = p.names[ri]
-		rv.Servers = rk.NumServers()
-		rv.Healthy = 0
 		rv.Load, rv.Free, rv.MaxFree = 0, 0, 0
-		rv.MaxInletC, rv.MaxCPUTempC = -1e9, -1e9
-		rv.WallPowerW = float64(rk.WallPower())
+		rv.MaxInletC = -1e9
 		rv.RecircOffsetC = p.offsets[ri]
-		rv.RecircRowSum = p.rowSums[ri]
 		rv.Blocked = false
-		sched.FillViews(rv.Slots, rk, loads[p.first[ri]:])
-		for _, sv := range rv.Slots {
+		ld, amb, pre := loads[p.first[ri]:], p.amb[p.first[ri]:], p.preheat[p.first[ri]:]
+		for s := range rv.Slots {
+			sv := &rv.Slots[s]
+			sv.Load, sv.Free = ld[s], 100-ld[s]
+			sv.InletTemp = amb[s]
+			if sv.Health != rack.Failed {
+				sv.InletTemp += pre[s]
+			}
+			if sv.InletTemp > rv.MaxInletC {
+				rv.MaxInletC = sv.InletTemp
+			}
 			rv.Load += sv.Load
 			if sv.Health == rack.Healthy {
-				rv.Healthy++
 				rv.Free += sv.Free
 				if sv.Free > rv.MaxFree {
 					rv.MaxFree = sv.Free
 				}
-			}
-			if sv.MaxCPUTemp > rv.MaxCPUTempC {
-				rv.MaxCPUTempC = sv.MaxCPUTemp
-			}
-			if sv.InletTemp > rv.MaxInletC {
-				rv.MaxInletC = sv.InletTemp
 			}
 		}
 	}

@@ -136,7 +136,9 @@ func (c *Cancelled) Unwrap() error { return c.Err }
 // continuing would only smear NaNs through every meter. Checkpoint is a
 // diagnostic snapshot of a rack run at the failing boundary — inspectable,
 // but carrying the non-finite state, so it is not a sane resume point; a
-// room run leaves it zero.
+// room run leaves it zero. A room's StateSum is folded from each rack's
+// sum as its fan-out job left it, before the serial phase re-anchored the
+// recirculation offsets, so it can differ from a fold taken after them.
 type Diverged struct {
 	Step       int     // grid step after which the divergence was detected
 	StateSum   float64 // the poisoned Σ rack.StateSum fold

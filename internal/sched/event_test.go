@@ -646,6 +646,45 @@ func TestEventWorkerCountInvariant(t *testing.T) {
 	}
 }
 
+// TestSettleAfterLoadKernelsAgree: a rack that ran under load settles
+// under the dispatcher's zero loads on both kernels. The fixed-dt settle
+// once stepped on at the last applied loads, 6 % above the event settle's
+// energy on a room that had run for 30 s.
+func TestSettleAfterLoadKernelsAgree(t *testing.T) {
+	var tel [2]rack.Telemetry
+	for k, event := range []bool{false, true} {
+		r := eventRack(t, eventRackCfg{servers: 3, workers: 1})
+		for step := 0; step < 30; step++ {
+			for i := 0; i < r.NumServers(); i++ {
+				r.SetLoad(i, units.Percent(40+20*i))
+			}
+			r.Step(1)
+		}
+		r.ResetAccounting()
+		if err := Settle(r, 1, 120, event); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < r.NumServers(); i++ {
+			if r.Load(i) != 0 || r.Server(i).Utilization() != 0 {
+				t.Errorf("event=%v: slot %d settled at load %v, utilization %v; want 0", event, i, r.Load(i), r.Server(i).Utilization())
+			}
+		}
+		tel[k] = r.Telemetry()
+	}
+	for _, m := range []struct {
+		name string
+		f, e float64
+	}{
+		{"TotalEnergyKWh", tel[0].TotalEnergyKWh, tel[1].TotalEnergyKWh},
+		{"WallEnergyKWh", tel[0].WallEnergyKWh, tel[1].WallEnergyKWh},
+		{"FanEnergyKWh", tel[0].FanEnergyKWh, tel[1].FanEnergyKWh},
+	} {
+		if d := relDiff(m.e, m.f); d > 1e-6 {
+			t.Errorf("%s: event settle %g vs fixed %g (%g relative)", m.name, m.e, m.f, d)
+		}
+	}
+}
+
 // TestSettleEventMatchesFixed: the exported stabilization helper must land
 // both paths on the same equilibrium.
 func TestSettleEventMatchesFixed(t *testing.T) {

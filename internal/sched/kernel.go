@@ -16,12 +16,22 @@ import (
 // kernel numbers the racks' server slots consecutively in Racks order;
 // loads, placements and running jobs all use that global slot index. A
 // plant may implement LoadOnlyRefuser for the whole of its placement.
+//
+// Between two advances the kernel reads and writes the plant through
+// these methods only, never a server: a room answers Health, TripRisk and
+// StateSum from what each rack's fan-out job recorded after its last
+// advance, and applies the loads inside those jobs, so the serial phase
+// touches rack-level state only.
 type Plant interface {
-	// Racks lists the racks in slot order, fixed for a run: the kernel sets
-	// loads, reads slot health, folds the divergence guard's state sum and
-	// rolls up metrics through it.
+	// Racks lists the racks in slot order, fixed for a run: the kernel
+	// validates fault schedules against them, plans each rack's chunks
+	// (Segment.Chunk) and rolls up their metrics after the run.
 	Racks() []*rack.Rack
 	Now() float64 // the plant clock, seconds: the run's grid starts there
+	// SetLoads commits the dispatcher's per-slot loads: the next Step or
+	// Cross runs under them. The slice stays the kernel's; the plant reads
+	// it until the next SetLoads.
+	SetLoads(loads []units.Percent)
 	// Step advances the whole plant one fixed grid step of dt.
 	Step(dt float64)
 	// Cross advances the whole plant across an event-kernel segment,
@@ -34,6 +44,14 @@ type Plant interface {
 	// picks for job j at the committed per-slot loads, validated, or -1
 	// when it refuses. A refusal changes no state the next Place reads.
 	Place(j Job, loads []units.Percent) (int, error)
+	// Health reports the health of slot `slot` of rack i (rack.Health),
+	// TripRisk whether any live slot sits inside the trip-guard band
+	// (rack.TripRisk), and StateSum the divergence guard's fold of every
+	// rack's rack.StateSum in rack order — each as of the last advance or
+	// fault edge.
+	Health(i, slot int) rack.Health
+	TripRisk() bool
+	StateSum() float64
 }
 
 // Segment is the stretch of grid steps [K, End), Dt seconds each, that the
@@ -290,12 +308,14 @@ func Settle(r *rack.Rack, dt, duration float64, eventStepping bool) error {
 	return e.settle((*rackPlant)(e), dt, duration, eventStepping)
 }
 
-// SettlePlant advances a plant with no offered load for `duration` seconds.
-// With event stepping the whole window collapses into a handful of
-// controller-horizon macro windows; otherwise it is the plain fixed-dt
-// loop (an integer step count, so a non-integer dt cannot drift the
-// window), which applies no loads. A duration of zero or less settles
-// nothing; a non-finite one, or an invalid dt, is an error.
+// SettlePlant advances a plant with no offered load for `duration` seconds,
+// on the trace kernel with an empty trace: both kernels apply the
+// dispatcher's zero loads, whatever loads the plant ran under before, and
+// both run the divergence guard. With event stepping the whole window
+// collapses into a handful of controller-horizon macro windows; otherwise
+// it is the fixed-dt loop (an integer step count, so a non-integer dt
+// cannot drift the window). A duration of zero or less settles nothing; a
+// non-finite one, or an invalid dt, is an error.
 func SettlePlant(pl Plant, dt, duration float64, eventStepping bool) error {
 	return new(traceRun).settle(pl, dt, duration, eventStepping)
 }
@@ -310,14 +330,8 @@ func (e *traceRun) settle(pl Plant, dt, duration float64, eventStepping bool) er
 	if err := e.init(pl, nil, TraceConfig{Dt: dt, Horizon: duration, EventStepping: eventStepping}, nil, &rackScope); err != nil {
 		return err
 	}
-	if eventStepping {
-		_, err := e.run()
-		return err
-	}
-	for range e.steps {
-		pl.Step(dt)
-	}
-	return nil
+	_, err := e.run()
+	return err
 }
 
 // run executes the configured kernel and folds the post-run accounting —
@@ -358,7 +372,7 @@ func (e *traceRun) runFixed() error {
 		if _, err := e.processStep(k); err != nil {
 			return err
 		}
-		e.applyLoads()
+		e.plant.SetLoads(e.loads)
 		e.plant.Step(e.dt)
 		e.res.RackSteps++
 		e.m.segment(1)
@@ -398,7 +412,7 @@ func (e *traceRun) runEvents() error {
 		if err != nil {
 			return err
 		}
-		e.applyLoads()
+		e.plant.SetLoads(e.loads)
 		now := e.start + float64(k)*e.dt
 		if e.r != nil {
 			// A rack run's controllers tick here and their quiet horizon
@@ -499,7 +513,7 @@ func (e *traceRun) processStep(k int) (headBlock, error) {
 		if e.rackOf != nil {
 			ri = e.rackOf[a.slot]
 		}
-		if e.racks[ri].Health(a.slot-e.first[ri]) == rack.Healthy {
+		if e.plant.Health(ri, a.slot-e.first[ri]) == rack.Healthy {
 			keep = append(keep, a)
 			continue
 		}
@@ -586,14 +600,6 @@ func (e *traceRun) place(j Job, slot int, now, elapsed float64) {
 	e.m.placements.Inc()
 }
 
-func (e *traceRun) applyLoads() {
-	for ri, r := range e.racks {
-		for i, u := range e.loads[e.first[ri]:e.first[ri+1]] {
-			r.SetLoad(i, u)
-		}
-	}
-}
-
 // charge books one advance of rack i spanning `window` grid steps: a macro
 // window, or a single step pinned by `reason`. Safe to call concurrently
 // for distinct racks.
@@ -643,12 +649,8 @@ func (e *traceRun) window(k int, now float64, sampleSteps int, blk headBlock) (i
 	// fixed-dt reference that observes the trip on its exact step. A
 	// backlog-crossing window takes the same pin on fault-free runs too,
 	// since a refusal or a pick is conditioned on slot health.
-	if len(e.actions) > 0 || len(e.pending) > 0 {
-		for _, r := range e.racks {
-			if r.TripRisk() {
-				return 1, pinTripGuard
-			}
-		}
+	if (len(e.actions) > 0 || len(e.pending) > 0) && e.plant.TripRisk() {
+		return 1, pinTripGuard
 	}
 	next, cause := e.steps, pinHorizonEnd
 	// Behind a blocked head an arrival can only join the tail, unless a
@@ -814,17 +816,14 @@ func (e *traceRun) stepAtOrAfter(t float64) int {
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // checkFinite is the divergence guard both kernels run after every
-// advance: one fold of every rack's rack.StateSum, the NaN-transparent sum
-// of every thermal node, DIMM, fan, and power aggregate. The max-style
-// telemetry roll-ups skip NaN in their comparisons and the leakage curve
-// clamps temperature, so a poisoned node can otherwise coast silently to
-// the horizon; the sum cannot hide it. k is the grid step the run has
-// advanced to.
+// advance: one fold of every rack's rack.StateSum (Plant.StateSum), the
+// NaN-transparent sum of every thermal node, DIMM, fan, and power
+// aggregate. The max-style telemetry roll-ups skip NaN in their
+// comparisons and the leakage curve clamps temperature, so a poisoned node
+// can otherwise coast silently to the horizon; the sum cannot hide it. k
+// is the grid step the run has advanced to.
 func (e *traceRun) checkFinite(k int) error {
-	var sum float64
-	for _, r := range e.racks {
-		sum += r.StateSum()
-	}
+	sum := e.plant.StateSum()
 	if isFinite(sum) {
 		return nil
 	}

@@ -694,6 +694,16 @@ func (rp *rackPlant) Racks() []*rack.Rack { return []*rack.Rack{rp.r} }
 func (rp *rackPlant) Now() float64        { return rp.r.Now() }
 func (rp *rackPlant) Step(dt float64)     { rp.r.Step(dt) }
 
+func (rp *rackPlant) SetLoads(loads []units.Percent) {
+	for i, u := range loads {
+		rp.r.SetLoad(i, u)
+	}
+}
+
+func (rp *rackPlant) Health(_, slot int) rack.Health { return rp.r.Health(slot) }
+func (rp *rackPlant) TripRisk() bool                 { return rp.r.TripRisk() }
+func (rp *rackPlant) StateSum() float64              { return rp.r.StateSum() }
+
 // Cross advances the rack across the segment in one macro window: a rack
 // run's window already ends at its controllers' quiet horizon.
 func (rp *rackPlant) Cross(s *Segment) {

@@ -29,7 +29,9 @@
 //     machine cannot trip.
 //   - ForceTrip / ResetTrip latch and clear the thermal trip explicitly.
 //   - SetAmbientOffset shifts the inlet ambient from its construction-time
-//     base (CRAC outages, aisle excursions).
+//     base (CRAC outages, aisle excursions, room recirculation). It only
+//     stores the ambient; the next step, macro anchor or prediction syncs
+//     the thermal network's inputs to it.
 //
 // Fan-level faults (stick, fail) live on the fans.Bank reached via Fans().
 //

@@ -302,6 +302,31 @@ func (s *Server) InletTemp() units.Celsius {
 	return s.cfg.Ambient + s.mem.InletPreheat(s.cpu.Utilization(), s.fans.MeanRPM())
 }
 
+// InletPreheat returns the DIMM preheat InletTemp adds to a powered
+// machine's ambient, at the current utilization and fan speed, by
+// InletTemp's own expression. A caller that holds it can follow an
+// ambient change without asking the server again: on a powered machine
+// Ambient() + InletPreheat() is InletTemp, bit for bit, and on a dark one
+// InletTemp is Ambient().
+func (s *Server) InletPreheat() units.Celsius {
+	return s.mem.InletPreheat(s.cpu.Utilization(), s.fans.MeanRPM())
+}
+
+// Ambient returns the inlet ambient the server currently steps under:
+// BaseAmbient shifted by the current offset (SetAmbientOffset).
+func (s *Server) Ambient() units.Celsius { return s.cfg.Ambient }
+
+// BaseAmbient returns the construction-time ambient the offsets shift.
+func (s *Server) BaseAmbient() units.Celsius { return s.baseAmbient }
+
+// ShiftedAmbient returns the ambient SetAmbientOffset(AmbientOffset()+delta)
+// leaves on a server built at base and stepping at ambient, bit for bit: a
+// caller that mirrors a server's ambient follows a shift without touching
+// the server.
+func ShiftedAmbient(base, ambient, delta units.Celsius) units.Celsius {
+	return base + ((ambient - base) + delta)
+}
+
 // CPUTempSensors returns the paper's four CPU temperature readings (two
 // thermal sensors per die: one near the hot spot, one near the die edge)
 // including sensor noise.
@@ -431,10 +456,15 @@ func (s *Server) FansSettled() bool { return s.fans.Settled() }
 
 // SetAmbientOffset shifts the inlet ambient to the construction-time base
 // plus delta °C (fault injection: ambient excursions and CRAC-outage heat
-// soak). Offsets compose additively; pass the summed offset.
+// soak; the room's recirculation re-anchor). Offsets compose additively;
+// pass the summed offset. It stores the new ambient and nothing else: the
+// thermal network's inputs are re-derived by whatever next uses them —
+// Step, the macro-window anchors (MacroWindow) and the trajectory
+// predictions (BandDecisionHorizon, DieFloor) each sync them first, and
+// SetState after a restore — so a room re-anchoring every segment writes
+// one float per server.
 func (s *Server) SetAmbientOffset(delta units.Celsius) {
 	s.cfg.Ambient = s.baseAmbient + delta
-	s.syncThermalInputs()
 }
 
 // AmbientOffset returns the current shift from the construction-time
