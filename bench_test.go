@@ -592,7 +592,7 @@ func benchRackTrace(b *testing.B, eventStepping, metrics bool, rateScale float64
 	ev := experiments.DefaultRackEval()
 	ev.EventStepping = eventStepping
 	ev.Rate *= rateScale
-	var rows []experiments.RackPolicyResult
+	var rows []experiments.Row
 	for i := 0; i < b.N; i++ {
 		if metrics {
 			// Fresh registry per iteration, like a real instrumented run;
@@ -600,7 +600,7 @@ func benchRackTrace(b *testing.B, eventStepping, metrics bool, rateScale float64
 			ev.Metrics = obs.NewRegistry()
 		}
 		var err error
-		rows, err = experiments.RackPolicyComparison(base, ev)
+		rows, err = experiments.RunScenario(base, ev)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -689,16 +689,18 @@ func benchRackACTrace(b *testing.B, eventStepping bool) {
 	ev.EventStepping = eventStepping
 	psu, pdu := power.DefaultPSU(), power.DefaultPDU()
 	ev.PSU, ev.PDU = &psu, &pdu
-	var res *experiments.RackACResult
+	ev.WallCapsW = []float64{0, experiments.AutoCap}
+	var rows []experiments.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.RackACComparison(base, ev)
+		rows, err = experiments.RunScenario(base, ev)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(res.CapW, "autoCapW")
-	for _, r := range res.Uncapped {
+	uncapped, capped := rows[:len(rows)/2], rows[len(rows)/2:]
+	b.ReportMetric(capped[0].CapW, "autoCapW")
+	for _, r := range uncapped {
 		switch r.Policy {
 		case "round-robin":
 			b.ReportMetric(r.WallWh(), "roundRobinWallWh")
@@ -708,7 +710,7 @@ func benchRackACTrace(b *testing.B, eventStepping bool) {
 		}
 	}
 	steps, deferrals := 0, 0
-	for _, r := range res.Capped {
+	for _, r := range capped {
 		steps += r.Sched.RackSteps
 		deferrals += r.Sched.Deferrals
 		if r.Policy == "cap-aware" {
@@ -770,11 +772,11 @@ func BenchmarkRackStepFacility(b *testing.B) {
 func BenchmarkRackFacilityTrace(b *testing.B) {
 	base := T3Config()
 	fe := experiments.DefaultFacilityEval()
-	fe.Rack.EventStepping = true
-	var rows []experiments.FacilityPolicyResult
+	fe.EventStepping = true
+	var rows []experiments.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RackFacilityComparison(base, fe)
+		rows, err = experiments.RunScenario(base, fe)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -799,17 +801,17 @@ func BenchmarkRackFacilityTrace(b *testing.B) {
 func BenchmarkRackFaultTrace(b *testing.B) {
 	base := T3Config()
 	fe := experiments.DefaultFaultEval()
-	fe.Rack.EventStepping = true
-	var rows []experiments.RackFaultResult
+	fe.EventStepping = true
+	var rows []experiments.Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RackFaultComparison(base, fe)
+		rows, err = experiments.RunScenario(base, fe)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	for _, r := range rows {
-		if r.Scenario == "cascade" && r.Policy == "round-robin" {
+		if r.Fault == "cascade" && r.Policy == "round-robin" {
 			b.ReportMetric(float64(r.Sched.Requeued), "cascadeRequeued")
 			b.ReportMetric(r.Sched.LostJobSeconds, "cascadeLostJobSec")
 			b.ReportMetric(float64(r.HealthyAtEnd), "cascadeSurvivors")
@@ -946,23 +948,23 @@ func BenchmarkRoomTrace(b *testing.B) {
 	ev.Rate *= 32 // hold per-server offered load at the 4×8 default
 	ev.Policy = "rr"
 	ev.EventStepping = true
-	var rows []experiments.RoomPolicyResult
+	var rows []experiments.Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.RoomPolicyComparison(T3Config(), ev)
+		rows, err = experiments.RunScenario(T3Config(), ev)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	r := rows[0]
 	steps := 0
-	for _, st := range r.Sched.Kernel {
+	for _, st := range r.RoomSched.Kernel {
 		steps += st.Advances
 	}
 	b.ReportMetric(float64(r.Room.Servers), "servers")
-	b.ReportMetric(r.WallWh(), "wallWh")
-	b.ReportMetric(r.FacilityWh(), "facilityWh")
+	b.ReportMetric(r.Room.WallEnergyKWh*1000, "wallWh")
+	b.ReportMetric(r.Room.FacilityEnergyKWh*1000, "facilityWh")
 	b.ReportMetric(float64(steps), "rackSteps")
 	simSeconds := (ev.Stabilize + ev.Horizon) * float64(b.N)
 	if wall := b.Elapsed().Seconds(); wall > 0 {

@@ -9,21 +9,21 @@ import (
 	"repro/internal/server"
 )
 
-// compareKernels runs RackPolicyComparison on both kernels and checks the
+// compareKernels runs a rack scenario on both kernels and checks the
 // per-row equivalence contract: identical scheduling outcomes, energies
 // within the macro-stepping tolerance, identical fan-change counts, and
 // the hottest die within the bound below. It returns the per-policy
 // speedup factors keyed by policy name plus the aggregate fixed/event step
 // totals.
-func compareKernels(t *testing.T, ev RackEval) (rows []RackPolicyResult, speedups map[string]float64, fixedSteps, eventSteps int) {
+func compareKernels(t *testing.T, ev Scenario) (rows []Row, speedups map[string]float64, fixedSteps, eventSteps int) {
 	t.Helper()
 	base := server.T3Config()
-	fixedRows, err := RackPolicyComparison(base, ev)
+	fixedRows, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev.EventStepping = true
-	eventRows, err := RackPolicyComparison(base, ev)
+	eventRows, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ const (
 
 // compareRows checks compareKernels' per-row contract on two kernels'
 // rows of one comparison.
-func compareRows(t *testing.T, fixedRows, eventRows []RackPolicyResult) (speedups map[string]float64, fixedSteps, eventSteps int) {
+func compareRows(t *testing.T, fixedRows, eventRows []Row) (speedups map[string]float64, fixedSteps, eventSteps int) {
 	t.Helper()
 	if len(fixedRows) != len(eventRows) {
 		t.Fatalf("row count mismatch: %d vs %d", len(fixedRows), len(eventRows))
@@ -116,14 +116,14 @@ func compareRows(t *testing.T, fixedRows, eventRows []RackPolicyResult) (speedup
 }
 
 // TestEventSteppingSmoke is the CI gate for the event-driven kernel on the
-// real experiment: the RackPolicyComparison Poisson trace, fixed-dt vs
+// real experiment: the DefaultRackEval Poisson trace, fixed-dt vs
 // event-driven, on the default (drained-queue) shape and on a saturated
 // variant whose backlog never empties. It logs the macro-vs-fixed step
 // counts and the speedup factor per policy and fails if event stepping
 // cannot collapse the default trace at least 5× in aggregate — or, since
 // PR 8's load-only refusal un-pin, the saturated trace at least 5× on the
 // load-only policies — or if any headline metric drifts past the
-// macro-stepping tolerance. The capped half of RackACComparison gates
+// macro-stepping tolerance. The AutoCap half of the AC comparison gates
 // crossing cap-deferred heads as far as the wall-floor proof reaches: the
 // policies that decide on loads alone, and those that rank slots by
 // temperature or draw, whose crossed retries see the views the walk
@@ -177,21 +177,23 @@ func TestEventSteppingSmoke(t *testing.T) {
 		ev.Rate *= 4
 		psu, pdu := power.DefaultPSU(), power.DefaultPDU()
 		ev.PSU, ev.PDU = &psu, &pdu
-		fixed, err := RackACComparison(base, ev)
+		ev.WallCapsW = []float64{AutoCap}
+		fixed, err := RunScenario(base, ev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Both kernels run under the fixed-dt auto cap: the event kernel's
 		// uncapped peak, which would set its own, sits within its drift.
-		ev.WallCapW = fixed.CapW
+		capW := fixed[0].CapW
+		ev.WallCapsW = []float64{capW}
 		ev.EventStepping = true
-		event, err := RackACComparison(base, ev)
+		event, err := RunScenario(base, ev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		speedups, fixedSteps, eventSteps := compareRows(t, fixed.Capped, event.Capped)
-		t.Logf("capped half at %.0f W: %d fixed rack steps vs %d event rack steps", fixed.CapW, fixedSteps, eventSteps)
-		for _, r := range fixed.Capped {
+		speedups, fixedSteps, eventSteps := compareRows(t, fixed, event)
+		t.Logf("capped half at %.0f W: %d fixed rack steps vs %d event rack steps", capW, fixedSteps, eventSteps)
+		for _, r := range fixed {
 			if r.Sched.Deferrals*4 < r.Sched.RackSteps {
 				t.Fatalf("%s: %d deferrals in %d steps — the cap does not bind and the gate below is vacuous",
 					r.Policy, r.Sched.Deferrals, r.Sched.RackSteps)
@@ -215,30 +217,28 @@ func TestEventSteppingSmoke(t *testing.T) {
 	t.Run("faults", func(t *testing.T) {
 		base := server.T3Config()
 		fe := DefaultFaultEval()
-		fixed, err := RackFaultComparison(base, fe)
+		fixed, err := RunScenario(base, fe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := obs.NewRegistry()
-		fe.Rack.EventStepping, fe.Rack.Metrics = true, reg
-		event, err := RackFaultComparison(base, fe)
+		fe.EventStepping, fe.Metrics = true, reg
+		event, err := RunScenario(base, fe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(fixed) != len(event) {
 			t.Fatalf("row count mismatch: %d vs %d", len(fixed), len(event))
 		}
-		fixedRows, eventRows := make([]RackPolicyResult, len(fixed)), make([]RackPolicyResult, len(event))
 		for i, f := range fixed {
 			e := event[i]
-			if f.Scenario != e.Scenario || f.HealthyAtEnd != e.HealthyAtEnd {
+			if f.Fault != e.Fault || f.HealthyAtEnd != e.HealthyAtEnd {
 				t.Errorf("row %d: scenario %s, %d healthy at the end on fixed-dt; %s, %d on the event kernel",
-					i, f.Scenario, f.HealthyAtEnd, e.Scenario, e.HealthyAtEnd)
+					i, f.Fault, f.HealthyAtEnd, e.Fault, e.HealthyAtEnd)
 			}
-			fixedRows[i], eventRows[i] = f.RackPolicyResult, e.RackPolicyResult
-			eventRows[i].Sched.Metrics = nil // the registry, shared by every cell
+			event[i].Sched.Metrics = nil // the registry, shared by every cell
 		}
-		compareRows(t, fixedRows, eventRows)
+		compareRows(t, fixed, event)
 		// The server-steps the event kernel collapsed, over all it took.
 		// Measured: 0.968; with fault windows and dark slots held to plain
 		// steps, 0.860.

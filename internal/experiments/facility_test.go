@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"math"
-	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/server"
@@ -12,56 +10,13 @@ import (
 )
 
 // smallFacilityEval shrinks the sweep for fast deterministic tests.
-func smallFacilityEval() FacilityEval {
+func smallFacilityEval() Scenario {
 	fe := DefaultFacilityEval()
-	fe.Rack.Servers = 4
-	fe.Rack.Horizon = 900
-	fe.Rack.Stabilize = 60
+	fe.Servers = 4
+	fe.Horizon = 900
+	fe.Stabilize = 60
 	fe.SetpointsC = []units.Celsius{14, 26}
 	return fe
-}
-
-// TestRackFacilityComparisonDeterministicAcrossWorkers is the golden-table
-// contract extended to the facility layer: the serial reference and any
-// parallel worker count must produce structurally identical rows and a
-// byte-identical rendered table. Under -race this exercises the
-// concurrent (setpoint, policy) runs.
-func TestRackFacilityComparisonDeterministicAcrossWorkers(t *testing.T) {
-	base := server.T3Config()
-	fe := smallFacilityEval()
-
-	fe.Rack.Workers = 1
-	serial, err := RackFacilityComparison(base, fe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe.Rack.Workers = 8
-	parallel, err := RackFacilityComparison(base, fe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel rows differ from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-	var a, b bytes.Buffer
-	if err := FormatRackFacilityTable(&a, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := FormatRackFacilityTable(&b, parallel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("rendered tables differ:\nserial:\n%s\nparallel:\n%s", a.String(), b.String())
-	}
-	for _, col := range []string{"Supply(°C)", "Facility(Wh)", "PUE", "pue-aware", "round-robin"} {
-		if !strings.Contains(a.String(), col) {
-			t.Fatalf("table missing %q:\n%s", col, a.String())
-		}
-	}
-	// 6 policies × 2 setpoints.
-	if len(serial) != 12 {
-		t.Fatalf("got %d rows, want 12", len(serial))
-	}
 }
 
 // TestRackFacilityComparisonSweetSpot is the headline acceptance
@@ -70,7 +25,7 @@ func TestRackFacilityComparisonDeterministicAcrossWorkers(t *testing.T) {
 // end overpays server fans and leakage — for every policy.
 func TestRackFacilityComparisonSweetSpot(t *testing.T) {
 	fe := DefaultFacilityEval()
-	rows, err := RackFacilityComparison(server.T3Config(), fe)
+	rows, err := RunScenario(server.T3Config(), fe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +45,7 @@ func TestRackFacilityComparisonSweetSpot(t *testing.T) {
 	}
 	if t.Failed() {
 		var buf bytes.Buffer
-		_ = FormatRackFacilityTable(&buf, rows)
+		_ = FormatTable(&buf, rows, FacilityColumns())
 		t.Logf("facility table:\n%s", buf.String())
 	}
 }
@@ -100,11 +55,11 @@ func TestRackFacilityComparisonSweetSpot(t *testing.T) {
 // cooling, every job is served, and a warmer aisle strictly raises every
 // policy's wall (IT) energy while cutting the cooling energy per IT watt.
 func TestRackFacilityComparisonPhysics(t *testing.T) {
-	rows, err := RackFacilityComparison(server.T3Config(), smallFacilityEval())
+	rows, err := RunScenario(server.T3Config(), smallFacilityEval())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bySetpoint := map[float64]map[string]FacilityPolicyResult{}
+	bySetpoint := map[float64]map[string]Row{}
 	for _, r := range rows {
 		if r.Rack.PUE < 1 {
 			t.Fatalf("%s@%g: PUE %g < 1", r.Policy, r.SetpointC, r.Rack.PUE)
@@ -119,7 +74,7 @@ func TestRackFacilityComparisonPhysics(t *testing.T) {
 			t.Fatalf("%s@%g: placed only %d of %d", r.Policy, r.SetpointC, r.Sched.Placed, r.Sched.Submitted)
 		}
 		if bySetpoint[r.SetpointC] == nil {
-			bySetpoint[r.SetpointC] = map[string]FacilityPolicyResult{}
+			bySetpoint[r.SetpointC] = map[string]Row{}
 		}
 		bySetpoint[r.SetpointC][r.Policy] = r
 	}

@@ -10,7 +10,7 @@ import (
 
 // metricsEval is a reduced rack comparison — small enough for a CI smoke,
 // event-stepped so the pin-reason counters actually spread across reasons.
-func metricsEval(workers int) RackEval {
+func metricsEval(workers int) Scenario {
 	ev := DefaultRackEval()
 	ev.Servers = 4
 	ev.Horizon = 900
@@ -30,7 +30,7 @@ func TestMetricsDeterminismAcrossWorkers(t *testing.T) {
 	dump := func(workers int) string {
 		ev := metricsEval(workers)
 		ev.Metrics = obs.NewRegistry()
-		if _, err := RackPolicyComparison(base, ev); err != nil {
+		if _, err := RunScenario(base, ev); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -56,7 +56,7 @@ func TestExperimentPinIdentity(t *testing.T) {
 	base := server.T3Config()
 	ev := metricsEval(0)
 	ev.Metrics = obs.NewRegistry()
-	rows, err := RackPolicyComparison(base, ev)
+	rows, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}

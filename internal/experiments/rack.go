@@ -1,154 +1,17 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/control"
 	"repro/internal/cooling"
-	"repro/internal/loadgen"
 	"repro/internal/lut"
-	"repro/internal/obs"
-	"repro/internal/par"
-	"repro/internal/plot"
 	"repro/internal/power"
 	"repro/internal/rack"
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/units"
 )
-
-// RackEval parameterizes the rack-scale policy comparison: a heterogeneous
-// rack (cold/hot-aisle ambient gradient, mixed DIMM populations), each
-// server under its own paper-style LUT fan controller, driven by one
-// Poisson job trace per policy.
-type RackEval struct {
-	Servers   int     // rack size
-	Dt        float64 // simulation step, seconds
-	Horizon   float64 // measured window, seconds
-	Stabilize float64 // idle settling before the measured window, seconds
-
-	TraceSeed    int64
-	Rate         float64         // job arrivals per second
-	MeanDuration float64         // mean job service time, seconds
-	Demands      []units.Percent // per-job demand levels
-
-	// Workers bounds the experiment's fan-outs — the per-policy runs and
-	// the LUT table builds: ≤ 0 = GOMAXPROCS, 1 = the serial reference
-	// path. Rack stepping inside the comparison is deliberately serial
-	// per policy: the concurrent policy runs already saturate the
-	// pool, and a nested per-step fan-out would only multiply goroutines
-	// (Workers²) without adding parallelism. Results are identical for
-	// every value.
-	Workers int
-
-	// Power-delivery chain. PSU, when non-nil, is applied to every slot;
-	// PDU is the shared rack distribution unit. Both nil (the default)
-	// keeps the chain ideal: wall telemetry mirrors the DC side and every
-	// physics metric is bit-identical to the chain-less experiment.
-	PSU *power.PSUModel
-	PDU *power.PDUModel
-
-	// WallCapW, when positive, enforces a rack-level wall-power budget in
-	// RackPolicyComparison runs and fixes the capped half of
-	// RackACComparison; zero means uncapped runs and an automatically
-	// derived cap for the AC table (see AutoCapFraction).
-	WallCapW float64
-
-	// LUTCacheDir, when non-empty, persists built LUTs to disk keyed by
-	// config hash (lut.DiskCache), so repeated processes stop rebuilding
-	// identical per-ambient tables.
-	LUTCacheDir string
-
-	// EventStepping selects the event-driven trace kernel for every run
-	// (stabilization window included): the rack advances per scheduling
-	// event instead of per fixed dt, several-fold faster on the default
-	// Poisson trace with identical placements and energies within the
-	// macro-stepping tolerance (see sched.TraceConfig.EventStepping).
-	// false is the bit-exact fixed-dt reference path.
-	EventStepping bool
-
-	// Backfill enables the dispatcher's FIFO backfill pass in every run
-	// (sched.TraceConfig.Backfill): jobs queued behind a blocked head may
-	// place on servers the policy accepts, under the same cap admission the
-	// head failed. false — the default — keeps strict FIFO, bit-identical
-	// to the pre-backfill experiment.
-	Backfill bool
-
-	// FanControl selects the per-server fan controller: "" or "lut" (the
-	// default) builds the paper's utilization-indexed LUT controller per
-	// slot; "bang" runs the reactive Section V bang-bang policy instead.
-	// The LUT grid is still built either way — the table-driven placement
-	// policies consume it regardless of who drives the fans.
-	FanControl string
-
-	// Policy, when non-empty, restricts RackPolicyComparison and
-	// RackACComparison to the single named placement policy (a
-	// sched.Policy.Name(), e.g. "round-robin"). The shared Metrics
-	// registry aggregates every run it instruments, so a full comparison
-	// mixes macro-stepping and deliberately conservative policies in one
-	// pin-reason dump; filtering to one policy makes the per-trace pin
-	// shares readable. "" — the default — runs the full set. The facility
-	// and fault experiments build their own policy cells and ignore it.
-	Policy string
-
-	// ReliabilitySampleEvery, in seconds, turns on the racks' per-server
-	// reliability roll-up (rack.Config.ReliabilitySampleEvery). 0 — the
-	// default — keeps sampling off and every metric bit-identical to the
-	// pre-roll-up experiment.
-	ReliabilitySampleEvery float64
-
-	// Ctx, when non-nil, makes every run in the comparison cooperatively
-	// cancellable (sched.TraceConfig.Ctx): each checks it at its decision-
-	// step boundaries and a cancelled run surfaces a *sched.Cancelled —
-	// carrying a resumable checkpoint — through the comparison's error.
-	Ctx context.Context
-
-	// CheckpointEvery and CheckpointSink enable periodic checkpoints of the
-	// measured trace (sched.TraceConfig.CheckpointEvery/CheckpointSink).
-	// Because a checkpoint captures exactly one run, both require Policy to
-	// name a single placement policy; a full five-policy comparison has no
-	// well-defined "the run" to snapshot.
-	CheckpointEvery float64
-	CheckpointSink  func(sched.Checkpoint) error
-
-	// Resume, when non-nil, resumes the single-policy run from a prior
-	// checkpoint instead of starting fresh: the stabilization window and
-	// accounting reset are skipped (their effect is part of the captured
-	// state) and the run continues through sched.ResumeTraceCfg. Requires
-	// Policy, and the eval must otherwise match the checkpoint's
-	// configuration (the resume cross-checks enforce it).
-	Resume *sched.Checkpoint
-
-	// Metrics, when non-nil, is the run-metrics registry every measured
-	// trace of the experiment instruments (sched.TraceConfig.Metrics). One
-	// registry is shared across all concurrently running cells: the
-	// instrumentation uses only commutative updates (internal/obs), so the
-	// final dump is byte-identical for every Workers value — the dump is
-	// the experiment's roll-up, not one run's. Stabilization windows
-	// (sched.Settle) are deliberately uninstrumented: the counters
-	// describe the measured horizon, so the pin-reason identity holds
-	// against the reported RackSteps. nil — the default — records nothing
-	// and leaves every output bit-identical.
-	Metrics *obs.Registry
-}
-
-// DefaultRackEval returns an 8-server rack under a one-hour trace with
-// ~30% mean offered load — enough contention that placement matters,
-// enough headroom that every policy can always place eventually.
-func DefaultRackEval() RackEval {
-	return RackEval{
-		Servers:      8,
-		Dt:           1,
-		Horizon:      3600,
-		Stabilize:    300,
-		TraceSeed:    42,
-		Rate:         0.02,
-		MeanDuration: 300,
-		Demands:      []units.Percent{20, 40, 60},
-	}
-}
 
 // rackAmbient returns server i's inlet ambient: a cold→hot aisle gradient
 // repeating every four slots (21, 24, 27, 30 °C), the heterogeneity that
@@ -173,30 +36,16 @@ func RackServerConfigs(base server.Config, n int) []server.Config {
 	return cfgs
 }
 
-// rackFor assembles a fresh rack over cfgs, each server under its own LUT
-// fan controller built from that server's configuration (tables shared
-// read-only across servers with identical steady-state physics), with the
-// experiment's power-delivery chain — and, when fac is non-nil, the
-// facility cooling loop — attached. The rack steps serially: within the
-// comparison, parallelism lives at the policy level (see RackEval.Workers).
-func rackFor(cfgs []server.Config, tables []*lut.Table, ev RackEval, fac *cooling.Facility) (*rack.Rack, error) {
-	rc, err := rackConfigFor(cfgs, tables, ev, fac)
-	if err != nil {
-		return nil, err
-	}
-	return rack.New(rc)
-}
-
-// rackConfigFor builds the rack configuration rackFor instantiates —
-// per-slot specs with fresh fan controllers and the experiment's delivery
-// chain — without constructing the rack, so the room experiment can hand
-// the same configs to room.New (which owns the facility and forces the
-// inner Workers to 1).
-func rackConfigFor(cfgs []server.Config, tables []*lut.Table, ev RackEval, fac *cooling.Facility) (rack.Config, error) {
+// rackConfigFor builds one rack's configuration over cfgs: each server under
+// its own fan controller (LUT controllers share the read-only tables), the
+// scenario's delivery chain and reliability sampling, and fac — nil in a
+// room, which owns the facility. The rack steps serially: parallelism
+// lives at the cell level (see Scenario.Workers).
+func rackConfigFor(cfgs []server.Config, tables []*lut.Table, sc Scenario, fac *cooling.Facility) (rack.Config, error) {
 	specs := make([]rack.ServerSpec, len(cfgs))
 	for i, cfg := range cfgs {
 		var ctl control.Controller
-		switch ev.FanControl {
+		switch sc.FanControl {
 		case "", "lut":
 			lc, err := control.NewLUT(tables[i], control.DefaultLUT())
 			if err != nil {
@@ -210,7 +59,7 @@ func rackConfigFor(cfgs []server.Config, tables []*lut.Table, ev RackEval, fac *
 			}
 			ctl = bb
 		default:
-			return rack.Config{}, fmt.Errorf("experiments: unknown fan control %q (want lut or bang)", ev.FanControl)
+			return rack.Config{}, fmt.Errorf("experiments: unknown fan control %q (want lut or bang)", sc.FanControl)
 		}
 		specs[i] = rack.ServerSpec{
 			Name:       fmt.Sprintf("srv%02d-amb%g", i, float64(cfg.Ambient)),
@@ -219,43 +68,23 @@ func rackConfigFor(cfgs []server.Config, tables []*lut.Table, ev RackEval, fac *
 		}
 	}
 	return rack.Config{
-		Servers: specs, Workers: 1, PSU: ev.PSU, PDU: ev.PDU, Facility: fac,
-		ReliabilitySampleEvery: ev.ReliabilitySampleEvery,
+		Servers: specs, Workers: 1, PSU: sc.PSU, PDU: sc.PDU, Facility: fac,
+		ReliabilitySampleEvery: sc.ReliabilitySampleEvery,
 	}, nil
 }
 
 // buildRackTables builds one LUT per distinct server configuration
 // (ignoring noise seeds), in slot order, consulting the on-disk cache
-// when the eval names a directory.
-func buildRackTables(cfgs []server.Config, ev RackEval) ([]*lut.Table, error) {
+// when the scenario names a directory.
+func buildRackTables(cfgs []server.Config, sc Scenario) ([]*lut.Table, error) {
 	bc := lut.DefaultBuild()
-	bc.Workers = ev.Workers
-	tables, err := lut.DiskCache{Dir: ev.LUTCacheDir}.BuildPerConfig(cfgs, bc)
+	bc.Workers = sc.Workers
+	tables, err := lut.DiskCache{Dir: sc.LUTCacheDir}.BuildPerConfig(cfgs, bc)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: rack LUTs: %w", err)
 	}
 	return tables, nil
 }
-
-// RackPolicyResult is one row of the policy×metric comparison table.
-type RackPolicyResult struct {
-	Policy string
-	CapW   float64 // enforced wall budget of this run; 0 = uncapped
-	Sched  sched.Result
-	Rack   rack.Telemetry
-}
-
-// TotalWh returns the rack DC energy in watt-hours over the measured window.
-func (r RackPolicyResult) TotalWh() float64 { return r.Rack.TotalEnergyKWh * 1000 }
-
-// FanWh returns the fan-only energy in watt-hours.
-func (r RackPolicyResult) FanWh() float64 { return r.Rack.FanEnergyKWh * 1000 }
-
-// WallWh returns the AC energy drawn at the utility feed in watt-hours.
-func (r RackPolicyResult) WallWh() float64 { return r.Rack.WallEnergyKWh * 1000 }
-
-// LossWh returns the PSU+PDU conversion losses in watt-hours.
-func (r RackPolicyResult) LossWh() float64 { return r.Rack.LossEnergyKWh * 1000 }
 
 // RackPolicies returns the five placement policies under comparison, in
 // table order. The leakage-aware and cap-aware policies reuse the per-slot
@@ -282,227 +111,4 @@ func RackPolicies(cfgs []server.Config, tables []*lut.Table, psus []*power.PSUMo
 		la,
 		ca,
 	}, nil
-}
-
-// rackSetup is the shared read-only state of one comparison: per-slot
-// configurations and tables, the per-slot PSU view, the policy set, and
-// the job trace every run serves.
-type rackSetup struct {
-	cfgs     []server.Config
-	tables   []*lut.Table
-	policies []sched.Policy
-	jobs     []sched.Job
-}
-
-// prepareRackEval validates the eval and builds the shared setup.
-func prepareRackEval(base server.Config, ev RackEval) (*rackSetup, error) {
-	if ev.Servers <= 0 || ev.Dt <= 0 || ev.Horizon <= 0 {
-		return nil, fmt.Errorf("experiments: rack eval needs positive servers/dt/horizon, got %+v", ev)
-	}
-	if (ev.CheckpointSink != nil || ev.CheckpointEvery != 0 || ev.Resume != nil) && ev.Policy == "" {
-		return nil, fmt.Errorf("experiments: checkpoint/resume needs Policy to name a single placement policy")
-	}
-	cfgs := RackServerConfigs(base, ev.Servers)
-	tables, err := buildRackTables(cfgs, ev)
-	if err != nil {
-		return nil, err
-	}
-	psus := make([]*power.PSUModel, len(cfgs))
-	for i := range psus {
-		psus[i] = ev.PSU
-	}
-	policies, err := RackPolicies(cfgs, tables, psus)
-	if err != nil {
-		return nil, err
-	}
-	if ev.Policy != "" {
-		var kept []sched.Policy
-		names := make([]string, len(policies))
-		for i, p := range policies {
-			names[i] = p.Name()
-			if names[i] == ev.Policy {
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) == 0 {
-			return nil, fmt.Errorf("experiments: unknown policy %q (want one of %v)", ev.Policy, names)
-		}
-		policies = kept
-	}
-	specs, err := loadgen.PoissonTrace(loadgen.PoissonTraceConfig{
-		Seed:         ev.TraceSeed,
-		Horizon:      ev.Horizon,
-		Rate:         ev.Rate,
-		MeanDuration: ev.MeanDuration,
-		Demands:      ev.Demands,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &rackSetup{cfgs: cfgs, tables: tables, policies: policies, jobs: sched.JobsFromSpecs(specs)}, nil
-}
-
-// runRackPolicies runs every policy at one cap setting. Policy runs fan
-// out over the worker pool (slot-per-policy); each run's rack steps
-// serially. All scheduling decisions are serial, so rows are
-// byte-identical for every worker count.
-func (s *rackSetup) runRackPolicies(ev RackEval, capW float64) ([]RackPolicyResult, error) {
-	results := make([]RackPolicyResult, len(s.policies))
-	errs := make([]error, len(s.policies))
-	par.ForEach(len(s.policies), ev.Workers, func(i int) {
-		results[i], errs[i] = s.runRackPolicy(s.policies[i], ev, capW)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: rack policy %s: %w", s.policies[i].Name(), err)
-		}
-	}
-	return results, nil
-}
-
-// RackPolicyComparison runs the same Poisson job trace across all five
-// placement policies on identical fresh racks and returns one result row
-// per policy, honoring the eval's PSU/PDU chain and wall cap (if any).
-func RackPolicyComparison(base server.Config, ev RackEval) ([]RackPolicyResult, error) {
-	s, err := prepareRackEval(base, ev)
-	if err != nil {
-		return nil, err
-	}
-	return s.runRackPolicies(ev, ev.WallCapW)
-}
-
-// AutoCapFraction scales the uncapped round-robin peak wall draw into the
-// automatic budget of RackACComparison's capped half when the eval does
-// not fix one: tight enough that placements defer around the peak, loose
-// enough that the trace still completes.
-const AutoCapFraction = 0.97
-
-// RackACResult is the AC-side comparison: every policy uncapped and under
-// the wall budget, over the identical job trace.
-type RackACResult struct {
-	Uncapped []RackPolicyResult
-	Capped   []RackPolicyResult
-	CapW     float64 // the enforced budget of the capped half
-	AutoCap  bool    // CapW was derived, not configured
-}
-
-// Rows returns all result rows, uncapped first — the AC table's order.
-func (r *RackACResult) Rows() []RackPolicyResult {
-	return append(append([]RackPolicyResult(nil), r.Uncapped...), r.Capped...)
-}
-
-// RackACComparison runs the full AC-side experiment: all five policies
-// uncapped, then all five under the wall budget (ev.WallCapW, or the
-// automatic AutoCapFraction of round-robin's uncapped peak wall draw).
-// One LUT grid and one job trace serve all ten runs.
-func RackACComparison(base server.Config, ev RackEval) (*RackACResult, error) {
-	s, err := prepareRackEval(base, ev)
-	if err != nil {
-		return nil, err
-	}
-	uncapped, err := s.runRackPolicies(ev, 0)
-	if err != nil {
-		return nil, err
-	}
-	res := &RackACResult{Uncapped: uncapped, CapW: ev.WallCapW}
-	if res.CapW <= 0 {
-		res.CapW = AutoCapFraction * uncapped[0].Rack.PeakWallPowerW
-		res.AutoCap = true
-	}
-	res.Capped, err = s.runRackPolicies(ev, res.CapW)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// runRackPolicy is one policy's full run: fresh rack, idle stabilization,
-// accounting reset, then the measured trace window under the cap. With
-// ev.Resume set, stabilization and the reset are skipped — their effect
-// is already inside the checkpointed state — and the trace continues from
-// the checkpoint's cursor instead.
-func (s *rackSetup) runRackPolicy(p sched.Policy, ev RackEval, capW float64) (RackPolicyResult, error) {
-	r, err := rackFor(s.cfgs, s.tables, ev, nil)
-	if err != nil {
-		return RackPolicyResult{}, err
-	}
-	tc := sched.TraceConfig{
-		Dt: ev.Dt, Horizon: ev.Horizon, WallCapW: capW, EventStepping: ev.EventStepping,
-		Backfill: ev.Backfill, Metrics: ev.Metrics,
-		Ctx: ev.Ctx, CheckpointEvery: ev.CheckpointEvery, CheckpointSink: ev.CheckpointSink,
-	}
-	var sres sched.Result
-	if ev.Resume != nil {
-		sres, err = sched.ResumeTraceCfg(r, s.jobs, p, tc, *ev.Resume)
-	} else {
-		if err := sched.Settle(r, ev.Dt, ev.Stabilize, ev.EventStepping); err != nil {
-			return RackPolicyResult{}, err
-		}
-		r.ResetAccounting()
-		sres, err = sched.RunTraceCfg(r, s.jobs, p, tc)
-	}
-	if err != nil {
-		// Partial results ride along with cancellation: the caller can show
-		// what the run had accumulated before writing the checkpoint out.
-		return RackPolicyResult{Policy: p.Name(), CapW: capW, Sched: sres, Rack: r.Telemetry()}, err
-	}
-	return RackPolicyResult{Policy: p.Name(), CapW: capW, Sched: sres, Rack: r.Telemetry()}, nil
-}
-
-// FormatRackACTable renders the AC-side comparison: DC vs wall energy,
-// conversion losses, peak wall draw and cap behaviour per policy, for the
-// uncapped rows followed by the capped rows.
-func FormatRackACTable(w io.Writer, res *RackACResult) error {
-	headers := []string{
-		"Policy", "Cap(W)", "Wh(DC)", "Wh(AC)", "Loss(Wh)",
-		"PeakDC(W)", "PeakWall(W)", "Defer", "Placed", "Done", "Wait(s)",
-	}
-	var cells [][]string
-	for _, r := range res.Rows() {
-		capCell := "-"
-		if r.CapW > 0 {
-			capCell = fmt.Sprintf("%.0f", r.CapW)
-		}
-		cells = append(cells, []string{
-			r.Policy,
-			capCell,
-			fmt.Sprintf("%.2f", r.TotalWh()),
-			fmt.Sprintf("%.2f", r.WallWh()),
-			fmt.Sprintf("%.2f", r.LossWh()),
-			fmt.Sprintf("%.0f", r.Rack.PeakPowerW),
-			fmt.Sprintf("%.0f", r.Rack.PeakWallPowerW),
-			fmt.Sprintf("%d", r.Sched.Deferrals),
-			fmt.Sprintf("%d/%d", r.Sched.Placed, r.Sched.Submitted),
-			fmt.Sprintf("%d", r.Sched.Completed),
-			fmt.Sprintf("%.1f", r.Sched.MeanWaitSec),
-		})
-	}
-	return plot.Table(w, headers, cells)
-}
-
-// FormatRackTable renders the policy×metric comparison.
-func FormatRackTable(w io.Writer, rows []RackPolicyResult) error {
-	headers := []string{
-		"Policy", "Total(Wh)", "Fan(Wh)", "Peak(W)",
-		"MaxCPU(°C)", "MaxDIMM(°C)", "MaxInlet(°C)",
-		"#fan", "Placed", "Done", "Wait(s)", "MaxQ",
-	}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Policy,
-			fmt.Sprintf("%.2f", r.TotalWh()),
-			fmt.Sprintf("%.2f", r.FanWh()),
-			fmt.Sprintf("%.0f", r.Rack.PeakPowerW),
-			fmt.Sprintf("%.1f", r.Rack.MaxCPUTempC),
-			fmt.Sprintf("%.1f", r.Rack.MaxDIMMTempC),
-			fmt.Sprintf("%.1f", r.Rack.MaxInletC),
-			fmt.Sprintf("%d", r.Rack.FanChanges),
-			fmt.Sprintf("%d/%d", r.Sched.Placed, r.Sched.Submitted),
-			fmt.Sprintf("%d", r.Sched.Completed),
-			fmt.Sprintf("%.1f", r.Sched.MeanWaitSec),
-			fmt.Sprintf("%d", r.Sched.MaxQueueLen),
-		})
-	}
-	return plot.Table(w, headers, cells)
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,7 +9,7 @@ import (
 )
 
 // rackRow finds a policy's row.
-func rackRow(t *testing.T, rows []RackPolicyResult, policy string) RackPolicyResult {
+func rackRow(t *testing.T, rows []Row, policy string) Row {
 	t.Helper()
 	for _, r := range rows {
 		if r.Policy == policy {
@@ -18,49 +17,16 @@ func rackRow(t *testing.T, rows []RackPolicyResult, policy string) RackPolicyRes
 		}
 	}
 	t.Fatalf("policy %q missing from %d rows", policy, len(rows))
-	return RackPolicyResult{}
+	return Row{}
 }
 
-// TestRackPolicyComparisonDeterministicAcrossWorkers is the golden-table
-// contract: the serial reference run and any parallel worker count must
-// produce structurally identical rows and a byte-identical rendered
-// table. Under -race this exercises the concurrent policy runs (the
-// rack-step fan-out itself is raced in internal/rack).
-func TestRackPolicyComparisonDeterministicAcrossWorkers(t *testing.T) {
-	base := server.T3Config()
-	ev := DefaultRackEval()
-	ev.Servers = 4
-	ev.Horizon = 900
-	ev.Stabilize = 60
-
-	ev.Workers = 1
-	serial, err := RackPolicyComparison(base, ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.Workers = 8
-	parallel, err := RackPolicyComparison(base, ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel rows differ from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-	var a, b bytes.Buffer
-	if err := FormatRackTable(&a, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := FormatRackTable(&b, parallel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("rendered tables differ:\nserial:\n%s\nparallel:\n%s", a.String(), b.String())
-	}
-	for _, col := range []string{"Policy", "Total(Wh)", "round-robin", "leakage-aware"} {
-		if !strings.Contains(a.String(), col) {
-			t.Fatalf("table missing %q:\n%s", col, a.String())
-		}
-	}
+// smallRackEval shrinks the rack comparison for fast deterministic tests.
+func smallRackEval() Scenario {
+	sc := DefaultRackEval()
+	sc.Servers = 4
+	sc.Horizon = 900
+	sc.Stabilize = 60
+	return sc
 }
 
 // TestRackPolicyComparisonOrdering is the headline acceptance criterion:
@@ -68,7 +34,7 @@ func TestRackPolicyComparisonDeterministicAcrossWorkers(t *testing.T) {
 // aware policies must beat round-robin on total energy, with every policy
 // serving the identical job trace to completion parity.
 func TestRackPolicyComparisonOrdering(t *testing.T) {
-	rows, err := RackPolicyComparison(server.T3Config(), DefaultRackEval())
+	rows, err := RunScenario(server.T3Config(), DefaultRackEval())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +76,12 @@ func TestRackPolicyComparisonSeedSensitivity(t *testing.T) {
 	ev.Horizon = 600
 	ev.Stabilize = 30
 	ev.Workers = 1
-	a, err := RackPolicyComparison(base, ev)
+	a, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev.TraceSeed = 7
-	b, err := RackPolicyComparison(base, ev)
+	b, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,39 +95,36 @@ func TestRackEvalValidation(t *testing.T) {
 	base := server.T3Config()
 	bad := DefaultRackEval()
 	bad.Servers = 0
-	if _, err := RackPolicyComparison(base, bad); err == nil {
+	if _, err := RunScenario(base, bad); err == nil {
 		t.Fatal("zero servers must be rejected")
 	}
 	bad = DefaultRackEval()
 	bad.Rate = 0
-	if _, err := RackPolicyComparison(base, bad); err == nil {
+	if _, err := RunScenario(base, bad); err == nil {
 		t.Fatal("zero arrival rate must be rejected")
 	}
 	bad = DefaultRackEval()
 	bad.Demands = nil
-	if _, err := RackPolicyComparison(base, bad); err == nil {
+	if _, err := RunScenario(base, bad); err == nil {
 		t.Fatal("empty demand levels must be rejected")
 	}
 }
 
-// TestRackPolicyFilter pins the RackEval.Policy contract: a named policy
+// TestRackPolicyFilter pins the Scenario.Policy contract: a named policy
 // shrinks the comparison to exactly that row — identical to the same row
 // of the unfiltered run, since the shared LUT grid and job trace don't
 // depend on which policies consume them — and an unknown name is a
 // configuration error, not an empty table.
 func TestRackPolicyFilter(t *testing.T) {
 	base := server.T3Config()
-	ev := DefaultRackEval()
-	ev.Servers = 4
-	ev.Horizon = 900
-	ev.Stabilize = 60
+	ev := smallRackEval()
 
-	full, err := RackPolicyComparison(base, ev)
+	full, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev.Policy = "least-utilized"
-	one, err := RackPolicyComparison(base, ev)
+	one, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +137,7 @@ func TestRackPolicyFilter(t *testing.T) {
 	}
 
 	ev.Policy = "no-such-policy"
-	if _, err := RackPolicyComparison(base, ev); err == nil {
+	if _, err := RunScenario(base, ev); err == nil {
 		t.Fatal("unknown policy name must be rejected")
 	} else if !strings.Contains(err.Error(), "round-robin") {
 		t.Fatalf("error should list the valid names, got: %v", err)

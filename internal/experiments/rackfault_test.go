@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -12,12 +10,12 @@ import (
 
 // smallFaultEval shrinks the catalogue run for fast deterministic tests:
 // a 4-server rack, a 20-minute horizon, and fault times rescaled into it.
-func smallFaultEval() FaultEval {
+func smallFaultEval() Scenario {
 	fe := DefaultFaultEval()
-	fe.Rack.Servers = 4
-	fe.Rack.Horizon = 1200
-	fe.Rack.Stabilize = 60
-	fe.Scenarios = []FaultScenario{
+	fe.Servers = 4
+	fe.Horizon = 1200
+	fe.Stabilize = 60
+	fe.Faults = []FaultScenario{
 		{Name: "none"},
 		{Name: "fan-stick", Schedule: fault.Schedule{Events: []fault.Event{
 			{Kind: fault.FanStick, Server: 0, Fan: 0, At: 200},
@@ -32,64 +30,27 @@ func smallFaultEval() FaultEval {
 	return fe
 }
 
-// TestRackFaultComparisonDeterministicAcrossWorkers extends the
-// golden-table contract to degraded runs: serial and parallel cell
-// execution must agree byte-for-byte, rows and rendered table alike.
-func TestRackFaultComparisonDeterministicAcrossWorkers(t *testing.T) {
-	base := server.T3Config()
-	fe := smallFaultEval()
-
-	fe.Rack.Workers = 1
-	serial, err := RackFaultComparison(base, fe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fe.Rack.Workers = 8
-	parallel, err := RackFaultComparison(base, fe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel rows differ from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-	var a, b bytes.Buffer
-	if err := FormatRackFaultTable(&a, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := FormatRackFaultTable(&b, parallel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("rendered tables differ:\nserial:\n%s\nparallel:\n%s", a.String(), b.String())
-	}
-	for _, col := range []string{"Scenario", "Surv", "Req", "cascade", "pue-aware"} {
-		if !strings.Contains(a.String(), col) {
-			t.Fatalf("table missing %q:\n%s", col, a.String())
-		}
-	}
-}
-
 // TestRackFaultScenarioOutcomes checks the catalogue's graceful-degradation
 // semantics end to end for every policy.
 func TestRackFaultScenarioOutcomes(t *testing.T) {
 	fe := smallFaultEval()
-	rows, err := RackFaultComparison(server.T3Config(), fe)
+	rows, err := RunScenario(server.T3Config(), fe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(fe.Scenarios) * 6; len(rows) != want {
+	if want := len(fe.Faults) * 6; len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
-	byScenario := map[string][]RackFaultResult{}
+	byScenario := map[string][]Row{}
 	for _, r := range rows {
-		byScenario[r.Scenario] = append(byScenario[r.Scenario], r)
+		byScenario[r.Fault] = append(byScenario[r.Fault], r)
 	}
 	for _, r := range byScenario["none"] {
 		if r.Sched.Requeued != 0 || r.Sched.Lost != 0 || r.Sched.LostJobSeconds != 0 {
 			t.Fatalf("healthy run shows disruption: %+v", r)
 		}
-		if r.HealthyAtEnd != fe.Rack.Servers {
-			t.Fatalf("healthy run lost servers: %d/%d", r.HealthyAtEnd, fe.Rack.Servers)
+		if r.HealthyAtEnd != fe.Servers {
+			t.Fatalf("healthy run lost servers: %d/%d", r.HealthyAtEnd, fe.Servers)
 		}
 		if r.Rack.WorstAccel <= 0 {
 			t.Fatalf("reliability roll-up missing on %s", r.Policy)
@@ -97,8 +58,8 @@ func TestRackFaultScenarioOutcomes(t *testing.T) {
 	}
 	for _, r := range byScenario["cascade"] {
 		// The permanent PSU failure and the forced trip remove two slots.
-		if r.HealthyAtEnd != fe.Rack.Servers-2 {
-			t.Fatalf("%s: cascade survivors %d, want %d", r.Policy, r.HealthyAtEnd, fe.Rack.Servers-2)
+		if r.HealthyAtEnd != fe.Servers-2 {
+			t.Fatalf("%s: cascade survivors %d, want %d", r.Policy, r.HealthyAtEnd, fe.Servers-2)
 		}
 		// Every job is either completed, still running at the horizon, or
 		// accounted as destroyed work — nothing silently vanishes, and the
@@ -120,13 +81,13 @@ func TestRackFaultScenarioOutcomes(t *testing.T) {
 // rows — the fault plumbing is invisible until an event exists.
 func TestRackFaultNoneMatchesNilSchedule(t *testing.T) {
 	fe := smallFaultEval()
-	fe.Scenarios = []FaultScenario{{Name: "none"}}
-	ref, err := RackFaultComparison(server.T3Config(), fe)
+	fe.Faults = []FaultScenario{{Name: "none"}}
+	ref, err := RunScenario(server.T3Config(), fe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe.Scenarios = []FaultScenario{{Name: "none", Schedule: fault.Schedule{Events: []fault.Event{}}}}
-	empty, err := RackFaultComparison(server.T3Config(), fe)
+	fe.Faults = []FaultScenario{{Name: "none", Schedule: fault.Schedule{Events: []fault.Event{}}}}
+	empty, err := RunScenario(server.T3Config(), fe)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 
 // resumeEval is a small single-policy eval: checkpoint/resume captures
 // exactly one run, so the comparison must be restricted to one policy.
-func resumeEval() RackEval {
+func resumeEval() Scenario {
 	ev := DefaultRackEval()
 	ev.Servers = 4
 	ev.Horizon = 600
@@ -21,7 +21,7 @@ func resumeEval() RackEval {
 	return ev
 }
 
-// TestRackEvalCheckpointResume: interrupting a RackPolicyComparison run
+// TestRackEvalCheckpointResume: interrupting a single-policy rack run
 // via the checkpoint sink and resuming from the captured checkpoint
 // reproduces the uninterrupted row exactly — through the experiments
 // layer, stabilization window included (its effect rides inside the
@@ -30,7 +30,7 @@ func TestRackEvalCheckpointResume(t *testing.T) {
 	base := server.T3Config()
 	ev := resumeEval()
 
-	full, err := RackPolicyComparison(base, ev)
+	full, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestRackEvalCheckpointResume(t *testing.T) {
 	evB := ev
 	evB.CheckpointEvery = 200
 	evB.CheckpointSink = func(c sched.Checkpoint) error { ck = &c; return errStop }
-	if _, err := RackPolicyComparison(base, evB); !errors.Is(err, errStop) {
+	if _, err := RunScenario(base, evB); !errors.Is(err, errStop) {
 		t.Fatalf("interrupted comparison returned %v, want the sink's error", err)
 	}
 	if ck == nil {
@@ -52,7 +52,7 @@ func TestRackEvalCheckpointResume(t *testing.T) {
 
 	evC := ev
 	evC.Resume = ck
-	resumed, err := RackPolicyComparison(base, evC)
+	resumed, err := RunScenario(base, evC)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestRackEvalCancellation(t *testing.T) {
 	base := server.T3Config()
 	ev := resumeEval()
 
-	full, err := RackPolicyComparison(base, ev)
+	full, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRackEvalCancellation(t *testing.T) {
 	evB.Ctx = ctx
 	evB.CheckpointEvery = 200
 	evB.CheckpointSink = func(sched.Checkpoint) error { cancel(); return nil }
-	_, err = RackPolicyComparison(base, evB)
+	_, err = RunScenario(base, evB)
 	var c *sched.Cancelled
 	if !errors.As(err, &c) {
 		t.Fatalf("got %v, want *sched.Cancelled", err)
@@ -86,7 +86,7 @@ func TestRackEvalCancellation(t *testing.T) {
 
 	evC := ev
 	evC.Resume = &c.Checkpoint
-	resumed, err := RackPolicyComparison(base, evC)
+	resumed, err := RunScenario(base, evC)
 	if err != nil {
 		t.Fatalf("resume from cancel: %v", err)
 	}
@@ -104,13 +104,13 @@ func TestCheckpointNeedsSinglePolicy(t *testing.T) {
 	ev.Policy = ""
 	ev.CheckpointEvery = 200
 	ev.CheckpointSink = func(sched.Checkpoint) error { return nil }
-	if _, err := RackPolicyComparison(base, ev); err == nil {
+	if _, err := RunScenario(base, ev); err == nil {
 		t.Fatal("multi-policy checkpointing accepted")
 	}
 	ev2 := resumeEval()
 	ev2.Policy = ""
 	ev2.Resume = &sched.Checkpoint{}
-	if _, err := RackPolicyComparison(base, ev2); err == nil {
+	if _, err := RunScenario(base, ev2); err == nil {
 		t.Fatal("multi-policy resume accepted")
 	}
 }

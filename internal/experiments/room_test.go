@@ -1,18 +1,16 @@
 package experiments
 
 import (
-	"bytes"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/room"
 	"repro/internal/server"
 )
 
 // smallRoomEval shrinks the room comparison for fast deterministic tests.
-func smallRoomEval() RoomEval {
+func smallRoomEval() Scenario {
 	ev := DefaultRoomEval()
 	ev.Racks = 3
 	ev.Servers = 2
@@ -23,93 +21,22 @@ func smallRoomEval() RoomEval {
 	return ev
 }
 
-// TestRoomPolicyComparisonDeterministicAcrossWorkers is the golden-table
-// contract at room scale: the serial reference and any parallel worker
-// count must produce structurally identical rows, a byte-identical
-// rendered table, and byte-identical metrics dumps. Under -race this
-// exercises the concurrent per-policy cells.
-func TestRoomPolicyComparisonDeterministicAcrossWorkers(t *testing.T) {
-	base := server.T3Config()
-	run := func(workers int) ([]RoomPolicyResult, string) {
-		ev := smallRoomEval()
-		ev.Workers = workers
-		ev.Metrics = obs.NewRegistry()
-		rows, err := RoomPolicyComparison(base, ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Registry pointers differ by construction; rows must not.
-		for i := range rows {
-			rows[i].Sched.Metrics = nil
-		}
-		var dump bytes.Buffer
-		if err := ev.Metrics.WriteText(&dump); err != nil {
-			t.Fatal(err)
-		}
-		return rows, dump.String()
-	}
-	serial, sdump := run(1)
-	parallel, pdump := run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel rows differ from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-	if sdump != pdump {
-		t.Fatalf("metrics dumps differ:\nserial:\n%s\nparallel:\n%s", sdump, pdump)
-	}
-	var a, b bytes.Buffer
-	if err := FormatRoomTable(&a, serial); err != nil {
-		t.Fatal(err)
-	}
-	if err := FormatRoomTable(&b, parallel); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("rendered tables differ:\nserial:\n%s\nparallel:\n%s", a.String(), b.String())
-	}
-	for _, col := range []string{"Facility(Wh)", "PUE", "Recirc(°C)", "rr", "recirc-aware", "recirc-pue"} {
-		if !strings.Contains(a.String(), col) {
-			t.Fatalf("table missing %q:\n%s", col, a.String())
-		}
-	}
-	if got, want := len(serial), len(RoomPolicyLabels()); got != want {
-		t.Fatalf("got %d rows, want %d", got, want)
-	}
-	for i, label := range RoomPolicyLabels() {
-		if serial[i].Policy != label {
-			t.Errorf("row %d is %q, want %q (table order)", i, serial[i].Policy, label)
-		}
-		r := serial[i]
-		if r.Sched.Placed == 0 || r.Room.WallEnergyKWh <= 0 {
-			t.Errorf("%s: degenerate run %+v", label, r.Sched)
-		}
-		if r.Room.CoolingEnergyKWh <= 0 || r.Room.PUE <= 1 {
-			t.Errorf("%s: shared bank should cost energy: PUE %g", label, r.Room.PUE)
-		}
-		if r.Room.MaxRecircOffsetC <= 0 {
-			t.Errorf("%s: coupled room should see recirculation offsets", label)
-		}
-		if r.Room.Racks != 3 || r.Room.Servers != 6 {
-			t.Errorf("%s: wrong room shape %d×%d", label, r.Room.Racks, r.Room.Servers)
-		}
-	}
-}
-
 // TestRoomPolicyComparisonEventStepping: the event kernel must preserve
 // every scheduling outcome of the fixed-dt comparison.
 func TestRoomPolicyComparisonEventStepping(t *testing.T) {
 	base := server.T3Config()
 	ev := smallRoomEval()
 	ev.Policy = "rr"
-	fixed, err := RoomPolicyComparison(base, ev)
+	fixed, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev.EventStepping = true
-	event, err := RoomPolicyComparison(base, ev)
+	event, err := RunScenario(base, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, e := fixed[0].Sched, event[0].Sched
+	f, e := fixed[0].RoomSched, event[0].RoomSched
 	if f.Placed != e.Placed || f.Completed != e.Completed || f.MaxQueueLen != e.MaxQueueLen {
 		t.Errorf("event kernel changed scheduling: fixed %+v event %+v", f, e)
 	}
@@ -134,7 +61,7 @@ func TestRoomPolicyComparisonVariants(t *testing.T) {
 	t.Run("policy-filter", func(t *testing.T) {
 		ev := smallRoomEval()
 		ev.Policy = "coolest"
-		rows, err := RoomPolicyComparison(base, ev)
+		rows, err := RunScenario(base, ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,25 +73,48 @@ func TestRoomPolicyComparisonVariants(t *testing.T) {
 	t.Run("unknown-policy", func(t *testing.T) {
 		ev := smallRoomEval()
 		ev.Policy = "warmest"
-		if _, err := RoomPolicyComparison(base, ev); err == nil || !strings.Contains(err.Error(), "unknown room policy") {
+		if _, err := RunScenario(base, ev); err == nil || !strings.Contains(err.Error(), "unknown policy") ||
+			!strings.Contains(err.Error(), "recirc-pue") {
 			t.Fatalf("want unknown-policy error, got %v", err)
 		}
 	})
 
 	t.Run("invalid-eval", func(t *testing.T) {
+		// Racks 0 is the one-rack topology; a negative count is an error.
 		ev := smallRoomEval()
-		ev.Racks = 0
-		if _, err := RoomPolicyComparison(base, ev); err == nil {
-			t.Fatal("zero racks must be rejected")
+		ev.Racks = -1
+		if _, err := RunScenario(base, ev); err == nil {
+			t.Fatal("negative racks must be rejected")
+		}
+	})
+
+	t.Run("topology-knobs", func(t *testing.T) {
+		// A room has no delivery chain, cap, backfill, faults, reliability
+		// sampling or checkpoints; a rack has no recirculation; the
+		// economizer needs a facility.
+		for name, mutate := range map[string]func(*Scenario){
+			"room-cap":       func(sc *Scenario) { sc.WallCapsW = []float64{2000} },
+			"room-backfill":  func(sc *Scenario) { sc.Backfill = true },
+			"room-faults":    func(sc *Scenario) { sc.Faults = DefaultFaultScenarios() },
+			"room-psu":       func(sc *Scenario) { sc.PSU = acEval(1).PSU },
+			"room-resume":    func(sc *Scenario) { sc.Policy, sc.CheckpointEvery = "rr", 60 },
+			"rack-recirc":    func(sc *Scenario) { sc.Racks, sc.Recirc = 0, room.NewMatrix(3) },
+			"econ-no-supply": func(sc *Scenario) { sc.Economizer, sc.SetpointsC = true, nil },
+		} {
+			ev := smallRoomEval()
+			mutate(&ev)
+			if _, err := RunScenario(base, ev); err == nil {
+				t.Errorf("%s: accepted", name)
+			}
 		}
 	})
 
 	t.Run("uncoupled-no-facility", func(t *testing.T) {
 		ev := smallRoomEval()
 		ev.Policy = "rr"
-		ev.NoFacility = true
+		ev.SetpointsC = nil
 		ev.Recirc = room.NewMatrix(ev.Racks)
-		rows, err := RoomPolicyComparison(base, ev)
+		rows, err := RunScenario(base, ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,12 +129,12 @@ func TestRoomPolicyComparisonVariants(t *testing.T) {
 		// setpoint — so the flag alone must not change a single number.
 		ev := smallRoomEval()
 		ev.Policy = "rr"
-		warm, err := RoomPolicyComparison(base, ev)
+		warm, err := RunScenario(base, ev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ev.Economizer = true
-		econ, err := RoomPolicyComparison(base, ev)
+		econ, err := RunScenario(base, ev)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -240,16 +240,6 @@ type (
 	JobSpec = loadgen.JobSpec
 	// PoissonTraceConfig parameterizes the Poisson job-trace generator.
 	PoissonTraceConfig = loadgen.PoissonTraceConfig
-	// RackEval parameterizes the rack policy-comparison experiment.
-	RackEval = experiments.RackEval
-	// RackPolicyResult is one row of the policy×metric comparison.
-	RackPolicyResult = experiments.RackPolicyResult
-	// RackACResult is the AC-side comparison: uncapped and capped halves.
-	RackACResult = experiments.RackACResult
-	// FacilityEval parameterizes the policy × cold-aisle-setpoint sweep.
-	FacilityEval = experiments.FacilityEval
-	// FacilityPolicyResult is one row of the policy×setpoint table.
-	FacilityPolicyResult = experiments.FacilityPolicyResult
 )
 
 // Power-delivery chain (PSU per server, shared PDU, wall-side telemetry).
@@ -318,12 +308,6 @@ type (
 	// ServerHealth is the scheduler-facing state of one rack slot
 	// (healthy, tripped, or failed/dark).
 	ServerHealth = rack.Health
-	// FaultEval parameterizes the fault-scenario × policy comparison.
-	FaultEval = experiments.FaultEval
-	// FaultScenario is one named schedule of the degradation catalogue.
-	FaultScenario = experiments.FaultScenario
-	// RackFaultResult is one row of the scenario×policy table.
-	RackFaultResult = experiments.RackFaultResult
 )
 
 // Fault kinds (see FaultKind).
@@ -380,10 +364,6 @@ type (
 	// EconomizerModel is the water-side economizer option for the shared
 	// bank: free cooling below the outdoor engagement threshold.
 	EconomizerModel = cooling.EconomizerModel
-	// RoomEval parameterizes the room-scale policy comparison.
-	RoomEval = experiments.RoomEval
-	// RoomPolicyResult is one row of the room comparison table.
-	RoomPolicyResult = experiments.RoomPolicyResult
 )
 
 // NewRoom builds a room from its spec, constructing every rack.
