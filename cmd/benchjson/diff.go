@@ -8,7 +8,8 @@ import (
 	"sort"
 )
 
-// loadArchive reads one BENCH_*.json document.
+// loadArchive reads one BENCH_*.json document. An older archive names one
+// package for all its records; each record takes it.
 func loadArchive(path string) (*Archive, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -19,6 +20,11 @@ func loadArchive(path string) (*Archive, error) {
 	if err := json.NewDecoder(f).Decode(&arch); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	for i := range arch.Benchmarks {
+		if arch.Benchmarks[i].Package == "" {
+			arch.Benchmarks[i].Package = arch.Package
+		}
+	}
 	return &arch, nil
 }
 
@@ -26,14 +32,30 @@ func loadArchive(path string) (*Archive, error) {
 // mean ns/op with the relative delta, every shared custom metric the same
 // way, and the benchmarks only one side has. Rows are sorted by name, so
 // the report is stable for any input ordering.
+//
+// Records align on package and name. A row is labelled by the name alone
+// when both archives hold one package, and by the name and its package
+// otherwise.
 func diffArchives(w io.Writer, old, new *Archive) {
+	pkgs := map[string]bool{}
+	for _, a := range []*Archive{old, new} {
+		for _, r := range a.Benchmarks {
+			pkgs[r.Package] = true
+		}
+	}
+	key := func(r Record) string {
+		if len(pkgs) > 1 {
+			return r.Name + " (" + r.Package + ")"
+		}
+		return r.Name
+	}
 	oldBy := map[string]Record{}
 	for _, r := range old.Benchmarks {
-		oldBy[r.Name] = r
+		oldBy[key(r)] = r
 	}
 	newBy := map[string]Record{}
 	for _, r := range new.Benchmarks {
-		newBy[r.Name] = r
+		newBy[key(r)] = r
 	}
 	names := map[string]bool{}
 	for n := range oldBy {

@@ -72,3 +72,35 @@ func TestFormatHelpers(t *testing.T) {
 		t.Errorf("formatDelta = %q", got)
 	}
 }
+
+// TestParseKeepsEachPackage: an input concatenating two packages' bench
+// output records each benchmark under its own package, so same-named
+// benchmarks of two packages stay two records instead of averaging into
+// one, and a diff aligns them by package.
+func TestParseKeepsEachPackage(t *testing.T) {
+	in := "pkg: repro\nBenchmarkA-2 \t 10\t 150 ns/op\npkg: repro/internal/thermal\nBenchmarkA-2 \t 10\t 999 ns/op\nBenchmarkB-2 \t 10\t 50 ns/op\n"
+	a, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{
+		{Name: "BenchmarkA", Package: "repro", NsPerOp: Stat{150, 150, 150, 1}, Iters: 10},
+		{Name: "BenchmarkA", Package: "repro/internal/thermal", NsPerOp: Stat{999, 999, 999, 1}, Iters: 10},
+		{Name: "BenchmarkB", Package: "repro/internal/thermal", NsPerOp: Stat{50, 50, 50, 1}, Iters: 10},
+	}
+	if len(a.Benchmarks) != len(want) {
+		t.Fatalf("parsed %+v, want %+v", a.Benchmarks, want)
+	}
+	for i, r := range a.Benchmarks {
+		if r.Name != want[i].Name || r.Package != want[i].Package || r.NsPerOp != want[i].NsPerOp {
+			t.Errorf("record %d = %+v, want %+v", i, r, want[i])
+		}
+	}
+	var sb strings.Builder
+	diffArchives(&sb, a, a)
+	for _, row := range []string{"BenchmarkA (repro) ", "BenchmarkA (repro/internal/thermal) "} {
+		if !strings.Contains(sb.String(), row) {
+			t.Errorf("diff has no row %q:\n%s", row, sb.String())
+		}
+	}
+}

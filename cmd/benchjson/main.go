@@ -64,9 +64,12 @@ func statOf(xs []float64) Stat {
 	return s
 }
 
-// Record is one benchmark's archived entry.
+// Record is one benchmark's archived entry. A benchmark is identified by
+// its package and name together, so same-named benchmarks of two packages
+// in one input stay two records.
 type Record struct {
 	Name    string          `json:"name"`
+	Package string          `json:"pkg,omitempty"` // the `pkg:` header above its lines
 	NsPerOp Stat            `json:"ns_per_op"`
 	Iters   int             `json:"iterations"`
 	Metrics map[string]Stat `json:"metrics,omitempty"`
@@ -77,7 +80,7 @@ type Archive struct {
 	Label      string   `json:"label,omitempty"`
 	GoOS       string   `json:"goos,omitempty"`
 	GoArch     string   `json:"goarch,omitempty"`
-	Package    string   `json:"pkg,omitempty"`
+	Package    string   `json:"pkg,omitempty"` // archives before per-record packages: every record's package
 	CreatedUTC string   `json:"created_utc"`
 	Benchmarks []Record `json:"benchmarks"`
 }
@@ -132,12 +135,18 @@ func main() {
 	}
 }
 
+// benchKey identifies one benchmark across an input: its package and name.
+type benchKey struct{ pkg, name string }
+
 // parse reads `go test -bench` output: header lines (goos/goarch/pkg) and
-// benchmark result lines. Unparseable lines are ignored, so PASS/ok
-// trailers and -v noise pass through harmlessly.
+// benchmark result lines, each attributed to the package of the last
+// `pkg:` line above it, so concatenated runs of several packages archive
+// side by side. Unparseable lines are ignored, so PASS/ok trailers and -v
+// noise pass through harmlessly.
 func parse(r io.Reader) (*Archive, error) {
 	arch := &Archive{}
-	samples := map[string][]sample{}
+	samples := map[benchKey][]sample{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -150,7 +159,7 @@ func parse(r io.Reader) (*Archive, error) {
 			arch.GoArch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			arch.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		}
 		if !strings.HasPrefix(line, "Benchmark") {
@@ -160,7 +169,8 @@ func parse(r io.Reader) (*Archive, error) {
 		if !ok {
 			continue
 		}
-		samples[name] = append(samples[name], s)
+		k := benchKey{pkg, name}
+		samples[k] = append(samples[k], s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -168,14 +178,19 @@ func parse(r io.Reader) (*Archive, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines found in input")
 	}
-	names := make([]string, 0, len(samples))
-	for n := range samples {
-		names = append(names, n)
+	keys := make([]benchKey, 0, len(samples))
+	for k := range samples {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		ss := samples[n]
-		rec := Record{Name: n, Metrics: map[string]Stat{}}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].name != keys[j].name {
+			return keys[i].name < keys[j].name
+		}
+		return keys[i].pkg < keys[j].pkg
+	})
+	for _, k := range keys {
+		ss := samples[k]
+		rec := Record{Name: k.name, Package: k.pkg, Metrics: map[string]Stat{}}
 		var ns []float64
 		byMetric := map[string][]float64{}
 		for _, s := range ss {

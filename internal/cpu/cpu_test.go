@@ -202,3 +202,64 @@ func (c *Complex) CoreUtilization(core int) (units.Percent, error) {
 
 // Threads returns the total hardware thread count.
 func (t Topology) Threads() int { return t.Sockets * t.CoresPerSocket * t.ThreadsPerCore }
+
+// TestStateRoundTrip: a uniformly loaded complex checkpoints its one value
+// and no per-core loads, an uneven one every core, and both restore
+// exactly; a uniform state that still carries every core (older
+// checkpoints) restores too, and a state of the wrong width errors.
+func TestStateRoundTrip(t *testing.T) {
+	topo := T3Topology()
+	uniform, _ := NewComplex(topo)
+	uniform.SetUniformLoad(70)
+	uneven, _ := NewComplex(topo)
+	uneven.SetUniformLoad(40)
+	_ = uneven.SetCoreLoad(3, 90)
+
+	st := uniform.State()
+	if len(st.Util) != 0 || !st.Uniform || st.UniformVal != 70 {
+		t.Fatalf("uniform state %+v, want no per-core loads and 70 %%", st)
+	}
+	if st := uneven.State(); len(st.Util) != topo.Cores() || st.Uniform {
+		t.Fatalf("uneven state carries %d cores (uniform %v), want %d", len(st.Util), st.Uniform, topo.Cores())
+	}
+	full := State{Util: make([]float64, topo.Cores()), Uniform: true, UniformVal: 70}
+	for i := range full.Util {
+		full.Util[i] = 70
+	}
+	for _, tc := range []struct {
+		name string
+		st   State
+		want *Complex
+	}{
+		{"uniform", uniform.State(), uniform},
+		{"uneven", uneven.State(), uneven},
+		{"uniform with every core", full, uniform},
+	} {
+		c, _ := NewComplex(topo)
+		_ = c.SetCoreLoad(0, 10) // restore must overwrite whatever was there
+		if err := c.SetState(tc.st); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c.uniform != tc.want.uniform || c.uniformVal != tc.want.uniformVal {
+			t.Fatalf("%s: restored uniform %v/%g, want %v/%g", tc.name, c.uniform, c.uniformVal, tc.want.uniform, tc.want.uniformVal)
+		}
+		for i := range c.util {
+			if c.util[i] != tc.want.util[i] {
+				t.Fatalf("%s: core %d restored at %g, want %g", tc.name, i, c.util[i], tc.want.util[i])
+			}
+		}
+		if got, want := c.Utilization(), tc.want.Utilization(); got != want {
+			t.Fatalf("%s: utilization %g, want %g", tc.name, got, want)
+		}
+	}
+	for _, st := range []State{
+		{Uniform: false, UniformVal: 40},           // uneven but carries no cores
+		{Util: make([]float64, 5), Uniform: false}, // wrong width
+		{Util: make([]float64, 5), Uniform: true},  // wrong width, even when uniform
+	} {
+		c, _ := NewComplex(topo)
+		if err := c.SetState(st); err == nil {
+			t.Errorf("state with %d cores (uniform %v) restored into %d cores", len(st.Util), st.Uniform, topo.Cores())
+		}
+	}
+}

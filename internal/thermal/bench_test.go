@@ -72,6 +72,27 @@ func BenchmarkStepLinearizedN(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictLinearized times one 16-step linearized walk — the
+// wall-floor walk's length — on the settled T3 network, recording the
+// hottest die after every step.
+func BenchmarkPredictLinearized(b *testing.B) {
+	const steps = 16
+	n, slopes := t3Net(b)
+	start := nodeTemps(n)
+	temps, powers := make([]float64, len(start)), make([]float64, len(start))
+	for i := range powers {
+		powers[i] = n.nodes[i].powerIn
+	}
+	dies, hottest := []NodeID{0, 2}, make([]float64, steps)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(temps, start)
+		if got := n.PredictLinearized(1, steps, temps, powers, slopes, 1, dies, hottest); got != steps {
+			b.Fatalf("walk advanced %d of %d steps", got, steps)
+		}
+	}
+}
+
 // BenchmarkStepExact times one cached exact step of the settled T3
 // network.
 func BenchmarkStepExact(b *testing.B) {

@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// This file pins the block kernel (block.go) to the dense kernel it
-// replaced: every Step, StepLinearizedN and PredictLinearized result must be
-// bit-identical to a dense m×m reference kept below, on random networks of
-// several components laid out contiguously or interleaved, with twin
-// components and near-twins that differ in one value.
+// This file pins the thermal kernels to a dense m×m reference kept below:
+// every Step result must be bit-identical to the dense product's on random
+// networks of several components laid out contiguously or interleaved, and
+// every StepLinearizedN and PredictLinearized result on random networks of
+// die/sink pairs, with twin pairs, near-twins that differ in one bit and
+// unevenly loaded pairs. On any other network the ladder and the walk
+// return 0 and touch nothing.
 
 // component is one connected piece of a random network: a chain of nodes
 // with optional boundary links, powers, temperatures and die-like slopes.
@@ -20,8 +22,8 @@ type component struct {
 	bndG                      []float64 // node → ambient; 0 means no link
 }
 
-func drawComponent(rng *rand.Rand) component {
-	k := 1 + rng.Intn(3)
+// drawComponent draws a chain of k nodes.
+func drawComponent(rng *rand.Rand, k int) component {
 	var c component
 	for i := 0; i < k; i++ {
 		c.capac = append(c.capac, 10+190*rng.Float64())
@@ -53,23 +55,35 @@ type blockNet struct {
 	amb   float64
 }
 
-// drawBlockNet draws 2–4 components, each either fresh, an exact twin of
-// an earlier one, or a near-twin differing in a single capacitance,
-// conductance, power or temperature. interleave deals the nodes of the
-// first two components alternately instead of contiguously.
+// drawBlockNet draws 2–4 components of 1–3 nodes. interleave deals the
+// nodes of the first two components alternately instead of contiguously.
 func drawBlockNet(rng *rand.Rand, interleave bool) blockNet {
+	return drawNet(rng, 2+rng.Intn(3), func() int { return 1 + rng.Intn(3) }, interleave)
+}
+
+// drawPairNet draws 1–4 die/sink pairs laid out contiguously: the network
+// shape the ladder and the walk run on.
+func drawPairNet(rng *rand.Rand) blockNet {
+	return drawNet(rng, 1+rng.Intn(4), func() int { return 2 }, false)
+}
+
+// drawNet draws nc components of size() nodes, each either fresh, an exact
+// twin of an earlier one, a near-twin one bit away in a capacitance,
+// temperature or power, or an uneven copy with another conductance or a
+// heavier load.
+func drawNet(rng *rand.Rand, nc int, size func() int, interleave bool) blockNet {
 	bn := blockNet{amb: 20 + 10*rng.Float64()}
-	nc := 2 + rng.Intn(3)
 	for len(bn.comps) < nc {
 		if len(bn.comps) == 0 || rng.Intn(3) == 0 {
-			bn.comps = append(bn.comps, drawComponent(rng))
+			bn.comps = append(bn.comps, drawComponent(rng, size()))
 			continue
 		}
 		c := bn.comps[rng.Intn(len(bn.comps))].clone()
 		k := rng.Intn(len(c.capac))
-		switch rng.Intn(6) {
+		up := func(x *float64) { *x = math.Nextafter(*x, math.Inf(1)) }
+		switch rng.Intn(7) {
 		case 0:
-			c.capac[k] *= 1 + 1e-9
+			up(&c.capac[k])
 		case 1:
 			if len(c.chainG) > 0 {
 				c.chainG[k%len(c.chainG)] *= 1.5
@@ -77,11 +91,13 @@ func drawBlockNet(rng *rand.Rand, interleave bool) blockNet {
 				c.bndG[k] += 0.1
 			}
 		case 2:
-			c.power[k] += 1
+			c.power[k] = 3*c.power[k] + 5
 		case 3:
-			c.temp[k] = math.Nextafter(c.temp[k], math.Inf(1))
+			up(&c.temp[k])
+		case 4:
+			up(&c.power[k])
 		}
-		bn.comps = append(bn.comps, c) // cases 4 and 5: an exact twin
+		bn.comps = append(bn.comps, c) // cases 5 and 6: an exact twin
 	}
 	next := 0
 	bn.pos = make([][]int, nc)
@@ -413,16 +429,40 @@ func checkBlockDiagonal(t *testing.T, n *Network, want []int) {
 	}
 }
 
-// TestBlockKernelMatchesDense is the block kernel's contract: on random
-// multi-component networks, every kernel entry point gives results
-// bit-identical to the dense reference, before and after a State/SetState
-// round trip, and the propagators it uses are exactly zero off-block.
+// isPairNet reports whether every block of bn is a 2-node pair.
+func (bn blockNet) isPairNet() bool {
+	b := bn.wantBounds()
+	for i := 1; i < len(b); i++ {
+		if b[i]-b[i-1] != 2 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestBlockKernelMatchesDense is the kernels' contract. On random networks
+// of arbitrary components every plain step is bit-identical to the dense
+// reference; on random networks of pairs so is every ladder and walk, and
+// on any other network both return 0 and leave every node untouched. Each
+// holds before and after a State/SetState round trip, and the propagators
+// used are exactly zero off-block.
 func TestBlockKernelMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	copied := 0
-	for trial := 0; trial < 120; trial++ {
-		bn := drawBlockNet(rng, trial%3 == 2)
-		nb, slopes := bn.build(t) // block kernel
+	copied, uneven, pairNets, otherNets := 0, 0, 0, 0
+	for trial := 0; trial < 160; trial++ {
+		var bn blockNet
+		if trial%2 == 0 {
+			bn = drawPairNet(rng)
+		} else {
+			bn = drawBlockNet(rng, trial%3 == 2)
+		}
+		pairs := bn.isPairNet()
+		if pairs {
+			pairNets++
+		} else {
+			otherNets++
+		}
+		nb, slopes := bn.build(t) // kernel under test
 		nd, _ := bn.build(t)      // dense reference
 		m := nb.NumNodes()
 		sums, sumsRef := make([]float64, m), make([]float64, m)
@@ -439,7 +479,15 @@ func TestBlockKernelMatchesDense(t *testing.T) {
 			case 1, 2:
 				k := []int{2, 3, 16, 256}[rng.Intn(4)]
 				cap := []float64{0.05, 0.5, 1e9, math.Inf(1)}[rng.Intn(4)]
+				before := nodeTemps(nb)
 				got := nb.StepLinearizedN(dt, k, slopes, cap, sums)
+				if !pairs {
+					if got != 0 {
+						t.Fatalf("trial %d op %d: StepLinearizedN advanced %d on a network of blocks %v", trial, op, got, nb.plan.bounds)
+					}
+					sameBitsAt(t, "temps after a refused ladder", nodeTemps(nb), before)
+					break
+				}
 				want := denseLinearizedN(nd, dt, k, slopes, cap, sumsRef)
 				if got != want {
 					t.Fatalf("trial %d op %d: StepLinearizedN advanced %d, dense %d", trial, op, got, want)
@@ -456,9 +504,12 @@ func TestBlockKernelMatchesDense(t *testing.T) {
 				}
 				tempsRef := append([]float64(nil), temps...)
 				got := nb.PredictLinearized(dt, k, temps, powers, slopes, cap, watch, hot)
-				want := densePredict(nd, dt, k, tempsRef, powers, slopes, cap, watch, hotRef)
+				want := 0
+				if pairs {
+					want = densePredict(nd, dt, k, tempsRef, powers, slopes, cap, watch, hotRef)
+				}
 				if got != want {
-					t.Fatalf("trial %d op %d: PredictLinearized walked %d, dense %d", trial, op, got, want)
+					t.Fatalf("trial %d op %d: PredictLinearized walked %d, want %d", trial, op, got, want)
 				}
 				sameBitsAt(t, "predicted temps", temps, tempsRef)
 				sameBitsAt(t, "hottest", hot[:got], hotRef[:got])
@@ -477,13 +528,25 @@ func TestBlockKernelMatchesDense(t *testing.T) {
 					_ = nd.SetPower(i, w)
 				}
 			}
-			copied += len(nb.plan.copies)
+			if pairs && len(nb.macro.from) > 0 {
+				computed := 0
+				for b, from := range nb.macro.from {
+					if from != 2*b {
+						copied++
+					} else {
+						computed++
+					}
+				}
+				if computed > 1 {
+					uneven++
+				}
+			}
 			sameBitsAt(t, "temps", nodeTemps(nb), nodeTemps(nd))
 			if nb.PropagatorStats() != nd.PropagatorStats() {
 				t.Fatalf("trial %d op %d: stats %+v, dense %+v", trial, op, nb.PropagatorStats(), nd.PropagatorStats())
 			}
 			if op == steps/2 {
-				// Resume the block side from a checkpoint of itself.
+				// Resume the kernel side from a checkpoint of itself.
 				rb, _ := bn.build(t)
 				if err := rb.SetState(nb.State()); err != nil {
 					t.Fatal(err)
@@ -493,50 +556,53 @@ func TestBlockKernelMatchesDense(t *testing.T) {
 		}
 		checkBlockDiagonal(t, nb, bn.wantBounds())
 	}
-	if copied == 0 {
-		t.Fatal("no call copied a twin block: the twin rule went unexercised")
+	if copied == 0 || uneven == 0 || pairNets == 0 || otherNets == 0 {
+		t.Fatalf("copied %d twin pairs and computed two or more pairs %d times on %d pair and %d other networks: a case went unexercised",
+			copied, uneven, pairNets, otherNets)
 	}
 }
 
-// TestBlockKernelEdgeInputs: inputs that tell twins apart only by bits or
-// by one vector, and non-finite inputs, give results bit-identical to the
-// dense reference, whose exact zeros turn a non-finite input into NaN in
-// every block.
-func TestBlockKernelEdgeInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	c := drawComponent(rng)
+// threeTwins is a network of three identical die/sink pairs.
+func threeTwins(rng *rand.Rand) blockNet {
+	c := drawComponent(rng, 2)
 	bn := blockNet{comps: []component{c, c.clone(), c.clone()}, amb: 24}
-	next := 0
-	for range bn.comps {
-		var pos []int
-		for range c.capac {
-			pos = append(pos, next)
-			next++
-		}
-		bn.pos = append(bn.pos, pos)
+	for ci := range bn.comps {
+		bn.pos = append(bn.pos, []int{2 * ci, 2*ci + 1})
 	}
+	return bn
+}
+
+// TestBlockKernelEdgeInputs: inputs that tell twins apart only by bits or
+// by one vector give results bit-identical to the dense reference. A
+// non-finite input fails the first drift check, so the ladder and the walk
+// return 0 and touch nothing, as the dense reference does; the plain step
+// that follows spreads the NaN through the dense product's exact zeros
+// into every block, bit for bit.
+func TestBlockKernelEdgeInputs(t *testing.T) {
+	bn := threeTwins(rand.New(rand.NewSource(4)))
 	negZero := math.Copysign(0, -1)
 	for _, tc := range []struct {
-		name string
-		set  func(n *Network, slopes []float64)
+		name      string
+		set       func(n *Network, slopes []float64)
+		nonFinite bool
 	}{
 		{"negative zero temperature", func(n *Network, _ []float64) {
 			_ = n.SetTemp(NodeID(bn.pos[1][0]), negZero)
 			_ = n.SetTemp(NodeID(bn.pos[0][0]), 0)
-		}},
+		}, false},
 		// At 0 °C a slope no longer moves u = C⁻¹·(P − S·T₀ + …), so only
 		// v = S/C tells the twin apart.
 		{"slope differs at zero temperature", func(n *Network, slopes []float64) {
 			_ = n.SetTemp(NodeID(bn.pos[0][0]), 0)
 			_ = n.SetTemp(NodeID(bn.pos[1][0]), 0)
 			slopes[bn.pos[1][0]] += 0.1
-		}},
-		{"NaN power", func(n *Network, _ []float64) { _ = n.SetPower(NodeID(bn.pos[2][0]), math.NaN()) }},
+		}, false},
+		{"NaN power", func(n *Network, _ []float64) { _ = n.SetPower(NodeID(bn.pos[2][0]), math.NaN()) }, true},
 		{"NaN temperature in a twin", func(n *Network, _ []float64) {
 			_ = n.SetTemp(NodeID(bn.pos[0][0]), math.NaN())
 			_ = n.SetTemp(NodeID(bn.pos[1][0]), math.NaN())
-		}},
-		{"infinite temperature", func(n *Network, _ []float64) { _ = n.SetTemp(NodeID(bn.pos[1][0]), math.Inf(1)) }},
+		}, true},
+		{"infinite temperature", func(n *Network, _ []float64) { _ = n.SetTemp(NodeID(bn.pos[1][0]), math.Inf(1)) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nb, slopes := bn.build(t)
@@ -544,71 +610,84 @@ func TestBlockKernelEdgeInputs(t *testing.T) {
 			m := nb.NumNodes()
 			tc.set(nb, slopes)
 			tc.set(nd, make([]float64, m)) // both sides step with slopes
-			sums, sumsRef := make([]float64, m), make([]float64, m)
-			got := nb.StepLinearizedN(1, 16, slopes, 1e9, sums)
-			if want := denseLinearizedN(nd, 1, 16, slopes, 1e9, sumsRef); got != want {
-				t.Fatalf("StepLinearizedN advanced %d, dense %d", got, want)
+			for _, driftCap := range []float64{1e9, math.Inf(1)} {
+				before := nodeTemps(nb)
+				sums, sumsRef := make([]float64, m), make([]float64, m)
+				got := nb.StepLinearizedN(1, 16, slopes, driftCap, sums)
+				if want := denseLinearizedN(nd, 1, 16, slopes, driftCap, sumsRef); got != want {
+					t.Fatalf("cap %g: StepLinearizedN advanced %d, dense %d", driftCap, got, want)
+				}
+				if tc.nonFinite {
+					if got != 0 {
+						t.Fatalf("cap %g: StepLinearizedN advanced %d on a non-finite input", driftCap, got)
+					}
+					sameBitsAt(t, "temps after a refused ladder", nodeTemps(nb), before)
+				} else if got > 0 {
+					sameBitsAt(t, "sums", sums, sumsRef)
+				}
+				sameBitsAt(t, "temps", nodeTemps(nb), nodeTemps(nd))
+				temps, powers := nodeTemps(nb), make([]float64, m)
+				for i := range powers {
+					powers[i] = nb.nodes[i].powerIn
+				}
+				tempsRef := append([]float64(nil), temps...)
+				hot, hotRef := make([]float64, 8), make([]float64, 8)
+				watch := []NodeID{0, NodeID(m - 1)}
+				walked := nb.PredictLinearized(1, 8, temps, powers, slopes, driftCap, watch, hot)
+				if want := densePredict(nd, 1, 8, tempsRef, powers, slopes, driftCap, watch, hotRef); walked != want {
+					t.Fatalf("cap %g: PredictLinearized walked %d, dense %d", driftCap, walked, want)
+				}
+				if tc.nonFinite && walked != 0 {
+					t.Fatalf("cap %g: PredictLinearized walked %d on a non-finite input", driftCap, walked)
+				}
+				sameBitsAt(t, "predicted temps", temps, tempsRef)
+				sameBitsAt(t, "hottest", hot[:walked], hotRef[:walked])
 			}
-			if got > 0 {
-				sameBitsAt(t, "sums", sums, sumsRef)
-			}
-			sameBitsAt(t, "temps", nodeTemps(nb), nodeTemps(nd))
-			temps, powers := nodeTemps(nb), make([]float64, m)
-			for i := range powers {
-				powers[i] = nb.nodes[i].powerIn
-			}
-			tempsRef := append([]float64(nil), temps...)
-			hot, hotRef := make([]float64, 8), make([]float64, 8)
-			watch := []NodeID{0, NodeID(m - 1)}
-			walked := nb.PredictLinearized(1, 8, temps, powers, slopes, 1e9, watch, hot)
-			if want := densePredict(nd, 1, 8, tempsRef, powers, slopes, 1e9, watch, hotRef); walked != want {
-				t.Fatalf("PredictLinearized walked %d, dense %d", walked, want)
-			}
-			sameBitsAt(t, "predicted temps", temps, tempsRef)
-			sameBitsAt(t, "hottest", hot[:walked], hotRef[:walked])
 			for k := 0; k < 3; k++ {
 				nb.Step(1)
 				denseStep(nd, 1)
 				sameBitsAt(t, "temps", nodeTemps(nb), nodeTemps(nd))
+			}
+			if tc.nonFinite && allFinite(nodeTemps(nb)) {
+				t.Fatal("the plain steps stayed finite: the NaN spread went unexercised")
 			}
 		})
 	}
 }
 
 // TestBlockKernelDivergingInfiniteCap: with an infinite drift cap a
-// runaway block's ladder and walk overflow to ±Inf and still commit, and
-// the dense product spreads that as NaN into every block. Such calls run
-// as one block and stay bit-identical.
+// runaway pair's ladder and walk overflow, which the dense reference
+// commits as ±Inf and spreads into every block as NaN. Such a call has a
+// non-finite result, so it returns 0 and commits nothing: no temperature,
+// no sum and no walked temperature.
 func TestBlockKernelDivergingInfiniteCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	c := drawComponent(rng)
-	bn := blockNet{comps: []component{c, c.clone()}, amb: 24}
-	for ci := range bn.comps {
-		var pos []int
-		for k := range c.capac {
-			pos = append(pos, ci*len(c.capac)+k)
-		}
-		bn.pos = append(bn.pos, pos)
-	}
+	bn := threeTwins(rand.New(rand.NewSource(8)))
+	bn.comps, bn.pos = bn.comps[:2], bn.pos[:2]
 	nb, slopes := bn.build(t)
 	nd, _ := bn.build(t)
 	for _, i := range bn.pos[0] {
-		slopes[i] = 1e4 // runaway feedback in the first component only
+		slopes[i] = 1e4 // runaway feedback in the first pair only
 	}
 	m := nb.NumNodes()
-	sums, sumsRef := make([]float64, m), make([]float64, m)
 	inf := math.Inf(1)
-	if got, want := nb.StepLinearizedN(1, 4096, slopes, inf, sums), denseLinearizedN(nd, 1, 4096, slopes, inf, sumsRef); got != want {
-		t.Fatalf("StepLinearizedN advanced %d, dense %d", got, want)
+	before := nodeTemps(nb)
+	sums, sumsRef := make([]float64, m), make([]float64, m)
+	for i := range sums {
+		sums[i] = -1
 	}
-	sameBitsAt(t, "sums", sums, sumsRef)
-	sameBitsAt(t, "temps", nodeTemps(nb), nodeTemps(nd))
-	if allFinite(sums) {
-		t.Fatal("the runaway ladder stayed finite: the case is not exercised")
+	if got := nb.StepLinearizedN(1, 4096, slopes, inf, sums); got != 0 {
+		t.Fatalf("StepLinearizedN advanced %d on a diverging ladder, want 0", got)
+	}
+	sameBitsAt(t, "temps after a diverged ladder", nodeTemps(nb), before)
+	for i, s := range sums {
+		if s != -1 {
+			t.Fatalf("a diverged ladder wrote sums[%d] = %g", i, s)
+		}
+	}
+	if denseLinearizedN(nd, 1, 4096, slopes, inf, sumsRef) == 0 || allFinite(sumsRef) {
+		t.Fatal("the dense ladder did not commit a non-finite result: the case is not exercised")
 	}
 
-	nb, _ = bn.build(t)
-	nd, _ = bn.build(t)
 	temps, powers := nodeTemps(nb), make([]float64, m)
 	for i := range powers {
 		powers[i] = nb.nodes[i].powerIn
@@ -616,14 +695,13 @@ func TestBlockKernelDivergingInfiniteCap(t *testing.T) {
 	tempsRef := append([]float64(nil), temps...)
 	hot, hotRef := make([]float64, 400), make([]float64, 400)
 	watch := []NodeID{0, NodeID(m - 1)}
-	got := nb.PredictLinearized(1, len(hot), temps, powers, slopes, inf, watch, hot)
-	if want := densePredict(nd, 1, len(hot), tempsRef, powers, slopes, inf, watch, hotRef); got != want {
-		t.Fatalf("PredictLinearized walked %d, dense %d", got, want)
+	if got := nb.PredictLinearized(1, len(hot), temps, powers, slopes, inf, watch, hot); got != 0 {
+		t.Fatalf("PredictLinearized walked %d on a diverging walk, want 0", got)
 	}
-	sameBitsAt(t, "predicted temps", temps, tempsRef)
-	sameBitsAt(t, "hottest", hot[:got], hotRef[:got])
-	if allFinite(temps) {
-		t.Fatal("the runaway walk stayed finite: the case is not exercised")
+	sameBitsAt(t, "temps after a diverged walk", temps, before)
+	nd, _ = bn.build(t)
+	if densePredict(nd, 1, len(hot), tempsRef, powers, slopes, inf, watch, hotRef) == 0 || allFinite(tempsRef) {
+		t.Fatal("the dense walk did not commit a non-finite result: the case is not exercised")
 	}
 }
 
@@ -641,14 +719,14 @@ func TestBlockPlanInterleavedMerges(t *testing.T) {
 			t.Fatalf("interleaved components split into blocks %v", want)
 		}
 	}
-	chain, _ := randomMacroNet(t, rng, 5)
+	chain, _ := drawNet(rng, 1, func() int { return 5 }, false).build(t)
 	chain.Step(1)
 	if got := chain.plan.bounds; len(got) != 2 || got[1] != 5 {
 		t.Fatalf("a connected chain planned as %v, want one block", got)
 	}
 }
 
-// TestT3TwinSockets: the server's network is two die/sink blocks whose
+// TestT3TwinSockets: the server's network is two die/sink pairs whose
 // propagator blocks are bit-identical, so a uniformly loaded server
 // computes the first socket and copies the second.
 func TestT3TwinSockets(t *testing.T) {
@@ -657,14 +735,49 @@ func TestT3TwinSockets(t *testing.T) {
 	if got := n.StepLinearizedN(1, 16, slopes, 1, sums); got != 16 {
 		t.Fatalf("settled ladder climbed %d of 16 steps", got)
 	}
-	if b := n.plan.bounds; len(b) != 3 || b[1] != 2 || b[2] != 4 {
-		t.Fatalf("T3 blocks %v, want [0 2 4]", b)
+	if b := n.plan.bounds; len(b) != 3 || b[1] != 2 || b[2] != 4 || !n.plan.pairs {
+		t.Fatalf("T3 blocks %v (pairs %v), want [0 2 4] pairs", b, n.plan.pairs)
 	}
 	if tw := n.props[0].twin; len(tw) != 2 || tw[0] != (twinCopy{0, -1, 2}) || tw[1] != (twinCopy{2, 0, 2}) {
 		t.Fatalf("T3 twin map %v, want [{0 -1 2} {2 0 2}]", tw)
 	}
-	if len(n.plan.spans) != 1 || len(n.plan.copies) != 1 {
-		t.Fatalf("uniform load computed %d blocks and copied %d, want 1 and 1", len(n.plan.spans), len(n.plan.copies))
+	if f := n.macro.from; len(f) != 2 || f[0] != 0 || f[1] != 0 {
+		t.Fatalf("uniform load took pair results from %v, want [0 0]: compute the first, copy the second", f)
+	}
+}
+
+// TestPairKernelAllocs: at steady state a ladder and a walk allocate
+// nothing.
+func TestPairKernelAllocs(t *testing.T) {
+	n, slopes := t3Net(t)
+	start := nodeTemps(n)
+	sums := make([]float64, len(start))
+	temps, powers := make([]float64, len(start)), make([]float64, len(start))
+	for i := range powers {
+		powers[i] = n.nodes[i].powerIn
+	}
+	dies, hottest := []NodeID{0, 2}, make([]float64, 16)
+	ladder := func() {
+		for j, t := range start {
+			n.nodes[j].temp = t
+		}
+		if got := n.StepLinearizedN(1, 256, slopes, math.MaxFloat64, sums); got != 256 {
+			t.Fatalf("ladder climbed %d of 256 steps", got)
+		}
+	}
+	walk := func() {
+		copy(temps, start)
+		if got := n.PredictLinearized(1, 16, temps, powers, slopes, 1, dies, hottest); got != 16 {
+			t.Fatalf("walk advanced %d of 16 steps", got)
+		}
+	}
+	ladder()
+	walk()
+	if avg := testing.AllocsPerRun(100, ladder); avg != 0 {
+		t.Fatalf("a ladder allocated %.1f times, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, walk); avg != 0 {
+		t.Fatalf("a walk allocated %.1f times, want 0", avg)
 	}
 }
 

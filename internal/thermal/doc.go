@@ -66,12 +66,12 @@
 // rectangle-rule energy accounting into a closed form, and caps the
 // per-window temperature drift so the linearization error stays bounded;
 // windows that would drift past the cap shrink or fall back to plain
-// stepping. See macro.go for the algebra.
+// stepping. PredictLinearized walks the same map one step at a time
+// without touching the network. See macro.go for the algebra.
 //
 // # Block structure
 //
-// Every propagator application — the plain exact step, the macro ladder and
-// the linearized walk (PredictLinearized) — runs per block:
+// Every propagator application runs per block:
 //
 //   - The block rule. The nodes split into the finest contiguous index
 //     ranges that no node–node link crosses: a link between nodes a and b
@@ -86,8 +86,17 @@
 //     M = Ad + Phi·C⁻¹·S and every ladder power M^n. Each skipped term of a
 //     dense dot product is then ±0 times a finite value, and adding ±0 to a
 //     sum that starts at +0 never changes it; the in-block terms keep
-//     their column order. So every result is bit-identical to the dense
-//     m×m product's.
+//     their column order. So every finite result is bit-identical to the
+//     dense m×m product's.
+//   - Pairs. The ladder and the walk run on one kernel for the block shape
+//     every server network has, a 2-node die/sink pair: each computed pair
+//     keeps its one-step map, affine term, ladder vectors and running power
+//     in local variables, and repeats the dense product's operations in
+//     their order. With more than one computed pair — uneven socket loads —
+//     every pair climbs or walks the same number of steps: a drift breach on
+//     any node ends the call for every pair. A network whose blocks are not
+//     all pairs gets no macro window: both calls return 0, and the caller
+//     takes plain steps, which is the exact fixed-dt semantics.
 //   - The twin rule. When a propagator is built or restored it records, for
 //     each block, the first earlier block of the same size whose Ad and Phi
 //     blocks are bit-identical (math.Float64bits, so ±0 and NaN payloads
@@ -96,12 +105,10 @@
 //     too: v = S/C, u and T₀ for the ladder and the walk, u and T for a
 //     plain step. Otherwise it computes the block like any other. Under the
 //     dispatcher's uniform socket load the second socket is copied.
-//   - What runs as one block. A connected network, or one whose components'
-//     index ranges interleave, is a single block: the dense product. So is
-//     a plain step whose result is not finite — a NaN or ±Inf input spreads
-//     through the dense product's exact zeros (0·Inf and 0·NaN are NaN) into
-//     every block, and recomputing as one block reproduces that — and a
-//     ladder or walk under an infinite drift cap, the only setting in which
-//     they commit a non-finite value. Under a finite cap a non-finite input
-//     fails the first drift check, as it does densely.
+//   - Non-finite values. A plain step whose result is not finite — a NaN or
+//     ±Inf input spreads through the dense product's exact zeros (0·Inf and
+//     0·NaN are NaN) into every block — is recomputed as one dense block.
+//     A ladder or walk with a non-finite input or result commits nothing
+//     and returns 0, and the plain step that follows spreads the NaN as
+//     fixed-dt does. Only an already diverged state can see this.
 package thermal

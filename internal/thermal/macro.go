@@ -1,6 +1,6 @@
 package thermal
 
-import "math"
+import "math/bits"
 
 // This file implements the closed-form composition of many exact-propagator
 // steps — the thermal half of the event-driven macro-stepping kernel
@@ -20,39 +20,27 @@ import "math"
 //	Σ_{k≤K} T_k = (M·G_K)·T₀ + H_K·c,    H_K = Σ_{k≤K} G_k = Σ_{j<K}(K−j)·M^j
 //
 // computed by doubling (A_{2K} = A_K², G_{2K} = G_K + A_K·G_K, H_{2K} =
-// H_K + K·G_K + A_K·H_K) in O(log K) small multiplies. M and every A_K are
-// block-diagonal (see "Block structure" in doc.go), so each product runs
-// per block on in-block entries, a block twin of an earlier one is copied
-// rather than computed, and a level's four matrix–vector products
-// (A_K·T_K, A_K·H_K·c, A_K·G_K·c, A_K·G_K·T₀) share one pass over A_K's
-// rows. The running temperature sum is what turns the fixed-dt
-// rectangle-rule energy accounting into a closed form: the caller charges
-// K·dt·P(ΣT/K) instead of K separate post-step evaluations. Because the composition reproduces the
-// *discrete* fixed-dt trajectory — not the continuous-time integral — the
-// only deviation from the reference path is the curvature of the leakage
-// model over the window's temperature excursion, which the drift cap
-// bounds.
-
-// macroScratch holds the m×m and m-vector work buffers of StepLinearizedN
-// and PredictLinearized, reused across calls so macro-stepping does not
-// allocate at steady state. Matrices are m×m row-major, and only the
-// in-block entries of the call's computed blocks are ever written or read.
+// H_K + K·G_K + A_K·H_K) in O(log K) small multiplies.
 //
-// Only the running power A_n = M^n must be kept as a matrix (it multiplies
-// fresh vectors at every level); the geometric sums appear exclusively
-// applied to the two fixed vectors c and T₀, so they ride along as the
-// vector ladders g_n = G_n·c, y_n = G_n·T₀ and h_n = H_n·c — one matrix
-// multiply per doubling instead of three, and one pass over A_n's rows for
-// the level's four matrix–vector products.
+// The ladder runs per die/sink pair (see "Pairs" in doc.go). The geometric
+// sums only ever multiply the two fixed vectors c and T₀, so they ride
+// along as the vector ladders g_K = G_K·c, y_K = G_K·T₀ and h_K = H_K·c,
+// and only A_K is squared. The running temperature sum is what turns the
+// fixed-dt rectangle-rule energy accounting into a closed form: the caller
+// charges K·dt·P(ΣT/K) instead of K separate post-step evaluations.
+// Because the composition reproduces the *discrete* fixed-dt trajectory —
+// not the continuous-time integral — the only deviation from the reference
+// path is the curvature of the leakage model over the window's temperature
+// excursion, which the drift cap bounds.
+
+// macroScratch holds the m-vector work buffers of StepLinearizedN and
+// PredictLinearized, reused across calls so macro-stepping does not
+// allocate at steady state.
 type macroScratch struct {
-	m          int
-	step       []float64 // M, the one-step linearized map
-	a, a2      []float64 // A_n = M^n and its squaring scratch
-	c          []float64 // affine term of the per-step map
-	v, u       []float64 // anchor inputs S/C and C⁻¹·(P − S·T₀ + Σ g_b·T_b)
-	t0, tn, tc []float64 // start temps, current endpoint, candidate
-	g, y, h    []float64 // vector ladders G_n·c, G_n·T₀, H_n·c
-	ag, ay, ah []float64 // A_n·g_n, A_n·y_n, A_n·h_n of the level being tried
+	m        int
+	v, u, t0 []float64 // anchor inputs S/C, C⁻¹·(P − S·T₀ + Σ g_b·T_b) and T₀
+	tn, sum  []float64 // the temperatures each pair reached, and the ladder's Σ T_k
+	from     []int     // per pair, the first node of the pair whose results it takes
 }
 
 func (s *macroScratch) size(m int) {
@@ -60,24 +48,22 @@ func (s *macroScratch) size(m int) {
 		return
 	}
 	s.m = m
-	s.step = make([]float64, m*m)
-	s.a = make([]float64, m*m)
-	s.a2 = make([]float64, m*m)
-	vs := make([]float64, 12*m)
-	for i, v := range []*[]float64{&s.c, &s.v, &s.u, &s.t0, &s.tn, &s.tc, &s.g, &s.y, &s.h, &s.ag, &s.ay, &s.ah} {
+	vs := make([]float64, 5*m)
+	for i, v := range []*[]float64{&s.v, &s.u, &s.t0, &s.tn, &s.sum} {
 		*v = vs[i*m : (i+1)*m : (i+1)*m]
 	}
+	s.from = make([]int, m/2)
 }
 
-// anchor assembles the per-step affine map at the anchor temps (copied to
-// t0), powers (which may be the u scratch itself) and slopes: v = S/C and
-// u = C⁻¹·(P − S·T₀ + Σ g_b·T_b) for every node, exactly the way stepExact
-// assembles its per-step input; then it plans the call on (v, u, T₀) and
-// fills M = Ad + Phi·diag(v) and c = Phi·u over the computed blocks. whole
-// plans one block (planCall). StepLinearizedN and PredictLinearized both
-// anchor here.
-func (n *Network) anchor(p *propagator, temps, powers, slopes []float64, whole bool) {
-	s, m := &n.macro, p.m
+// anchor assembles the per-step affine map's inputs at the anchor temps
+// (copied to t0), powers (which may be the u scratch itself) and slopes:
+// v = S/C and u = C⁻¹·(P − S·T₀ + Σ g_b·T_b) for every node, exactly the
+// way stepExact assembles its per-step input. Then it applies the twin
+// rule to every pair: from[b] is the pair's own first node, or its twin
+// source's when p records one and v, u and T₀ are bit-identical over the
+// two pairs.
+func (n *Network) anchor(p *propagator, temps, powers, slopes []float64) {
+	s := &n.macro
 	for i := range n.nodes {
 		s.v[i] = slopes[i] / n.nodes[i].capac
 		s.t0[i] = temps[i]
@@ -91,21 +77,28 @@ func (n *Network) anchor(p *propagator, temps, powers, slopes []float64, whole b
 	for i := range s.u {
 		s.u[i] /= n.nodes[i].capac
 	}
-	n.planCall(p, whole, s.v, s.u, s.t0)
-	for _, sp := range n.plan.spans {
-		v, u := s.v[sp.lo:sp.hi], s.u[sp.lo:sp.hi]
-		for i := sp.lo; i < sp.hi; i++ {
-			ad := p.ad[i*m+sp.lo : i*m+sp.hi]
-			phi := p.phi[i*m+sp.lo : i*m+sp.hi]
-			mi := s.step[i*m+sp.lo : i*m+sp.hi]
-			c := 0.0
-			for j := range ad {
-				mi[j] = ad[j] + phi[j]*v[j]
-				c += phi[j] * u[j]
-			}
-			s.c[i] = c
+	for b, tc := range p.twin {
+		lo, src := tc.dst, tc.src
+		s.from[b] = lo
+		if src >= 0 && sameBits(s.v[lo:lo+2], s.v[src:src+2]) && sameBits(s.u[lo:lo+2], s.u[src:src+2]) &&
+			sameBits(s.t0[lo:lo+2], s.t0[src:src+2]) {
+			s.from[b] = src
 		}
 	}
+}
+
+// pairMap returns the pair [lo, lo+2)'s one-step map M = Ad + Phi·diag(v)
+// and affine term c = Phi·u from the anchor inputs.
+func (n *Network) pairMap(p *propagator, lo int) (m00, m01, m10, m11, c0, c1 float64) {
+	s, r0, r1 := &n.macro, lo*p.m+lo, (lo+1)*p.m+lo
+	ad0, ad1 := p.ad[r0:r0+2], p.ad[r1:r1+2]
+	phi0, phi1 := p.phi[r0:r0+2], p.phi[r1:r1+2]
+	v, u := s.v[lo:lo+2], s.u[lo:lo+2]
+	m00, m01 = ad0[0]+phi0[0]*v[0], ad0[1]+phi0[1]*v[1]
+	m10, m11 = ad1[0]+phi1[0]*v[0], ad1[1]+phi1[1]*v[1]
+	c0 = 0 + phi0[0]*u[0] + phi0[1]*u[1]
+	c1 = 0 + phi1[0]*u[0] + phi1[1]*u[1]
+	return m00, m01, m10, m11, c0, c1
 }
 
 // StepLinearizedN advances the network by n applications of the per-step
@@ -118,16 +111,21 @@ func (n *Network) anchor(p *propagator, temps, powers, slopes []float64, whole b
 // temperatures to T_n, stores Σ_{k=1..n} T_k into sums (len NumNodes) for
 // closed-form energy accounting, and returns n ≥ 2. It returns 0 — leaving
 // all state untouched — when no multi-step window is admissible: maxSteps
-// < 2, a non-exact integrator, an unbuildable propagator, or a first
-// doubling already beyond the drift cap (fast transients and thermal
-// runaway both land here); the caller then falls back to plain Step, which
-// is the exact fixed-dt semantics.
+// < 2, a non-exact integrator, an unbuildable propagator, a network whose
+// blocks are not all pairs, a first doubling already beyond the drift cap
+// (fast transients and thermal runaway both land here), or a non-finite
+// input or result, which only a state that has already diverged can see;
+// the caller then falls back to plain Step, which is the exact fixed-dt
+// semantics.
 func (n *Network) StepLinearizedN(dt float64, maxSteps int, slopes []float64, driftCap float64, sums []float64) int {
 	m := len(n.nodes)
 	if dt <= 0 || m == 0 || maxSteps < 2 || n.integrator != IntegratorExact {
 		return 0
 	}
 	if len(slopes) != m || len(sums) != m || driftCap <= 0 {
+		return 0
+	}
+	if n.plan.refresh(n); !n.plan.pairs {
 		return 0
 	}
 	p := n.propagatorFor(dt)
@@ -140,104 +138,90 @@ func (n *Network) StepLinearizedN(dt float64, maxSteps int, slopes []float64, dr
 		s.t0[i] = n.nodes[i].temp
 		s.u[i] = n.nodes[i].powerIn
 	}
-	// An infinite cap lets a diverging ladder commit ±Inf, which the dense
-	// product would spread across blocks as NaN: run such calls as one block.
-	n.anchor(p, s.t0, s.u, slopes, math.IsInf(driftCap, 1))
-	bp := &n.plan
-
-	// Ladder start: n = 1 — A = M, g = c, y = T₀, h = c, T₁ = M·T₀ + c.
-	copy(s.a, s.step)
-	copy(s.g, s.c)
-	copy(s.y, s.t0)
-	copy(s.h, s.c)
-	bp.mulVec(s.tn, s.step, s.t0, m)
-	for _, sp := range bp.spans {
-		for i := sp.lo; i < sp.hi; i++ {
-			s.tn[i] += s.c[i]
-		}
+	n.anchor(p, s.t0, s.u, slopes)
+	levels := bits.Len(uint(maxSteps)) - 1 // the largest n = 2^levels ≤ maxSteps
+	lv, top := n.climbPairs(p, levels, driftCap)
+	if lv < levels {
+		n.driftStops++ // ladder cut short by the drift cap, not maxSteps
 	}
-	steps := 1
-	for 2*steps <= maxSteps {
-		// One pass over A_n's rows: the candidate endpoint
-		// T_{2n} = A_n·T_n + g_n, drift-checked before the level is
-		// committed, and the products A_n·h_n, A_n·g_n, A_n·y_n the vector
-		// ladders need if it is.
-		ok := true
-		for _, sp := range bp.spans {
-			tn, g, y, h := s.tn[sp.lo:sp.hi], s.g[sp.lo:sp.hi], s.y[sp.lo:sp.hi], s.h[sp.lo:sp.hi]
-			for i := sp.lo; i < sp.hi; i++ {
-				ai := s.a[i*m+sp.lo : i*m+sp.hi]
-				var at, ah, ag, ay float64
-				for j, aij := range ai {
-					at += aij * tn[j]
-					ah += aij * h[j]
-					ag += aij * g[j]
-					ay += aij * y[j]
-				}
-				s.tc[i] = at + s.g[i]
-				s.ah[i], s.ag[i], s.ay[i] = ah, ag, ay
-				if !withinCap(s.tc[i]-s.t0[i], driftCap) {
-					ok = false
-				}
-			}
-		}
-		if !ok {
-			n.driftStops++ // ladder cut short by the drift cap, not maxSteps
-			break
-		}
-		// Vector ladders, h first (it consumes this level's g):
-		// h_{2n} = h_n + n·g_n + A_n·h_n, then g_{2n} = g_n + A_n·g_n and
-		// y_{2n} = y_n + A_n·y_n.
-		fn := float64(steps)
-		for _, sp := range bp.spans {
-			for i := sp.lo; i < sp.hi; i++ {
-				s.h[i] += fn*s.g[i] + s.ah[i]
-				s.g[i] += s.ag[i]
-				s.y[i] += s.ay[i]
-				s.tn[i] = s.tc[i]
-			}
-		}
-		steps *= 2
-		if 2*steps <= maxSteps {
-			// Square up only when another level can still be attempted —
-			// the single matrix multiply of the level.
-			for _, sp := range bp.spans {
-				squareBlock(s.a2, s.a, m, sp.lo, sp.hi)
-			}
-			s.a, s.a2 = s.a2, s.a
-		}
-	}
-	if steps < 2 {
+	if lv == 0 {
 		return 0
 	}
-	// Σ_{k=1..n} T_k = M·(G_n·T₀) + H_n·c.
-	bp.mulVec(s.ay, s.step, s.y, m)
-	for _, sp := range bp.spans {
-		for i := sp.lo; i < sp.hi; i++ {
-			sums[i] = s.ay[i] + s.h[i]
-		}
+	if top > lv {
+		// A breach on any node ends every pair's ladder: re-climb the
+		// pairs that went higher to the common level.
+		n.climbPairs(p, lv, driftCap)
 	}
-	bp.copyTwins(sums)
-	bp.copyTwins(s.tn)
+	if !finite(s.tn) || !finite(s.sum) {
+		return 0
+	}
+	copy(sums, s.sum)
 	for i := range n.nodes {
 		n.nodes[i].temp = s.tn[i]
 	}
-	return steps
+	return 1 << lv
 }
 
-// squareBlock writes the [lo, hi) diagonal block of a·a into dst; a and dst
-// are m×m row-major and must not alias.
-func squareBlock(dst, a []float64, m, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		di := dst[i*m+lo : i*m+hi]
-		for j := range di {
-			di[j] = 0
+// climbPairs climbs every pair the call computes, none past limit levels
+// or the lowest level an earlier pair reached, and copies each twin pair's
+// results from its source. It returns the lowest and highest levels
+// climbed.
+func (n *Network) climbPairs(p *propagator, limit int, driftCap float64) (lv, top int) {
+	s := &n.macro
+	lv = limit
+	for b, from := range s.from {
+		lo := 2 * b
+		if from != lo {
+			s.tn[lo], s.tn[lo+1] = s.tn[from], s.tn[from+1]
+			s.sum[lo], s.sum[lo+1] = s.sum[from], s.sum[from+1]
+			continue
 		}
-		for k, f := range a[i*m+lo : i*m+hi] {
-			bk := a[(lo+k)*m+lo : (lo+k)*m+hi]
-			for j := range di {
-				di[j] += f * bk[j]
-			}
+		got := n.climb(p, lo, lv, driftCap)
+		lv, top = min(lv, got), max(top, got)
+	}
+	return lv, top
+}
+
+// climb runs the doubling ladder on the pair [lo, lo+2) for at most limit
+// levels, stopping at the first level whose candidate endpoint leaves the
+// drift cap, stores the endpoint T_n and Σ_{k≤n} T_k it reached into the
+// scratch's tn and sum, and returns the levels climbed (n = 2^levels). A_n
+// is (a00 a01; a10 a11), x the endpoint and g, y, h the vector ladders.
+func (n *Network) climb(p *propagator, lo, limit int, driftCap float64) int {
+	s := &n.macro
+	m00, m01, m10, m11, c0, c1 := n.pairMap(p, lo)
+	t0, t1 := s.t0[lo], s.t0[lo+1]
+
+	// Ladder start: n = 1 — A = M, g = c, y = T₀, h = c, T₁ = M·T₀ + c.
+	a00, a01, a10, a11 := m00, m01, m10, m11
+	g0, g1, y0, y1, h0, h1 := c0, c1, t0, t1, c0, c1
+	x0 := 0 + m00*t0 + m01*t1 + c0
+	x1 := 0 + m10*t0 + m11*t1 + c1
+	lv := 0
+	for lv < limit {
+		// The candidate endpoint T_{2n} = A_n·T_n + g_n, drift-checked
+		// before the level is committed.
+		e0 := 0 + a00*x0 + a01*x1 + g0
+		e1 := 0 + a10*x0 + a11*x1 + g1
+		if !withinCap(e0-t0, driftCap) || !withinCap(e1-t1, driftCap) {
+			break
+		}
+		// h_{2n} = h_n + (n·g_n + A_n·h_n) on this level's g, then
+		// g_{2n} = g_n + A_n·g_n and y_{2n} = y_n + A_n·y_n.
+		fn := float64(int(1) << lv)
+		h0, h1 = h0+(fn*g0+(0+a00*h0+a01*h1)), h1+(fn*g1+(0+a10*h0+a11*h1))
+		g0, g1 = g0+(0+a00*g0+a01*g1), g1+(0+a10*g0+a11*g1)
+		y0, y1 = y0+(0+a00*y0+a01*y1), y1+(0+a10*y0+a11*y1)
+		x0, x1 = e0, e1
+		lv++
+		if lv < limit {
+			// Square up only when another level can still be attempted.
+			a00, a01, a10, a11 = 0+a00*a00+a01*a10, 0+a00*a01+a01*a11, 0+a10*a00+a11*a10, 0+a10*a01+a11*a11
 		}
 	}
+	// Σ_{k=1..n} T_k = M·(G_n·T₀) + H_n·c.
+	s.tn[lo], s.tn[lo+1] = x0, x1
+	s.sum[lo] = 0 + m00*y0 + m01*y1 + h0
+	s.sum[lo+1] = 0 + m10*y0 + m11*y1 + h1
+	return lv
 }

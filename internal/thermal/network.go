@@ -175,8 +175,8 @@ func (n *Network) ConnectNodes(a, b NodeID, g float64) (LinkID, error) {
 	if err := n.checkNode(b); err != nil {
 		return 0, err
 	}
-	if g < 0 {
-		return 0, fmt.Errorf("thermal: negative conductance %g", g)
+	if !validConductance(g) {
+		return 0, conductanceError("conductance", g)
 	}
 	n.links = append(n.links, link{a: a, b: b, g: g})
 	n.invalidate()
@@ -191,12 +191,24 @@ func (n *Network) ConnectBoundary(a NodeID, b BoundaryID, g float64) (LinkID, er
 	if int(b) < 0 || int(b) >= len(n.boundaries) {
 		return 0, fmt.Errorf("thermal: unknown boundary %d", b)
 	}
-	if g < 0 {
-		return 0, fmt.Errorf("thermal: negative conductance %g", g)
+	if !validConductance(g) {
+		return 0, conductanceError("conductance", g)
 	}
 	n.links = append(n.links, link{a: a, bBound: b, toBoundary: true, g: g})
 	n.invalidate()
 	return LinkID(len(n.links) - 1), nil
+}
+
+// validConductance is the one rule every conductance obeys, whether wired,
+// set by a fan or restored from a checkpoint: finite and non-negative. Any
+// other value makes the system matrix meaningless, and NaN slips past a
+// plain g < 0 test.
+func validConductance(g float64) bool { return g >= 0 && !math.IsInf(g, 1) }
+
+// conductanceError is the error for a g that breaks validConductance;
+// field names the value.
+func conductanceError(field string, g float64) error {
+	return fmt.Errorf("thermal: %s %g must be finite and non-negative", field, g)
 }
 
 func (n *Network) checkNode(id NodeID) error {
@@ -212,8 +224,8 @@ func (n *Network) SetConductance(id LinkID, g float64) error {
 	if int(id) < 0 || int(id) >= len(n.links) {
 		return fmt.Errorf("thermal: unknown link %d", id)
 	}
-	if g < 0 {
-		return fmt.Errorf("thermal: negative conductance %g", g)
+	if !validConductance(g) {
+		return conductanceError(fmt.Sprintf("link %d conductance", id), g)
 	}
 	// No cache invalidation here: propagator entries are keyed on the full
 	// conductance vector, so a change merely selects a different entry (or
@@ -349,8 +361,7 @@ func (n *Network) stepExact(dt float64) bool {
 // from the t and u scratch, block by block over blocks (a twin map, in
 // index order). A twin block whose inputs T and u are bit-identical to its
 // source's is copied from the source, already computed (the twin rule, see
-// planCall); a plain step applies the propagator once, so it skips
-// planCall's span lists. It reports whether every result is finite: adding
+// "Block structure" in doc.go). It reports whether every result is finite: adding
 // 1 to an all-ones exponent field carries into the sign bit, which no
 // finite value's field reaches.
 func (n *Network) applyExact(p *propagator, blocks []twinCopy) bool {

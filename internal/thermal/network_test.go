@@ -2,6 +2,8 @@ package thermal
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -249,5 +251,64 @@ func TestNumNodes(t *testing.T) {
 	_, _ = n.AddNode("b", 1, 0)
 	if n.NumNodes() != 2 {
 		t.Fatal("wrong node count")
+	}
+}
+
+// TestConductanceRule: wherever a conductance enters — wired, set, or
+// restored live or in a propagator key — it must be finite and
+// non-negative, and a restored key's step finite and positive. Each
+// hostile field errors naming itself, and a rejected state restores
+// nothing. Non-finite temperatures and powers still restore, so a diverged
+// run's diagnostic checkpoint does.
+func TestConductanceRule(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	n, _ := t3Net(t)
+	n.Step(1)
+	for _, g := range []float64{-5, nan, inf} {
+		if _, err := n.ConnectNodes(0, 1, g); err == nil || !strings.Contains(err.Error(), "conductance") {
+			t.Errorf("ConnectNodes(%g) = %v, want a conductance error", g, err)
+		}
+		if _, err := n.ConnectBoundary(0, 0, g); err == nil || !strings.Contains(err.Error(), "conductance") {
+			t.Errorf("ConnectBoundary(%g) = %v, want a conductance error", g, err)
+		}
+		if err := n.SetConductance(1, g); err == nil || !strings.Contains(err.Error(), "link 1 conductance") {
+			t.Errorf("SetConductance(%g) = %v, want a link 1 conductance error", g, err)
+		}
+	}
+	good := n.State()
+	for _, tc := range []struct {
+		field string
+		edit  func(st *State)
+	}{
+		{"state Conductances[0] -5", func(st *State) { st.Conductances[0] = -5 }},
+		{"state Conductances[1] NaN", func(st *State) { st.Conductances[1] = nan }},
+		{"state Conductances[3] +Inf", func(st *State) { st.Conductances[3] = inf }},
+		{"state Props[0].H -3", func(st *State) { st.Props[0].H = -3 }},
+		{"state Props[0].H 0", func(st *State) { st.Props[0].H = 0 }},
+		{"state Props[0].H NaN", func(st *State) { st.Props[0].H = nan }},
+		{"state Props[0].H +Inf", func(st *State) { st.Props[0].H = inf }},
+		{"state Props[0].Gs[2] NaN", func(st *State) { st.Props[0].Gs[2] = nan }},
+		{"state Props[0].Gs[0] -1", func(st *State) { st.Props[0].Gs[0] = -1 }},
+		{"state Props[0].Gs[1] +Inf", func(st *State) { st.Props[0].Gs[1] = inf }},
+		{"state Props[0] has 1 conductances", func(st *State) { st.Props[0].Gs = st.Props[0].Gs[:1] }},
+	} {
+		st := n.State()
+		tc.edit(&st)
+		r, _ := t3Net(t)
+		r.Step(1)
+		want := r.State()
+		if err := r.SetState(st); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: SetState = %v, want an error naming it", tc.field, err)
+		}
+		if got := r.State(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a rejected state changed the network", tc.field)
+		}
+	}
+	diverged := good
+	diverged.Temps = append([]float64{nan, inf}, good.Temps[2:]...)
+	diverged.PowerIn = append([]float64{inf}, good.PowerIn[1:]...)
+	r, _ := t3Net(t)
+	if err := r.SetState(diverged); err != nil {
+		t.Fatalf("a diverged state with valid conductances did not restore: %v", err)
 	}
 }

@@ -27,9 +27,10 @@ import "math"
 // The walk stops early when the next step would move any node more than
 // driftCap from the anchor — the caller re-anchors with fresh powers and
 // slopes, mirroring the macro ladder's drift-capped re-linearization — and
-// returns the number of steps advanced (0 when the very first step
-// breaches the cap, the integrator is not exact, or the propagator cannot
-// be built; temps is then unchanged).
+// returns the number of steps advanced. It returns 0, with temps
+// unchanged, when the very first step breaches the cap, the integrator is
+// not exact, the propagator cannot be built, the network's blocks are not
+// all pairs, or an input or result is not finite.
 //
 // hottest, when non-nil, receives the walk's per-step maximum over the
 // watch nodes: hottest[s] is the hottest watched temperature after step
@@ -42,6 +43,9 @@ func (n *Network) PredictLinearized(dt float64, maxSteps int, temps, powers, slo
 	if len(temps) != m || len(powers) != m || len(slopes) != m || driftCap <= 0 {
 		return 0
 	}
+	if n.plan.refresh(n); !n.plan.pairs {
+		return 0
+	}
 	p := n.propagatorFor(dt)
 	if p.failed {
 		return 0
@@ -50,45 +54,87 @@ func (n *Network) PredictLinearized(dt float64, maxSteps int, temps, powers, slo
 	// mid-call (both run to completion on the goroutine stepping this
 	// network) and neither keeps scratch state across calls. The map is
 	// anchored at the caller's temps and powers instead of the live node
-	// state; an infinite cap runs as one block, as in StepLinearizedN.
+	// state.
 	s := &n.macro
 	s.size(m)
-	n.anchor(p, temps, powers, slopes, math.IsInf(driftCap, 1))
-	bp := &n.plan
+	n.anchor(p, temps, powers, slopes)
+	steps, top := n.walkPairs(p, maxSteps, driftCap, watch, hottest)
+	if steps == 0 {
+		return 0
+	}
+	if top > steps {
+		// A breach on any node ends every pair's walk: re-walk the pairs
+		// that went further to the common step.
+		n.walkPairs(p, steps, driftCap, nil, nil)
+	}
+	if !finite(s.tn) {
+		return 0
+	}
+	copy(temps, s.tn)
+	return steps
+}
 
-	copy(s.tn, s.t0)
-	steps := 0
-	for steps < maxSteps {
-		bp.mulVec(s.tc, s.step, s.tn, m)
-		ok := true
-		for _, sp := range bp.spans {
-			for i := sp.lo; i < sp.hi; i++ {
-				s.tc[i] += s.c[i]
-				if !withinCap(s.tc[i]-s.t0[i], driftCap) {
-					ok = false
-				}
-			}
+// walkPairs walks every pair the call computes, none past limit steps or
+// the fewest steps an earlier pair walked, and copies each twin pair's
+// temperatures from its source. It returns the fewest and most steps
+// walked.
+func (n *Network) walkPairs(p *propagator, limit int, driftCap float64, watch []NodeID, hottest []float64) (steps, top int) {
+	s := &n.macro
+	steps = limit
+	first := true
+	for b, from := range s.from {
+		lo := 2 * b
+		if from != lo {
+			s.tn[lo], s.tn[lo+1] = s.tn[from], s.tn[from+1]
+			continue
 		}
-		if !ok {
+		got := n.walk(p, lo, steps, driftCap, watch, hottest, first)
+		first = false
+		steps, top = min(steps, got), max(top, got)
+	}
+	return steps, top
+}
+
+// walk iterates the one-step map on the pair [lo, lo+2) for at most limit
+// steps, stopping before the first step that leaves the drift cap, stores
+// the temperatures reached into the scratch's tn, and returns the steps
+// walked. With hottest non-nil it folds the watch nodes this pair provides
+// (its own and its twins', entry id&1) into hottest after each step,
+// overwriting it when first. A walked value is never −0 (a dot product
+// from +0 plus c) and, once committed, finite, so the maximum's bits do
+// not depend on the fold order: pair by pair gives what watch order gives.
+func (n *Network) walk(p *propagator, lo, limit int, driftCap float64, watch []NodeID, hottest []float64, first bool) int {
+	s := &n.macro
+	m00, m01, m10, m11, c0, c1 := n.pairMap(p, lo)
+	t0, t1 := s.t0[lo], s.t0[lo+1]
+	x0, x1 := t0, t1
+	steps := 0
+	for steps < limit {
+		e0 := 0 + m00*x0 + m01*x1 + c0
+		e1 := 0 + m10*x0 + m11*x1 + c1
+		if !withinCap(e0-t0, driftCap) || !withinCap(e1-t1, driftCap) {
 			break
 		}
-		for _, sp := range bp.spans {
-			copy(s.tn[sp.lo:sp.hi], s.tc[sp.lo:sp.hi])
-		}
-		bp.copyTwins(s.tn) // twin rows are current before watch reads them
+		x0, x1 = e0, e1
 		if hottest != nil {
-			h := s.tn[watch[0]]
-			for _, id := range watch[1:] {
-				if t := s.tn[id]; t > h {
-					h = t
+			h := math.Inf(-1)
+			for _, id := range watch {
+				if s.from[id>>1] == lo {
+					t := x0
+					if id&1 != 0 {
+						t = x1
+					}
+					if t > h {
+						h = t
+					}
 				}
 			}
-			hottest[steps] = h
+			if first || h > hottest[steps] {
+				hottest[steps] = h
+			}
 		}
 		steps++
 	}
-	if steps > 0 {
-		copy(temps, s.tn)
-	}
+	s.tn[lo], s.tn[lo+1] = x0, x1
 	return steps
 }

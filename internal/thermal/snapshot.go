@@ -1,6 +1,9 @@
 package thermal
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // PropEntry is the serializable key of one cached propagator: the step size
 // and the per-link conductance vector it was built for, in LRU order
@@ -55,7 +58,11 @@ func (n *Network) State() State {
 
 // SetState restores a captured State into a network with the same topology
 // (node, boundary and link counts must match; the wiring itself is a
-// construction parameter).
+// construction parameter). Every conductance, live or in a propagator key,
+// must be finite and non-negative, and every key's step finite and
+// positive; a state that breaks either is rejected before anything is
+// restored. Temperatures and powers are taken as they are, so a diverged
+// run's diagnostic checkpoint still restores.
 func (n *Network) SetState(st State) error {
 	if len(st.Temps) != len(n.nodes) || len(st.PowerIn) != len(n.nodes) {
 		return fmt.Errorf("thermal: state has %d nodes, network has %d", len(st.Temps), len(n.nodes))
@@ -68,6 +75,24 @@ func (n *Network) SetState(st State) error {
 	}
 	if len(st.Props) > propCacheSize {
 		return fmt.Errorf("thermal: state has %d cached propagators, cache holds %d", len(st.Props), propCacheSize)
+	}
+	for i, g := range st.Conductances {
+		if !validConductance(g) {
+			return conductanceError(fmt.Sprintf("state Conductances[%d]", i), g)
+		}
+	}
+	for k, e := range st.Props {
+		if !(e.H > 0) || math.IsInf(e.H, 1) {
+			return fmt.Errorf("thermal: state Props[%d].H %g must be finite and positive", k, e.H)
+		}
+		if len(e.Gs) != len(n.links) {
+			return fmt.Errorf("thermal: state Props[%d] has %d conductances, network has %d links", k, len(e.Gs), len(n.links))
+		}
+		for j, g := range e.Gs {
+			if !validConductance(g) {
+				return conductanceError(fmt.Sprintf("state Props[%d].Gs[%d]", k, j), g)
+			}
+		}
 	}
 	for i := range n.nodes {
 		n.nodes[i].temp = st.Temps[i]
@@ -86,9 +111,7 @@ func (n *Network) SetState(st State) error {
 	// metrics dump reports) then matches the uninterrupted run.
 	n.props = n.props[:0]
 	for i := len(st.Props) - 1; i >= 0; i-- {
-		if err := n.restorePropagator(st.Props[i]); err != nil {
-			return err
-		}
+		n.restorePropagator(st.Props[i])
 	}
 	n.propHits = st.Stats.Hits
 	n.propMisses = st.Stats.Misses
@@ -97,15 +120,13 @@ func (n *Network) SetState(st State) error {
 	return nil
 }
 
-// restorePropagator rebuilds one cache entry from its (h, conductances) key
-// against the current topology through the build's own constructor, which
-// touches neither the live link values nor the lifetime counters. The
-// generation stamp is made current only when the entry's conductance vector
-// equals the live one, so the O(1) fast path stays sound after restore.
-func (n *Network) restorePropagator(e PropEntry) error {
-	if len(e.Gs) != len(n.links) {
-		return fmt.Errorf("thermal: cached propagator has %d conductances, network has %d links", len(e.Gs), len(n.links))
-	}
+// restorePropagator rebuilds one cache entry from its (h, conductances) key,
+// already checked by SetState, against the current topology through the
+// build's own constructor, which touches neither the live link values nor
+// the lifetime counters. The generation stamp is made current only when
+// the entry's conductance vector equals the live one, so the O(1) fast
+// path stays sound after restore.
+func (n *Network) restorePropagator(e PropEntry) {
 	gen := n.condGen
 	for j := range n.links {
 		if n.links[j].g != e.Gs[j] {
@@ -114,5 +135,4 @@ func (n *Network) restorePropagator(e PropEntry) error {
 		}
 	}
 	n.cachePropagator(e.H, e.Gs, gen)
-	return nil
 }
