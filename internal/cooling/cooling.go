@@ -313,6 +313,20 @@ func (f Facility) CoolingPower(wallW float64) float64 {
 	return blowerW + chillerW
 }
 
+// FaultedCoolingPower is the cooling power spent removing wallW of IT heat
+// under the facility-scope fault state: exactly zero with no facility (f
+// nil) or while any of `outages` CRAC outages is active — the dark room
+// unit spends nothing, and the heat soaks the aisles instead (the outage's
+// ambient shift) — and otherwise CoolingPowerDerated at the summed chiller
+// derate. A rack's facility and a room's shared bank both price their
+// cooling through it.
+func FaultedCoolingPower(f *Facility, wallW float64, outages int, derate float64) float64 {
+	if f == nil || outages > 0 {
+		return 0
+	}
+	return f.CoolingPowerDerated(wallW, derate)
+}
+
 // CoolingPowerDerated is CoolingPower with the plant's efficiency derated
 // by the given fraction in [0, 1): the same heat removal drawn at
 // 1/(1−derate) times the healthy power — the fault-injection surface for a

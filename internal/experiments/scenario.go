@@ -18,6 +18,10 @@ import (
 	"repro/internal/units"
 )
 
+// gridStep is every scenario's simulation step, seconds: the LUT
+// controller's 1 s polling period.
+const gridStep = 1.0
+
 // Scenario describes one rack- or room-scale comparison: a topology crossed
 // with three axes — wall caps, cold-aisle supply setpoints and fault
 // scenarios — and, in every combination, each placement policy the topology
@@ -32,7 +36,6 @@ type Scenario struct {
 	// backfill, faults, reliability sampling or checkpoints.
 	Racks     int
 	Servers   int     // servers per rack
-	Dt        float64 // simulation step, seconds
 	Horizon   float64 // measured window, seconds
 	Stabilize float64 // idle settling before the measured window, seconds
 
@@ -145,7 +148,6 @@ type Scenario struct {
 func DefaultRackEval() Scenario {
 	return Scenario{
 		Servers:      8,
-		Dt:           1,
 		Horizon:      3600,
 		Stabilize:    300,
 		TraceSeed:    42,
@@ -338,8 +340,8 @@ func RackPolicyComparison(base server.Config, sc Scenario) ([]Row, error) {
 
 // prepare validates the scenario and builds its shared state and cells.
 func prepare(base server.Config, sc Scenario) (*setup, error) {
-	if sc.Racks < 0 || sc.Servers <= 0 || sc.Dt <= 0 || sc.Horizon <= 0 {
-		return nil, fmt.Errorf("experiments: scenario needs positive servers/dt/horizon and racks ≥ 0, got %+v", sc)
+	if sc.Racks < 0 || sc.Servers <= 0 || sc.Horizon <= 0 {
+		return nil, fmt.Errorf("experiments: scenario needs positive servers/horizon and racks ≥ 0, got %+v", sc)
 	}
 	checkpoints := sc.CheckpointSink != nil || sc.CheckpointEvery != 0 || sc.Resume != nil
 	capped := false
@@ -603,7 +605,7 @@ func (s *setup) runRack(c *cell) error {
 		return err
 	}
 	tc := sched.TraceConfig{
-		Dt: sc.Dt, Horizon: sc.Horizon, WallCapW: c.CapW, EventStepping: sc.EventStepping,
+		Dt: gridStep, Horizon: sc.Horizon, WallCapW: c.CapW, EventStepping: sc.EventStepping,
 		Backfill: sc.Backfill, Faults: c.faults, DropOnFault: sc.DropOnFault,
 	}
 	if sc.EventStepping {
@@ -618,7 +620,7 @@ func (s *setup) runRack(c *cell) error {
 	if sc.Resume != nil && !c.hidden {
 		c.Sched, err = sched.ResumeTraceCfg(r, s.jobs, c.rackPol, tc, *sc.Resume)
 	} else {
-		if err := sched.Settle(r, sc.Dt, sc.Stabilize, sc.EventStepping); err != nil {
+		if err := sched.Settle(r, gridStep, sc.Stabilize, sc.EventStepping); err != nil {
 			return err
 		}
 		r.ResetAccounting()
@@ -655,12 +657,12 @@ func (s *setup) runRoom(c *cell) error {
 	if err != nil {
 		return err
 	}
-	if err := room.Settle(rm, sc.Dt, sc.Stabilize, sc.EventStepping); err != nil {
+	if err := room.Settle(rm, gridStep, sc.Stabilize, sc.EventStepping); err != nil {
 		return err
 	}
 	rm.ResetAccounting()
 	c.RoomSched, err = room.RunTrace(rm, s.jobs, c.roomPol, room.TraceConfig{
-		Dt: sc.Dt, Horizon: sc.Horizon, EventStepping: sc.EventStepping, Metrics: sc.Metrics, Ctx: sc.Ctx,
+		Dt: gridStep, Horizon: sc.Horizon, EventStepping: sc.EventStepping, Metrics: sc.Metrics, Ctx: sc.Ctx,
 	})
 	c.Room = rm.Telemetry()
 	return err

@@ -205,7 +205,7 @@ func (s *Schedule) checkDerateStacks() error {
 				continue
 			}
 			if o.At <= e.At && !(o.Windowed() && o.Clear <= e.At) {
-				sum += o.derate()
+				sum += o.Magnitude()
 			}
 		}
 		if sum < 1 {
@@ -219,13 +219,21 @@ func (s *Schedule) checkDerateStacks() error {
 	return nil
 }
 
-// derate resolves a PSUDroop/ChillerDegraded severity, zero picking the
-// documented default.
-func (e Event) derate() float64 {
-	if e.Severity == 0 {
-		return DefaultPSUDroop
+// Magnitude resolves the event's Severity: zero picks the kind's
+// documented default — DefaultPSUDroop for PSUDroop and ChillerDegraded,
+// DefaultCRACOutageC for CRACOutage — and any other value, or any other
+// kind, is Severity itself.
+func (e Event) Magnitude() float64 {
+	if e.Severity != 0 {
+		return e.Severity
 	}
-	return e.Severity
+	switch e.Kind {
+	case PSUDroop, ChillerDegraded:
+		return DefaultPSUDroop
+	case CRACOutage:
+		return DefaultCRACOutageC
+	}
+	return 0
 }
 
 // Empty reports whether the schedule carries no events; a nil schedule is

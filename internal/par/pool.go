@@ -92,8 +92,8 @@ func (p *Pool) Run(fn func(i int)) {
 	helpers := uint64(len(p.parks) - 1)
 	if helpers == 0 {
 		var first *JobPanic
-		for i := 0; i < p.n; i++ {
-			serialRun(fn, i, &first)
+		for i := 0; i < p.n; {
+			i = serialRun(fn, i, p.n, &first)
 		}
 		if first != nil {
 			panic(first)
@@ -150,8 +150,8 @@ func (p *Pool) helper(h int) {
 
 // runBlock runs worker w's jobs in index order, recording the first panic.
 func (p *Pool) runBlock(w int) {
-	for i := p.blocks[w]; i < p.blocks[w+1]; i++ {
-		serialRun(p.fn, i, &p.panics[w])
+	for i, end := p.blocks[w], p.blocks[w+1]; i < end; {
+		i = serialRun(p.fn, i, end, &p.panics[w])
 	}
 }
 

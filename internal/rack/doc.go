@@ -51,24 +51,20 @@
 //
 // # Macro windows
 //
-// The event-driven kernel (internal/sched) splits Step's two halves:
-// TickControllers applies loads and runs every fan controller for one
-// decision instant, QuietHorizonCause asks how long every powered slot's
-// controller promises to stay quiet (control.HorizonPromiser; a
+// Step is TickControllers — loads applied and every fan controller run
+// for one decision instant, the rack clock — then Advance(dt, 1), the
+// calls the trace kernel (internal/sched) makes on either kernel. Under
+// event stepping QuietHorizonCause asks in between how long every powered
+// slot's controller promises to stay quiet (control.HorizonPromiser; a
 // non-promising controller pins the horizon to one step), and Advance
 // crosses the granted window in per-server closed-form macro-steps
 // (server.MacroWindow) under the same determinism contract — the fan-out
 // writes slot-i state only, and every roll-up runs serially in index
-// order afterwards. Energies are
-// integrated from each server's closed-form window energy, with the
-// window's mean DC draw lifted through the PSU/PDU/CRAC chain once
-// instead of per step; temperature maxima fold in every sub-step boundary
-// sample. After TickControllers, Advance(dt, 1) leaves every server in
-// exactly Step(dt)'s state (bar the MacroStats attribution) and costs one
-// plain server.Step per slot, which is how the kernel preserves exact
-// fixed-dt semantics wherever a quiet window cannot be granted; only the
-// rack's energy meters differ, by rounding (Advance charges the
-// window-mean draw ΔE/span, Step the endpoint draw).
+// order afterwards. Such a window integrates each server's closed-form
+// energy, with the window's mean DC draw lifted through the PSU/PDU/CRAC
+// chain once instead of per step; temperature maxima fold in every
+// sub-step boundary sample. A one-step Advance is the fixed-dt step bit
+// for bit, meters included.
 //
 // # Faults and health
 //

@@ -82,7 +82,7 @@ func (r *Rack) ApplyFault(ev fault.Event) error {
 		}
 	case fault.PSUDroop:
 		st := r.servers[ev.Server]
-		d := st.psuDerate + droopSeverity(ev)
+		d := st.psuDerate + ev.Magnitude()
 		if d >= 1 {
 			return fmt.Errorf("rack: %s would stack server %d's PSU derates to %g; they must sum below 1", ev, ev.Server, d)
 		}
@@ -92,18 +92,18 @@ func (r *Rack) ApplyFault(ev fault.Event) error {
 	case fault.ServerTrip:
 		r.servers[ev.Server].srv.ForceTrip()
 	case fault.AmbientExcursion:
-		d := units.Celsius(ev.Severity)
+		d := units.Celsius(ev.Magnitude())
 		r.targets(ev, func(st *serverState) {
 			st.srv.SetAmbientOffset(st.srv.AmbientOffset() + d)
 		})
 	case fault.CRACOutage:
 		r.cracOut++
-		d := units.Celsius(outageSeverity(ev))
+		d := units.Celsius(ev.Magnitude())
 		r.targets(ev, func(st *serverState) {
 			st.srv.SetAmbientOffset(st.srv.AmbientOffset() + d)
 		})
 	case fault.ChillerDegraded:
-		d := r.chillerDerate + droopSeverity(ev)
+		d := r.chillerDerate + ev.Magnitude()
 		if d >= 1 {
 			return fmt.Errorf("rack: %s would stack the chiller derates to %g; they must sum below 1", ev, d)
 		}
@@ -128,44 +128,27 @@ func (r *Rack) ClearFault(ev fault.Event) error {
 			return err
 		}
 	case fault.PSUDroop:
-		r.servers[ev.Server].psuDerate -= droopSeverity(ev)
+		r.servers[ev.Server].psuDerate -= ev.Magnitude()
 	case fault.PSUFail:
 		r.servers[ev.Server].srv.SetPowered(true)
 	case fault.ServerTrip:
 		r.servers[ev.Server].srv.ResetTrip()
 	case fault.AmbientExcursion:
-		d := units.Celsius(ev.Severity)
+		d := units.Celsius(ev.Magnitude())
 		r.targets(ev, func(st *serverState) {
 			st.srv.SetAmbientOffset(st.srv.AmbientOffset() - d)
 		})
 	case fault.CRACOutage:
 		r.cracOut--
-		d := units.Celsius(outageSeverity(ev))
+		d := units.Celsius(ev.Magnitude())
 		r.targets(ev, func(st *serverState) {
 			st.srv.SetAmbientOffset(st.srv.AmbientOffset() - d)
 		})
 	case fault.ChillerDegraded:
-		r.chillerDerate -= droopSeverity(ev)
+		r.chillerDerate -= ev.Magnitude()
 	default:
 		return fmt.Errorf("rack: unknown fault kind %v", ev.Kind)
 	}
 	r.faultsCleared++
 	return nil
-}
-
-// droopSeverity resolves a PSUDroop/ChillerDegraded severity, zero picking
-// the documented default.
-func droopSeverity(ev fault.Event) float64 {
-	if ev.Severity == 0 {
-		return fault.DefaultPSUDroop
-	}
-	return ev.Severity
-}
-
-// outageSeverity resolves a CRACOutage heat-soak, zero picking the default.
-func outageSeverity(ev fault.Event) float64 {
-	if ev.Severity == 0 {
-		return fault.DefaultCRACOutageC
-	}
-	return ev.Severity
 }

@@ -222,13 +222,12 @@ type Rack struct {
 
 	// Prebuilt fan-out closures with their per-call arguments staged in
 	// fields: a closure passed to par.ForEach escapes (the parallel branch
-	// hands it to goroutines), so building it per Step would cost one heap
-	// allocation per step. The arguments are written before the fan-out
+	// hands it to goroutines), so building it per call would cost one heap
+	// allocation per call. The arguments are written before the fan-out
 	// starts, which the goroutine-creation happens-before edge orders.
 	argNow   float64
 	argDt    float64
 	argSteps int
-	stepFn   func(i int)
 	tickFn   func(i int)
 	advFn    func(i int)
 }
@@ -288,7 +287,6 @@ func New(cfg Config) (*Rack, error) {
 		}
 		r.servers = append(r.servers, &serverState{name: name, srv: srv, ctrl: spec.Controller, psu: psu})
 	}
-	r.stepFn = func(i int) { r.servers[i].step(r.argNow, r.argDt) }
 	r.tickFn = func(i int) { r.servers[i].tick(r.argNow) }
 	r.advFn = func(i int) { r.servers[i].advance(r.argDt, r.argSteps) }
 	r.resetPeaks()
@@ -333,7 +331,7 @@ func (r *Rack) observe() {
 	r.lastWallW = r.pduIn(acInW)
 	// Facility roll-up: every wall Watt is room heat the CRAC/chiller pair
 	// removes. Serial scalar math after the barrier, like every reduction.
-	r.lastCoolW = r.coolingPowerNow(r.lastWallW)
+	r.lastCoolW = cooling.FaultedCoolingPower(r.fac, r.lastWallW, r.cracOut, r.chillerDerate)
 	if totalW > r.peakPowerW {
 		r.peakPowerW = totalW
 	}
@@ -351,21 +349,6 @@ func (r *Rack) pduIn(acIn float64) float64 {
 		return acIn
 	}
 	return float64(r.pdu.Wall(units.Watts(acIn)))
-}
-
-// coolingPowerNow is the facility cooling power under the current
-// facility-scope fault state: exactly zero with no facility or while a
-// CRAC outage is active (the dark room unit spends nothing — the heat
-// soaks the aisles instead, which the outage's ambient shift models), and
-// derated by the summed chiller degradation otherwise.
-func (r *Rack) coolingPowerNow(wallW float64) float64 {
-	if r.fac == nil || r.cracOut > 0 {
-		return 0
-	}
-	if r.chillerDerate > 0 {
-		return r.fac.CoolingPowerDerated(wallW, r.chillerDerate)
-	}
-	return r.fac.CoolingPower(wallW)
 }
 
 // sampleReliability appends the per-server hottest-die temperatures for
@@ -422,49 +405,38 @@ func (st *serverState) tick(now float64) {
 	}
 }
 
-// step advances one server by dt — the unit of work the fan-out
-// schedules. It touches only slot-i state, never the rack aggregates.
-func (st *serverState) step(now, dt float64) {
-	st.tick(now)
-	st.srv.Step(dt)
-}
-
 // advance moves one server through a `steps`-long macro window without
 // controller ticks (the event kernel only grants windows every controller
 // has promised to stay quiet for). The server folds temperature maxima at
 // every sub-step boundary so the window cannot hide a hotter sample than
-// its endpoints. Slot-i state only.
+// its endpoints; a one-step window's only boundary is its endpoint, which
+// observe folds. Slot-i state only.
 func (st *serverState) advance(dt float64, steps int) {
+	if steps == 1 {
+		st.srv.PlainTailStep(dt)
+		return
+	}
 	st.winEnergy0 = float64(st.srv.Energy())
 	st.winMaxCPUC, st.winMaxDIMMC, st.winMaxInlet = st.srv.MacroWindow(dt, steps)
 }
 
-// Step advances every server by dt seconds. The per-server work fans out
-// over the bounded pool (slot-i contract); the rack-level reductions —
-// simultaneous power peak and temperature maxima — run serially in index
-// order afterwards, so aggregates are identical for every worker count.
+// Step advances every server by dt seconds: every slot's controller ticks
+// at the rack clock (TickControllers), then the rack advances one grid
+// step (Advance(dt, 1)). The fixed-dt trace kernel takes exactly these two
+// calls per step, so a hand-driven Step loop is its physics.
 func (r *Rack) Step(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	r.argNow, r.argDt = r.clock, dt
-	par.ForEach(len(r.servers), r.workers, r.stepFn)
-	r.observe()
-	// Integrate the post-step draws, mirroring the per-server energy
-	// accounting (server.Step charges the breakdown taken after stepping).
-	r.dcEnergyJ += r.lastDCW * dt
-	r.wallEnergyJ += r.lastWallW * dt
-	r.coolEnergyJ += r.lastCoolW * dt
-	r.facEnergyJ += (r.lastWallW + r.lastCoolW) * dt
-	r.clock += dt
-	r.sampleReliability()
+	r.TickControllers(r.clock)
+	r.Advance(dt, 1)
 }
 
 // TickControllers applies the dispatcher loads and runs every slot's fan
-// controller for the decision instant `now`, exactly as the first half of
-// Step does, without advancing any physics. The event-stepping kernel
-// calls it at every wake step, then asks QuietHorizonCause how far the
-// controllers allow the next Advance to reach.
+// controller for the decision instant `now`, without advancing any
+// physics. The trace kernel calls it at every decision step; the event
+// kernel then asks QuietHorizonCause how far the controllers allow the
+// next Advance to reach.
 func (r *Rack) TickControllers(now float64) {
 	r.argNow = now
 	par.ForEach(len(r.servers), r.workers, r.tickFn)
@@ -585,22 +557,15 @@ func (r *Rack) FansUnsettled() bool {
 // Advance moves the whole rack through a macro window of `steps` fixed-dt
 // steps without controller ticks: per-server closed-form macro-stepping
 // fans out under the slot-i contract, then every rack-level reduction runs
-// serially in index order, exactly like Step's. Energies are integrated
-// from each server's closed-form window energy — the wall, cooling and
-// facility meters see the window's mean DC draw lifted through the same
-// PSU/PDU/CRAC chain as the per-step path (the chain's curvature over a
-// window's sub-watt DC drift is far below the kernel's equivalence
-// tolerance) — and the temperature maxima fold in every sub-step boundary
-// sample collected inside the window.
-//
-// Advance(dt, 1) after TickControllers(now) costs one plain server.Step
-// per slot and leaves every server in exactly the state Step(dt) would,
-// bit for bit, bar the MacroStats counter that attributes the step; the
-// instantaneous draws, peaks and maxima match too. The rack's energy
-// meters agree only to rounding (~1e-15 relative): Step charges the
-// endpoint DC draw, Advance the window mean ΔE/span — the same draw
-// re-derived through each server's energy meter — lifted through the
-// PSU/PDU/CRAC chain.
+// serially in index order, so aggregates are identical for every worker
+// count. A one-step window takes one plain server step per slot and
+// charges the endpoint draws, as server.Step charges its meters: after
+// TickControllers it is the fixed-dt step, bit for bit. A longer window
+// integrates each server's closed-form window energy — the wall, cooling
+// and facility meters see the window's mean DC draw lifted through the
+// same PSU/PDU/CRAC chain (the chain's curvature over a window's sub-watt
+// DC drift is far below the kernel's equivalence tolerance) — and folds
+// every sub-step boundary sample into the temperature maxima.
 func (r *Rack) Advance(dt float64, steps int) {
 	if dt <= 0 || steps <= 0 {
 		return
@@ -608,28 +573,34 @@ func (r *Rack) Advance(dt float64, steps int) {
 	r.argDt, r.argSteps = dt, steps
 	par.ForEach(len(r.servers), r.workers, r.advFn)
 	span := float64(steps) * dt
-	var dcMeanW, acInMeanW float64
-	for _, st := range r.servers {
-		mean := (float64(st.srv.Energy()) - st.winEnergy0) / span
-		dcMeanW += mean
-		acInMeanW += st.psuCurve(mean)
-		if st.winMaxCPUC > r.maxCPUC {
-			r.maxCPUC = st.winMaxCPUC
+	var dcW, wallW, coolW float64
+	if steps == 1 {
+		r.observe()
+		dcW, wallW, coolW = r.lastDCW, r.lastWallW, r.lastCoolW
+	} else {
+		var acInW float64
+		for _, st := range r.servers {
+			mean := (float64(st.srv.Energy()) - st.winEnergy0) / span
+			dcW += mean
+			acInW += st.psuCurve(mean)
+			if st.winMaxCPUC > r.maxCPUC {
+				r.maxCPUC = st.winMaxCPUC
+			}
+			if st.winMaxDIMMC > r.maxDIMMC {
+				r.maxDIMMC = st.winMaxDIMMC
+			}
+			if st.winMaxInlet > r.maxInletC {
+				r.maxInletC = st.winMaxInlet
+			}
 		}
-		if st.winMaxDIMMC > r.maxDIMMC {
-			r.maxDIMMC = st.winMaxDIMMC
-		}
-		if st.winMaxInlet > r.maxInletC {
-			r.maxInletC = st.winMaxInlet
-		}
+		wallW = r.pduIn(acInW)
+		coolW = cooling.FaultedCoolingPower(r.fac, wallW, r.cracOut, r.chillerDerate)
+		r.observe() // endpoint instantaneous draws and peak samples
 	}
-	wallMeanW := r.pduIn(acInMeanW)
-	coolMeanW := r.coolingPowerNow(wallMeanW)
-	r.dcEnergyJ += dcMeanW * span
-	r.wallEnergyJ += wallMeanW * span
-	r.coolEnergyJ += coolMeanW * span
-	r.facEnergyJ += (wallMeanW + coolMeanW) * span
-	r.observe() // endpoint instantaneous draws and peak samples
+	r.dcEnergyJ += dcW * span
+	r.wallEnergyJ += wallW * span
+	r.coolEnergyJ += coolW * span
+	r.facEnergyJ += (wallW + coolW) * span
 	r.clock += span
 	r.sampleReliability()
 }

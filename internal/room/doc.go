@@ -24,7 +24,7 @@
 //
 // # One rack pool per run
 //
-// RunTrace and Settle cross every step or segment on one par.Pool that
+// RunTrace and Settle cross every segment on one par.Pool that
 // lives exactly as long as the call: min(Workers, GOMAXPROCS, racks)
 // workers, each owning a fixed, contiguous block of racks for the whole
 // run, the calling goroutine working the first block. Between barriers a
@@ -50,8 +50,8 @@
 // The row-major Matrix W couples exhausts to inlets: rack i's exhaust
 // temperature rise ΔT_i (its wall draw times Config.ExhaustRiseCPerKW)
 // raises rack j's inlet by W[i][j]·ΔT_i. Offsets are recomputed serially
-// after every barrier — each step on the fixed-dt path, each segment
-// boundary under event stepping — and applied as deltas through
+// after every barrier — each segment boundary, every step on the
+// fixed-dt path — and applied as deltas through
 // rack.AddAmbientOffset before the racks step again, composing with fault
 // heat soaks. Within a
 // segment the offsets are held constant and re-anchored at its end, so
@@ -83,6 +83,7 @@
 // (sched.Segment.Chunk), a rack whose controllers promise quiet crossing
 // it in closed-form macro windows (rack.Advance) while a pinned rack
 // single-steps, so one noisy rack does not drag the whole room to
-// fixed-dt. Σ pins == advances − macro windows holds per rack and
-// room-wide (TestRoomPinIdentity).
+// fixed-dt. On fixed-dt each segment is one step: one chunk per rack,
+// ticked at the rack's clock. Σ pins == advances − macro windows holds per
+// rack and room-wide (TestRoomPinIdentity).
 package room

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/cooling"
 	"repro/internal/fault"
+	"repro/internal/rack"
 	"repro/internal/sched"
 	"repro/internal/units"
 )
@@ -161,22 +163,52 @@ func TestRoomRunLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestPlantRecordsRackState steps a plant directly and checks, after every
-// step and fault edge, that what the kernel reads between advances —
-// Health, TripRisk and StateSum — is what the racks report, through a
-// server darkening and a room hot enough to enter the trip-guard band.
-// The servers have not yet taken the re-anchor's pending shifts, so the
-// fresh state sum is the one the rack jobs recorded.
+// hookedPlant is a plant the trace kernel drives under fixed loads, with a
+// hook behind every segment it crosses and every fault edge it fires: the
+// tests below reach the plant's one-step path through a fixed-dt run
+// (sched.RunPlant), and an error from the edge hook ends the run right
+// after the edge.
+type hookedPlant struct {
+	*plant
+	loads   []units.Percent
+	crossed func()
+	edged   func() error
+}
+
+func (h hookedPlant) SetLoads([]units.Percent) { h.plant.SetLoads(h.loads) }
+
+func (h hookedPlant) Cross(s *sched.Segment) {
+	h.plant.Cross(s)
+	h.crossed()
+}
+
+func (h hookedPlant) ApplyFault(i int, ev fault.Event) error {
+	if err := h.plant.ApplyFault(i, ev); err != nil {
+		return err
+	}
+	return h.edged()
+}
+
+func (h hookedPlant) ClearFault(i int, ev fault.Event) error {
+	if err := h.plant.ClearFault(i, ev); err != nil {
+		return err
+	}
+	return h.edged()
+}
+
+// TestPlantRecordsRackState runs a plant on the fixed-dt kernel and checks,
+// after every step and fault edge, that what the kernel reads between
+// advances — Health, TripRisk and StateSum — is what the racks report,
+// through a server darkening and a room hot enough to enter the trip-guard
+// band. The servers have not yet taken the re-anchor's pending shifts, so
+// the fresh state sum is the one the rack jobs recorded.
 func TestPlantRecordsRackState(t *testing.T) {
 	rm := testRoom(t, 2, 2, 2, NeighborMatrix(2), nil, true)
 	rm.Rack(1).AddAmbientOffset(28)
 	p := newPlant(rm, nil)
 	defer p.close()
-	loads := []units.Percent{100, 100, 100, 100}
-	p.SetLoads(loads)
-	psu := fault.Event{Kind: fault.PSUFail, Server: 1, At: 0}
-	risky := 0
-	check := func(step int) {
+	step, risky := 0, 0
+	check := func() {
 		t.Helper()
 		var sum float64
 		risk := false
@@ -200,21 +232,21 @@ func TestPlantRecordsRackState(t *testing.T) {
 			risky++
 		}
 	}
-	for step := 1; step <= 600; step++ {
-		switch step {
-		case 200:
-			if err := p.ApplyFault(1, psu); err != nil {
-				t.Fatal(err)
-			}
-			check(step)
-		case 400:
-			if err := p.ClearFault(1, psu); err != nil {
-				t.Fatal(err)
-			}
-			check(step)
-		}
-		p.Step(1)
-		check(step)
+	h := hookedPlant{
+		plant: p, loads: []units.Percent{100, 100, 100, 100},
+		crossed: func() { step++; check() },
+		edged:   func() error { check(); return nil },
+	}
+	// The PSU fails before the 200th step and returns before the 400th.
+	faults := []*fault.Schedule{nil, {Events: []fault.Event{{Kind: fault.PSUFail, Server: 1, At: 199, Clear: 399}}}}
+	if _, _, err := sched.RunPlant(h, nil, sched.TraceConfig{Dt: 1, Horizon: 600}, faults); err != nil {
+		t.Fatal(err)
+	}
+	if step != 600 {
+		t.Fatalf("the run crossed %d steps, want 600", step)
+	}
+	if rm.Rack(1).Health(1) == rack.Failed {
+		t.Fatal("the PSU fault was not cleared")
 	}
 	if risky == 0 || risky == 600 {
 		t.Errorf("trip risk held on %d of 600 steps; the test needs both", risky)
@@ -224,15 +256,17 @@ func TestPlantRecordsRackState(t *testing.T) {
 // TestPlantShiftComposesBeforeFault: a pending recirculation shift reaches
 // a rack's servers before a fault edge on that rack shifts them again, so
 // the offsets compose in the order Room.Step's immediate re-anchor gives,
-// bit for bit, over a spread of excursion severities.
+// bit for bit, over a spread of excursion severities. The plant runs on
+// the fixed-dt kernel, which fires the edge after one step.
 func TestPlantShiftComposesBeforeFault(t *testing.T) {
 	mk := func() *Room {
 		rm := testRoom(t, 3, 4, 1, NeighborMatrix(3), nil, true)
 		driveLoads(rm, 40)
 		return rm
 	}
+	stop := errors.New("stop after the edge")
 	for k := 0; k < 25; k++ {
-		exc := fault.Event{Kind: fault.AmbientExcursion, Server: -1, Severity: 0.7 + 0.37*float64(k), At: 0}
+		exc := fault.Event{Kind: fault.AmbientExcursion, Server: -1, Severity: 0.7 + 0.37*float64(k), At: 1}
 		ref, rm := mk(), mk()
 		ref.Step(1)
 		if err := ref.ApplyFault(1, exc); err != nil {
@@ -245,13 +279,18 @@ func TestPlantShiftComposesBeforeFault(t *testing.T) {
 				loads = append(loads, rm.Rack(i).Load(s))
 			}
 		}
-		p.SetLoads(loads)
-		p.Step(1)
-		if rm.shift[1] == 0 {
-			t.Fatal("the step left no pending shift on rack 1")
+		h := hookedPlant{
+			plant: p, loads: loads,
+			crossed: func() {
+				if rm.shift[1] == 0 {
+					t.Fatal("the step left no pending shift on rack 1")
+				}
+			},
+			edged: func() error { return stop },
 		}
-		if err := p.ApplyFault(1, exc); err != nil {
-			t.Fatal(err)
+		faults := []*fault.Schedule{nil, {Events: []fault.Event{exc}}, nil}
+		if _, _, err := sched.RunPlant(h, nil, sched.TraceConfig{Dt: 1, Horizon: 2}, faults); !errors.Is(err, stop) {
+			t.Fatalf("the run returned %v, want it stopped after the fault edge", err)
 		}
 		p.close()
 		for i := 0; i < rm.NumRacks(); i++ {
@@ -262,5 +301,78 @@ func TestPlantShiftComposesBeforeFault(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// quietCounter is a fan controller that never moves its fans and promises
+// quiet until an input changes, counting how often the kernel asks.
+type quietCounter struct{ calls int }
+
+func (q *quietCounter) Name() string                              { return "quiet-counter" }
+func (q *quietCounter) Tick(control.Observation) control.Decision { return control.Decision{} }
+func (q *quietCounter) Reset()                                    {}
+func (q *quietCounter) QuietUntil(float64) float64                { q.calls++; return math.Inf(1) }
+
+// TestOneStepChunksAskNoHorizon: a fixed-dt run, rack or room, asks no
+// controller for its quiet horizon, and an event-kernel room asks only for
+// the chunks that span more than one grid step, since no answer could
+// shorten a one-step chunk. The controllers promise quiet until an input
+// changes, so each rack crosses every segment in one chunk, and each
+// controller is asked once per macro window of its rack.
+func TestOneStepChunksAskNoHorizon(t *testing.T) {
+	const racks, servers = 2, 3
+	jobs := randomJobs(t, 3, 600, racks*servers, 0.8)
+	var ctls []*quietCounter
+	rackConfig := func() rack.Config {
+		cfg := testRackConfig(t, servers, int64(1+1000*len(ctls)), false)
+		for i := range cfg.Servers {
+			q := new(quietCounter)
+			cfg.Servers[i].Controller = q
+			ctls = append(ctls, q)
+		}
+		return cfg
+	}
+	asked := func(name string, want func(i int) int) {
+		t.Helper()
+		for i, q := range ctls {
+			if w := want(i / servers); q.calls != w {
+				t.Errorf("%s: controller %d asked %d times, want %d", name, i, q.calls, w)
+			}
+		}
+	}
+
+	r, err := rack.New(rackConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sched.RunTraceCfg(r, jobs, sched.NewRoundRobin(), sched.TraceConfig{Dt: 1, Horizon: 600}); err != nil {
+		t.Fatal(err)
+	}
+	asked("fixed-dt rack", func(int) int { return 0 })
+
+	for _, event := range []bool{false, true} {
+		ctls = nil
+		specs := make([]RackSpec, racks)
+		for i := range specs {
+			specs[i] = RackSpec{Config: rackConfig()}
+		}
+		rm, err := New(Config{Racks: specs, Workers: 2, Recirc: NeighborMatrix(racks)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunTrace(rm, jobs, rrPolicy(t, racks), TraceConfig{Dt: 1, Horizon: 600, EventStepping: event})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !event {
+			asked("fixed-dt room", func(int) int { return 0 })
+			continue
+		}
+		for i, ks := range res.Kernel {
+			if ks.Advances == ks.MacroWindows {
+				t.Fatalf("rack %d took no one-step chunk: %+v", i, ks)
+			}
+		}
+		asked("event room", func(i int) int { return res.Kernel[i].MacroWindows })
 	}
 }

@@ -227,7 +227,7 @@ func (rm *Room) endSegment(dt float64, steps int) {
 	for i, rk := range rm.racks {
 		heatSegJ += rk.WallEnergyJoules() - rm.wallE0[i]
 	}
-	coolMeanW := rm.coolingPowerNow(heatSegJ / span)
+	coolMeanW := cooling.FaultedCoolingPower(rm.fac, heatSegJ/span, rm.cracOut, rm.chillerDerate)
 	rm.heatJ += heatSegJ
 	rm.coolJ += coolMeanW * span
 	rm.facJ += heatSegJ + coolMeanW*span
@@ -247,7 +247,7 @@ func (rm *Room) observeEndpoint() {
 		wallW += w
 	}
 	rm.lastWallW = wallW
-	rm.lastCoolW = rm.coolingPowerNow(wallW)
+	rm.lastCoolW = cooling.FaultedCoolingPower(rm.fac, wallW, rm.cracOut, rm.chillerDerate)
 	if wallW > rm.peakWallW {
 		rm.peakWallW = wallW
 	}
@@ -296,20 +296,6 @@ func (rm *Room) applyShift(j int) {
 	}
 }
 
-// coolingPowerNow is the shared bank's cooling power at the given room
-// heat under the current facility-scope fault state: exactly zero with no
-// facility or while any CRAC outage is active, derated by the summed
-// chiller degradation otherwise.
-func (rm *Room) coolingPowerNow(wallW float64) float64 {
-	if rm.fac == nil || rm.cracOut > 0 {
-		return 0
-	}
-	if rm.chillerDerate > 0 {
-		return rm.fac.CoolingPowerDerated(wallW, rm.chillerDerate)
-	}
-	return rm.fac.CoolingPower(wallW)
-}
-
 // ApplyFault injects one fault event into rack rackIdx. Server-scope kinds
 // delegate to the rack unchanged. The facility-scope kinds act on the
 // room's shared bank — any active CRACOutage darkens it (cooling power
@@ -325,7 +311,7 @@ func (rm *Room) ApplyFault(rackIdx int, ev fault.Event) error {
 	if ev.Kind == fault.ChillerDegraded {
 		// The shared bank sums every rack's derates: refuse the edge before
 		// the rack applies it, so an error changes nothing.
-		if d := rm.chillerDerate + degradeSeverity(ev); d >= 1 {
+		if d := rm.chillerDerate + ev.Magnitude(); d >= 1 {
 			return fmt.Errorf("room: %s on rack %d would stack the shared chiller derates to %g; they must sum below 1", ev, rackIdx, d)
 		}
 	}
@@ -336,7 +322,7 @@ func (rm *Room) ApplyFault(rackIdx int, ev fault.Event) error {
 	case fault.CRACOutage:
 		rm.cracOut++
 	case fault.ChillerDegraded:
-		rm.chillerDerate += degradeSeverity(ev)
+		rm.chillerDerate += ev.Magnitude()
 	}
 	return nil
 }
@@ -353,18 +339,9 @@ func (rm *Room) ClearFault(rackIdx int, ev fault.Event) error {
 	case fault.CRACOutage:
 		rm.cracOut--
 	case fault.ChillerDegraded:
-		rm.chillerDerate -= degradeSeverity(ev)
+		rm.chillerDerate -= ev.Magnitude()
 	}
 	return nil
-}
-
-// degradeSeverity resolves a ChillerDegraded severity, zero picking the
-// documented default (mirroring the rack's resolution).
-func degradeSeverity(ev fault.Event) float64 {
-	if ev.Severity == 0 {
-		return fault.DefaultPSUDroop
-	}
-	return ev.Severity
 }
 
 // ResetAccounting zeroes every rack's meters and the room aggregates — the

@@ -690,7 +690,7 @@ func TestRoomValidation(t *testing.T) {
 	if _, err := RunTrace(rm, jobs, nil, TraceConfig{Dt: 1, Horizon: 10}); err == nil {
 		t.Error("nil policy must be rejected")
 	}
-	unsorted := []sched.Job{{Arrival: 5}, {Arrival: 1}}
+	unsorted := []sched.Job{{Arrival: 5, Demand: 10}, {Arrival: 1, Demand: 10}}
 	if _, err := RunTrace(rm, unsorted, pol, TraceConfig{Dt: 1, Horizon: 10}); err == nil {
 		t.Error("unsorted jobs must be rejected")
 	}

@@ -31,7 +31,8 @@ type TraceConfig struct {
 	// run's window would, bar the controller horizon: within it every
 	// rack advances on its own, a rack whose controllers promise quiet in
 	// macro windows while a pinned rack single-steps (see the package
-	// doc). false is the fixed-dt reference path.
+	// doc). false is the fixed-dt reference: the same kernel with every
+	// segment one grid step long.
 	EventStepping bool
 
 	// SampleEvery, in seconds, optionally bounds event-stepping segments at
@@ -130,8 +131,8 @@ func Settle(rm *Room, dt, duration float64, eventStepping bool) error {
 }
 
 // plant is the room as the trace kernel's sched.Plant: the two-level
-// placement over RackViews, and each step or segment crossed rack by rack
-// on a persistent pool. A room's global slots number rack 0's servers
+// placement over RackViews, and each segment crossed rack by rack on a
+// persistent pool. A room's global slots number rack 0's servers
 // first. Now is the Room's own.
 //
 // The serial phase between two barriers touches rack-level state only.
@@ -153,14 +154,13 @@ type plant struct {
 	views     []RackView
 	gridSteps int // grid steps crossed (Σ segment lengths)
 
-	// The rack fan-out: the run's pool, its per-step jobs (built once, as
-	// rack.Rack's are), and their inputs, written serially before each
-	// round — the segment, the fixed step and the kernel's committed loads.
-	pool              *par.Pool
-	crossJob, stepJob func(i int)
-	seg               *sched.Segment
-	dt                float64
-	loads             []units.Percent
+	// The rack fan-out: the run's pool, its per-segment job (built once, as
+	// rack.Rack's are), and its inputs, written serially before each round
+	// — the segment and the kernel's committed loads.
+	pool     *par.Pool
+	crossJob func(i int)
+	seg      *sched.Segment
+	loads    []units.Percent
 
 	// What fill leaves for the serial phase besides the views: each rack's
 	// state sum and trip risk, and each global slot's ambient and inlet
@@ -191,7 +191,7 @@ func newPlant(rm *Room, pol *Policy) *plant {
 		}
 	}
 	p.amb, p.preheat = make([]units.Celsius, len(p.base)), make([]units.Celsius, len(p.base))
-	p.crossJob, p.stepJob = p.crossRack, p.stepRack
+	p.crossJob = p.crossRack
 	p.pool = par.NewPool(rm.workers, nr)
 	p.pool.Run(p.fill)
 	return p
@@ -211,22 +211,11 @@ func (p *plant) Racks() []*rack.Rack { return p.racks }
 // SetLoads implements sched.Plant: each rack's next job applies its slice.
 func (p *plant) SetLoads(loads []units.Percent) { p.loads = loads }
 
-// Step implements sched.Plant: every rack steps once in the fan-out, then
-// the room's serial post-barrier phase runs as in Room.Step, bar applying
-// the re-anchor's shifts, which the racks' next jobs do.
-func (p *plant) Step(dt float64) {
-	p.beginSegment()
-	p.dt = dt
-	p.pool.Run(p.stepJob)
-	p.endSegment(dt, 1)
-	p.gridSteps++
-	p.reanchored()
-}
-
 // Cross implements sched.Plant: every rack crosses the segment with its
 // own chunks (crossRack) in the fan-out, then the room's serial
-// post-barrier phase integrates the shared bank and re-anchors the
-// recirculation offsets.
+// post-barrier phase runs as in Room.Step — it integrates the shared bank
+// and re-anchors the recirculation offsets — bar applying the re-anchor's
+// shifts, which the racks' next jobs do.
 func (p *plant) Cross(s *sched.Segment) {
 	p.beginSegment()
 	p.seg = s
@@ -236,19 +225,12 @@ func (p *plant) Cross(s *sched.Segment) {
 	p.reanchored()
 }
 
-// stepRack is rack i's fan-out job on the fixed-dt kernel.
-func (p *plant) stepRack(i int) {
-	p.applyInputs(i)
-	p.racks[i].Step(p.dt)
-	p.fill(i)
-}
-
-// crossRack is rack i's fan-out job on the event kernel. Each chunk runs
-// to the segment's end or to the rack's own controller horizon
-// (sched.Segment.Chunk) and advances in closed form (rack.Advance): a
-// quiet rack crosses the segment in a few macro windows while a pinned
-// rack single-steps. Writes only rack i's state, its plant entries and
-// Kernel[i].
+// crossRack is rack i's fan-out job. Each chunk runs to the segment's end
+// or to the rack's own controller horizon (sched.Segment.Chunk) and
+// advances in closed form (rack.Advance): a quiet rack crosses the segment
+// in a few macro windows while a pinned rack single-steps, and on fixed-dt
+// every segment is one chunk of one step. Writes only rack i's state, its
+// plant entries and Kernel[i].
 func (p *plant) crossRack(i int) {
 	p.applyInputs(i)
 	rk, s := p.racks[i], p.seg

@@ -39,14 +39,26 @@
 // runs on). It steps a Plant — one rack, or a room of racks — and offers
 // the FIFO head to the plant's Place hook: the rack's policy, or the
 // room's two-level chooser→slot policy. Everything else exists once: the
-// fixed-dt reference loop and the event loop, the decision step, the
-// window bounds, the float-exact step arithmetic, fault-edge pinning, the
-// cancellation check, the NaN divergence guard (Diverged), the pin-reason
-// taxonomy and the metric handles, which report kernel.* and sched.* for
-// a rack run and room.* for a room run. A time grid the kernel cannot
-// step is an error: a non-finite or non-positive Dt or Horizon, or a
-// negative or non-finite SampleEvery. The wall cap, its deferral proof,
-// backfill and checkpoints are rack-run features.
+// decision loop, the decision step, the window bounds, the float-exact
+// step arithmetic, fault-edge pinning, the cancellation check, the NaN
+// divergence guard (Diverged), the pin-reason taxonomy and the metric
+// handles, which report kernel.* and sched.* for a rack run and room.*
+// for a room run. A time grid the kernel cannot step is an error: a
+// non-finite or non-positive Dt or Horizon, or a negative or non-finite
+// SampleEvery. So is a job it cannot place on that grid: every job needs
+// a finite arrival, a duration that is not NaN or negative, and a demand
+// in (0, 100]. A finite time at or past the horizon — a job arrival or
+// completion, a fault edge, a controller promise — is past the horizon,
+// however large. The wall cap, its deferral proof, backfill and
+// checkpoints are rack-run features.
+//
+// The fixed-dt reference is the same loop, not a second one: a
+// time-stepped simulation is the event-driven one whose every step is an
+// event (B. P. Zeigler et al., Theory of Modeling and Simulation, 2000).
+// With EventStepping off every window is one grid step, charged
+// pinFixedDt, and each rack's controllers tick at the rack's own clock, as
+// a rack.Step loop ticks them; a one-step rack.Advance is the fixed-dt
+// step bit for bit.
 //
 // # Wall-power capping
 //
@@ -70,7 +82,7 @@
 // control.HorizonPromiser contract: hold-off expiries and poll outcomes
 // bound when a fan decision can next happen), and optional fixed-cadence
 // telemetry samples (TraceConfig.SampleEvery). The kernel visits the grid
-// steps at which the fixed-dt loop could decide something new —
+// steps at which the fixed-dt reference could decide something new —
 // decisions run through literally the same code at the same instants —
 // and advances the rack across each quiet gap in one closed-form macro
 // window (rack.Advance over server.MacroWindow over

@@ -28,14 +28,12 @@ type Plant interface {
 	// (Segment.Chunk) and rolls up their metrics after the run.
 	Racks() []*rack.Rack
 	Now() float64 // the plant clock, seconds: the run's grid starts there
-	// SetLoads commits the dispatcher's per-slot loads: the next Step or
-	// Cross runs under them. The slice stays the kernel's; the plant reads
-	// it until the next SetLoads.
+	// SetLoads commits the dispatcher's per-slot loads: the next Cross runs
+	// under them. The slice stays the kernel's; the plant reads it until
+	// the next SetLoads.
 	SetLoads(loads []units.Percent)
-	// Step advances the whole plant one fixed grid step of dt.
-	Step(dt float64)
-	// Cross advances the whole plant across an event-kernel segment,
-	// charging every rack advance it takes (see Segment.Chunk).
+	// Cross advances the whole plant across a segment, charging every rack
+	// advance it takes (see Segment.Chunk).
 	Cross(s *Segment)
 	// ApplyFault and ClearFault fire one pinned fault edge on rack i.
 	ApplyFault(i int, ev fault.Event) error
@@ -55,8 +53,8 @@ type Plant interface {
 }
 
 // Segment is the stretch of grid steps [K, End), Dt seconds each, that the
-// event kernel crosses between two decision steps. Plant.Cross advances
-// every rack across it.
+// kernel crosses between two decision steps — a single step on fixed-dt.
+// Plant.Cross advances every rack across it.
 type Segment struct {
 	K, End int
 	Dt     float64
@@ -66,21 +64,24 @@ type Segment struct {
 }
 
 // Chunk plans rack i's next advance inside the segment, from grid step k:
-// it ticks the rack's fan controllers at that step's instant and returns
-// how many steps the rack may cross in one rack.Advance — to the segment's
-// end, or sooner to the step its controllers' quiet horizon reaches. The
+// it ticks the rack's fan controllers (at tickAt's instant) and returns how
+// many steps the rack may cross in one rack.Advance — to the segment's
+// end, or sooner to the step its controllers' quiet horizon reaches. A
+// one-step chunk asks for no horizon, which could not shorten it. The
 // chunk is charged to rack i's RackKernelStats and pin counters, a single
 // step to the bound that ended it (the segment's on a tie). Cross may
 // chunk different racks concurrently; each rack's chunks run in order.
 func (s *Segment) Chunk(i, k int) int {
 	e := s.e
 	r := e.racks[i]
-	now := e.start + float64(k)*e.dt
+	now := e.tickAt(r, k)
 	r.TickControllers(now)
 	w, cause := s.End-k, s.cause
-	if q, qc := r.QuietHorizonCause(now, e.dt); !math.IsInf(q, 1) {
-		if kq := max(e.stepAtOrAfter(q), k+1); kq-k < w {
-			w, cause = kq-k, quietPin(r, qc)
+	if w > 1 {
+		if q, qc := r.QuietHorizonCause(now, e.dt); !math.IsInf(q, 1) {
+			if kq := max(e.stepAtOrAfter(q), k+1); kq-k < w {
+				w, cause = kq-k, quietPin(r, qc)
+			}
 		}
 	}
 	e.charge(i, w, cause)
@@ -90,7 +91,7 @@ func (s *Segment) Chunk(i, k int) int {
 // RackKernelStats is one rack's advance accounting over a run. The pin
 // identity Advances − MacroWindows == Σ Pins holds by construction.
 type RackKernelStats struct {
-	Advances     int   // rack.Step and rack.Advance calls
+	Advances     int   // rack.Advance calls
 	MacroWindows int   // advances spanning more than one grid step
 	Pins         []int // single-step advances by reason, indexed as PinReasonNames
 }
@@ -115,9 +116,8 @@ type faultAction struct {
 	ev    fault.Event
 }
 
-// traceRun is the state of one trace execution, shared by the fixed-dt
-// reference loop and the event-driven kernel so both take scheduling
-// decisions through literally the same code, for a rack and a room alike.
+// traceRun is the state of one trace execution on the one decision loop
+// (runEvents), for either kernel, a rack and a room alike.
 type traceRun struct {
 	plant  Plant
 	racks  []*rack.Rack
@@ -208,16 +208,37 @@ func gridSteps(dt, horizon, sampleEvery float64) (int, error) {
 	return int(n), nil
 }
 
-// init validates what every run shares — the time grid, the job order
-// and the fault schedules, one per rack — and fills in the run state for
-// plant pl, keeping the rack-run fields already set.
+// checkJob validates one job of a trace: a finite arrival, a duration
+// that is not NaN or negative (+Inf never completes), and a demand in
+// (0, 100], the rule loadgen.PoissonTraceConfig.Validate applies — a job
+// no slot can ever fit would block the FIFO head for the rest of the run.
+func checkJob(j Job) error {
+	switch {
+	case math.IsNaN(j.Arrival) || math.IsInf(j.Arrival, 0):
+		return fmt.Errorf("job %d: arrival %g is not finite", j.ID, j.Arrival)
+	case !(j.Duration >= 0):
+		return fmt.Errorf("job %d: duration %g is NaN or negative", j.ID, j.Duration)
+	case !(j.Demand > 0) || j.Demand > 100:
+		return fmt.Errorf("job %d: demand %v outside (0,100]", j.ID, j.Demand)
+	}
+	return nil
+}
+
+// init validates what every run shares — the time grid, the jobs and
+// their order, and the fault schedules, one per rack — and fills in the
+// run state for plant pl, keeping the rack-run fields already set.
 func (e *traceRun) init(pl Plant, jobs []Job, tc TraceConfig, faults []*fault.Schedule, sc *scope) error {
 	steps, err := gridSteps(tc.Dt, tc.Horizon, tc.SampleEvery)
 	if err != nil {
 		return fmt.Errorf("%s: %w", sc.name, err)
 	}
-	if !sort.SliceIsSorted(jobs, func(a, b int) bool { return jobs[a].Arrival < jobs[b].Arrival }) {
-		return fmt.Errorf("%s: jobs must be sorted by arrival time", sc.name)
+	for i, j := range jobs {
+		if i > 0 && j.Arrival < jobs[i-1].Arrival {
+			return fmt.Errorf("%s: jobs must be sorted by arrival time", sc.name)
+		}
+		if err := checkJob(j); err != nil {
+			return fmt.Errorf("%s: %w", sc.name, err)
+		}
 	}
 	racks := pl.Racks()
 	if len(faults) > 0 && len(faults) != len(racks) {
@@ -313,9 +334,9 @@ func Settle(r *rack.Rack, dt, duration float64, eventStepping bool) error {
 // dispatcher's zero loads, whatever loads the plant ran under before, and
 // both run the divergence guard. With event stepping the whole window
 // collapses into a handful of controller-horizon macro windows; otherwise
-// it is the fixed-dt loop (an integer step count, so a non-integer dt
-// cannot drift the window). A duration of zero or less settles nothing; a
-// non-finite one, or an invalid dt, is an error.
+// every segment is one grid step (an integer step count, so a non-integer
+// dt cannot drift the window). A duration of zero or less settles nothing;
+// a non-finite one, or an invalid dt, is an error.
 func SettlePlant(pl Plant, dt, duration float64, eventStepping bool) error {
 	return new(traceRun).settle(pl, dt, duration, eventStepping)
 }
@@ -334,16 +355,11 @@ func (e *traceRun) settle(pl Plant, dt, duration float64, eventStepping bool) er
 	return err
 }
 
-// run executes the configured kernel and folds the post-run accounting —
+// run executes the decision loop and folds the post-run accounting —
 // shared by every entry point. On a cancellation or divergence error the
 // partial Result is still returned alongside it.
 func (e *traceRun) run() (Result, error) {
-	var err error
-	if e.tc.EventStepping {
-		err = e.runEvents()
-	} else {
-		err = e.runFixed()
-	}
+	err := e.runEvents()
 	if e.res.Placed > 0 {
 		e.res.MeanWaitSec = e.totalWait / float64(e.res.Placed)
 	}
@@ -359,42 +375,15 @@ func (e *traceRun) run() (Result, error) {
 	return e.res, err
 }
 
-// runFixed is the fixed-dt reference path: every grid step processes
-// events and advances the whole plant by one dt, every rack charged one
-// fixed-dt pin.
-func (e *traceRun) runFixed() error {
-	for k := e.k0; k < e.steps; k++ {
-		if e.hooks {
-			if err := e.boundary(k); err != nil {
-				return err
-			}
-		}
-		if _, err := e.processStep(k); err != nil {
-			return err
-		}
-		e.plant.SetLoads(e.loads)
-		e.plant.Step(e.dt)
-		e.res.RackSteps++
-		e.m.segment(1)
-		for i := range e.racks {
-			e.charge(i, 1, pinFixedDt)
-		}
-		if err := e.checkFinite(k + 1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runEvents is the event-driven kernel. It visits exactly the grid steps
-// at which the fixed-dt path could decide something new — a job arrival
-// or completion, a blocked backlog retry, a controller wake-up, a
-// telemetry sample — and has the plant cross every gap in between as one
-// segment: a rack in one rack.Advance macro window, a room rack by rack in
-// chunks (Segment.Chunk). Decision code and decision inputs are shared
-// with runFixed; the steps a segment crosses over a blocked head replay
-// their bookkeeping in foldBlocked. Only the physics between decisions is
-// advanced in closed form.
+// runEvents is the decision loop of every run. It visits exactly the grid
+// steps at which something can be decided — a job arrival or completion,
+// a blocked backlog retry, a controller wake-up, a telemetry sample — and
+// has the plant cross every gap in between as one segment: a rack in one
+// rack.Advance macro window, a room rack by rack in chunks
+// (Segment.Chunk); the steps a segment crosses over a blocked head replay
+// their bookkeeping in foldBlocked. The fixed-dt reference is the same
+// loop with every step an event: each segment one grid step, charged
+// pinFixedDt, each rack's controllers ticking at the rack clock (tickAt).
 func (e *traceRun) runEvents() error {
 	sampleSteps := 0
 	if e.tc.SampleEvery > 0 {
@@ -413,29 +402,29 @@ func (e *traceRun) runEvents() error {
 			return err
 		}
 		e.plant.SetLoads(e.loads)
-		now := e.start + float64(k)*e.dt
 		if e.r != nil {
-			// A rack run's controllers tick here and their quiet horizon
-			// bounds the window; a room's racks tick per chunk. Both tick at
-			// the kernel's grid time, the fixed-dt path at the rack's
-			// accumulated clock: the two agree exactly for every integer dt
-			// and to one ulp otherwise, where a hold-off or poll boundary
-			// inside that ulp could shift a fan decision by one grid step.
-			e.r.TickControllers(now)
+			// A rack run's controllers tick here, and on the event kernel
+			// their quiet horizon bounds the window; a room's racks tick per
+			// chunk.
+			e.r.TickControllers(e.tickAt(e.r, k))
 		}
-		window, reason := 1, pinBacklog
-		// A blocked head pins the kernel to fixed-dt — retried every step
-		// against fresh telemetry, like the reference path — unless the
-		// kernel can cross it: a refused head when the placement decides on
-		// loads and health alone (LoadOnlyRefuser), which change only at
-		// wake events; a cap-deferred head, with backfill off, for as many
-		// steps as window() proves the cap admission fails.
-		if blk == headClear || blk == headRefused && e.crossBlocked || blk == headDeferred && !e.tc.Backfill {
-			window, reason = e.window(k, now, sampleSteps, blk)
-		}
-		if blk != headClear && window > 1 {
-			if err := e.foldBlocked(k, window, blk); err != nil {
-				return err
+		window, reason := 1, pinFixedDt
+		if e.tc.EventStepping {
+			// A blocked head pins the kernel to single steps — retried every
+			// step against fresh telemetry, like the reference path — unless
+			// the kernel can cross it: a refused head when the placement
+			// decides on loads and health alone (LoadOnlyRefuser), which
+			// change only at wake events; a cap-deferred head, with backfill
+			// off, for as many steps as window() proves the cap admission
+			// fails.
+			reason = pinBacklog
+			if blk == headClear || blk == headRefused && e.crossBlocked || blk == headDeferred && !e.tc.Backfill {
+				window, reason = e.window(k, e.start+float64(k)*e.dt, sampleSteps, blk)
+			}
+			if blk != headClear && window > 1 {
+				if err := e.foldBlocked(k, window, blk); err != nil {
+					return err
+				}
 			}
 		}
 		e.seg.K, e.seg.End, e.seg.cause = k, k+window, reason
@@ -448,6 +437,17 @@ func (e *traceRun) runEvents() error {
 		}
 	}
 	return nil
+}
+
+// tickAt is the instant rack r's controllers tick at grid step k: grid
+// time on the event kernel, the rack's accumulated clock on fixed-dt, as
+// rack.Step ticks. The two agree exactly at integer dt and to an ulp
+// otherwise, where a hold-off boundary could move a fan decision a step.
+func (e *traceRun) tickAt(r *rack.Rack, k int) float64 {
+	if e.tc.EventStepping {
+		return e.start + float64(k)*e.dt
+	}
+	return r.Now()
 }
 
 // headBlock says how the FIFO head ended a decision step.
@@ -702,8 +702,8 @@ func (e *traceRun) window(k int, now float64, sampleSteps int, blk headBlock) (i
 
 // foldBlocked replays the bookkeeping of the grid steps k+1 … k+window−1
 // that a segment crosses while the FIFO head stays blocked — what the
-// fixed-dt loop does there, minus the physics. Nothing completes and no
-// fault edge fires inside a segment, so at each step arrivals join the
+// fixed-dt reference does there, minus the physics. Nothing completes and
+// no fault edge fires inside a segment, so at each step arrivals join the
 // tail (window() ends segments at arrivals whenever one could place) and
 // the head is retried. A refused head is refused again — the placement
 // decides on loads and health, which have not changed — so no Place call
@@ -725,19 +725,16 @@ func (e *traceRun) foldBlocked(k, window int, blk headBlock) error {
 	return e.replayDeferred(k, last)
 }
 
-// arrivalStep returns the grid step at which the fixed-dt loop admits an
-// arrival at time a: the smallest k satisfying the admission predicate.
-// The candidate from the division is corrected against the decision
-// loop's own float expression — fl(fl(k·dt)+dt), NOT fl((k+1)·dt), which
-// can round differently — so the two paths can never disagree on the
-// admitting step.
+// arrivalStep returns the grid step at which the fixed-dt reference
+// admits an arrival at time a: the smallest k satisfying the admission
+// predicate. The candidate from the division is corrected against the
+// decision loop's own float expression — fl(fl(k·dt)+dt), NOT
+// fl((k+1)·dt), which can round differently — so the two kernels can
+// never disagree on the admitting step.
 func (e *traceRun) arrivalStep(a float64) int {
 	admits := func(k int) bool { return a < float64(k)*e.dt+e.dt }
-	k := int(a / e.dt)
-	if k < 0 {
-		k = 0
-	}
-	for !admits(k) {
+	k := e.startStep(a / e.dt)
+	for k < e.steps && !admits(k) {
 		k++
 	}
 	for k > 0 && admits(k-1) {
@@ -781,11 +778,8 @@ func (e *traceRun) pinFaults(ri int, sch *fault.Schedule) {
 // The correction loops evaluate the same float expression processStep's
 // elapsed uses, so both stepping modes agree on the step.
 func (e *traceRun) relStepAtOrAfter(t float64) int {
-	k := int(t / e.dt)
-	if k < 0 {
-		k = 0
-	}
-	for float64(k)*e.dt < t {
+	k := e.startStep(t / e.dt)
+	for k < e.steps && float64(k)*e.dt < t {
 		k++
 	}
 	for k > 0 && float64(k-1)*e.dt >= t {
@@ -795,22 +789,35 @@ func (e *traceRun) relStepAtOrAfter(t float64) int {
 }
 
 // stepAtOrAfter returns the smallest grid step k with start + k·dt ≥ t —
-// the step at which the fixed-dt loop first sees `a.end <= now` for a
-// completion at t, and the wake step for a controller horizon at t. The
+// the step at which the fixed-dt reference first sees `a.end <= now` for
+// a completion at t, and the wake step for a controller horizon at t. The
 // correction loops evaluate the identical float expression the decision
 // code uses.
 func (e *traceRun) stepAtOrAfter(t float64) int {
-	k := int((t - e.start) / e.dt)
-	if k < 0 {
-		k = 0
-	}
-	for e.start+float64(k)*e.dt < t {
+	k := e.startStep((t - e.start) / e.dt)
+	for k < e.steps && e.start+float64(k)*e.dt < t {
 		k++
 	}
 	for k > 0 && e.start+float64(k-1)*e.dt >= t {
 		k--
 	}
 	return k
+}
+
+// startStep is where the grid-step helpers above start their correction
+// loops for a time of x grid steps: x's integer part, clamped to
+// [0, steps]. The helpers answer at most steps, the horizon: a time at or
+// past it can only mean "past the horizon" to every caller, and saturating
+// before the conversion keeps a huge time (or a NaN, which no step
+// satisfies) from overflowing the int and walking up from 0 step by step.
+func (e *traceRun) startStep(x float64) int {
+	switch {
+	case !(x < float64(e.steps)):
+		return e.steps
+	case x > 0:
+		return int(x)
+	}
+	return 0
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -550,7 +550,8 @@ type TraceConfig struct {
 	// power-ranked pick, or a cap admission, sits within that drift of a
 	// tie. What pins the kernel to single steps, and how it crosses a
 	// blocked head, is in the package doc. false — the default — is the
-	// fixed-dt reference path.
+	// fixed-dt reference: the same loop with every window pinned to one
+	// grid step, the controllers ticking at the rack clock.
 	EventStepping bool
 
 	// Backfill enables a FIFO backfill pass whenever the queue head blocks
@@ -692,7 +693,6 @@ type rackPlant traceRun
 
 func (rp *rackPlant) Racks() []*rack.Rack { return []*rack.Rack{rp.r} }
 func (rp *rackPlant) Now() float64        { return rp.r.Now() }
-func (rp *rackPlant) Step(dt float64)     { rp.r.Step(dt) }
 
 func (rp *rackPlant) SetLoads(loads []units.Percent) {
 	for i, u := range loads {
@@ -705,7 +705,8 @@ func (rp *rackPlant) TripRisk() bool                 { return rp.r.TripRisk() }
 func (rp *rackPlant) StateSum() float64              { return rp.r.StateSum() }
 
 // Cross advances the rack across the segment in one macro window: a rack
-// run's window already ends at its controllers' quiet horizon.
+// run's window already ends at its controllers' quiet horizon, and its
+// controllers ticked at the decision step.
 func (rp *rackPlant) Cross(s *Segment) {
 	rp.r.Advance(s.Dt, s.End-s.K)
 	s.e.charge(0, s.End-s.K, s.cause)
@@ -853,7 +854,7 @@ func (e *traceRun) deferSteps(maxSkip int) int {
 // (rack.FloorWalkView: crossed step k+i reads the walk after i steps), and
 // the inlet temperature, which holds across the window. The pick is
 // validated and, as window() proved, deferred. A refusal there is what the
-// fixed-dt loop would see too when the policy reads telemetry, so it
+// fixed-dt reference would see too when the policy reads telemetry, so it
 // counts nothing; from a LoadOnlyRefuser it breaks the contract.
 func (e *traceRun) replayDeferred(k, last int) error {
 	j := e.pending[0]

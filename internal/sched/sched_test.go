@@ -150,7 +150,7 @@ func TestRunTraceAccounting(t *testing.T) {
 }
 
 func TestRunTraceRejectsUnsorted(t *testing.T) {
-	jobs := []Job{{Arrival: 10}, {Arrival: 0}}
+	jobs := []Job{{Arrival: 10, Demand: 10}, {Arrival: 0, Demand: 10}}
 	if _, err := RunTraceCfg(traceRack(t), jobs, NewRoundRobin(), TraceConfig{Dt: 1, Horizon: 100}); err == nil {
 		t.Fatal("unsorted jobs must be rejected")
 	}

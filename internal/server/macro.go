@@ -128,6 +128,14 @@ func (s *Server) MacroWindow(dt float64, steps int) (maxDieC, maxDIMMC, maxInlet
 	return maxDieC, maxDIMMC, maxInletC
 }
 
+// PlainTailStep is MacroWindow(dt, 1) without the maxima: one plain Step,
+// charged to MacroStats.PlainTail. A one-step window's only sub-step
+// boundary is its endpoint, which the caller observes itself.
+func (s *Server) PlainTailStep(dt float64) {
+	s.macroStats.PlainTail++
+	s.Step(dt)
+}
+
 // MacroStats is the server's lifetime macro-vs-plain step attribution —
 // the per-slot answer to "which pin ate the collapsed steps". Counters are
 // plain ints bumped only by the goroutine stepping this server, so they
@@ -146,7 +154,10 @@ type MacroStats struct {
 	PlainSlew       int // fans slewing: conductances move every step
 	PlainTripBand   int // within tripGuardC of CriticalTemp
 	PlainDrift      int // drift cap rejected the first doubling
-	PlainTail       int // odd single-step remainder of a window, no veto
+	// PlainTail counts single steps taken without a veto: the odd remainder
+	// of a window, and every one-step window — each fixed-dt step and each
+	// step the event kernel pins.
+	PlainTail int
 }
 
 // MacroStats returns the lifetime attribution counters.
